@@ -8,6 +8,8 @@ files with the same schema on top via :func:`load_catalog`.
 from dataclasses import dataclass
 from importlib import resources
 
+from .config import _raw_parse
+from .constants import ATOMIC_MASS_UNIT
 from .errors import CatalogKeyError, ConfigError
 from .units import parse_quantity
 
@@ -60,7 +62,7 @@ _REQUIRED = {
 _OPTIONAL = {"source"}
 
 
-def _finish_record(kind, fields, line, amu):
+def _finish_record(kind, fields, line):
     missing = _REQUIRED[kind] - fields.keys()
     if missing:
         raise ConfigError(f"[{kind}] entry missing keys {sorted(missing)}", line)
@@ -74,54 +76,25 @@ def _finish_record(kind, fields, line, amu):
     if kind == "particle":
         return ParticleSpec(name, mass, size, source)
     rq = parse_quantity(fields["Rq"][0], "length", "Rq", fields["Rq"][1])
-    return ExperimentRecord(name, mass, mass / amu, size, rq, source)
+    return ExperimentRecord(name, mass, mass / ATOMIC_MASS_UNIT, size, rq, source)
 
 
 def parse_catalog(text):
     """Parse catalog text into an ordered name -> record dict."""
-    from .constants import ATOMIC_MASS_UNIT
-
-    records = {}
-    kind = None
-    fields = {}
-    open_line = None
-
-    def close():
-        if kind is None:
-            return
-        rec = _finish_record(kind, fields, open_line, ATOMIC_MASS_UNIT)
-        if rec.name in records:
-            raise ConfigError(f"duplicate catalog entry {rec.name!r}", open_line)
-        records[rec.name] = rec
-
-    version = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            close()
-            kind = line[1:-1].strip()
-            if kind not in _REQUIRED:
-                raise ConfigError(f"unknown catalog section [{kind}]", lineno)
-            fields = {}
-            open_line = lineno
-            continue
-        if "=" not in line:
-            raise ConfigError("expected 'key = value'", lineno)
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if kind is None:
-            if key != "version":
-                raise ConfigError("only 'version' may precede the first section", lineno)
-            version = value
-            continue
-        if key in fields:
-            raise ConfigError(f"duplicate key '{key}'", lineno)
-        fields[key] = (value, lineno)
-    close()
-    if version is None:
+    head, sections = _raw_parse(text)
+    for key, (_, line) in head.items():
+        if key != "version":
+            raise ConfigError("only 'version' may precede the first section", line)
+    if "version" not in head:
         raise ConfigError("catalog file must declare a version")
+    records = {}
+    for kind, fields, line in sections:
+        if kind not in _REQUIRED:
+            raise ConfigError(f"unknown catalog section [{kind}]", line)
+        rec = _finish_record(kind, fields, line)
+        if rec.name in records:
+            raise ConfigError(f"duplicate catalog entry {rec.name!r}", line)
+        records[rec.name] = rec
     return records
 
 

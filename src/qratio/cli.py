@@ -22,7 +22,9 @@ import os
 import sys
 from importlib import resources
 
+from . import __version__
 from .config import parse_config
+from .constants import ELECTRON_MASS
 from .errors import ConfigError, QRatioError
 from .runner import run
 from .units import parse_quantity
@@ -41,10 +43,8 @@ def _preset_text(name):
     ref = resources.files("qratio").joinpath(f"presets/{name}.cfg")
     if ref.is_file():
         return ref.read_text()
-    bundled = sorted(p.name[:-4] for p in resources.files("qratio")
-                     .joinpath("presets").iterdir() if p.name.endswith(".cfg"))
     raise ConfigError(f"unknown preset {name!r}; bundled presets: "
-                      f"{', '.join(bundled)}")
+                      f"{', '.join(preset_names())}")
 
 
 def preset_names():
@@ -67,7 +67,6 @@ def _inline_config(args):
         if not args.energy_sweep:
             raise ConfigError("inline tunnel runs need --energy-sweep lo:hi:n")
         lo, hi, n = _parse_sweep(args.energy_sweep)
-        from .constants import ELECTRON_MASS
         mass_val = (parse_quantity(args.mass, "mass", "--mass")
                     if args.mass else ELECTRON_MASS)
         lines = ["[scenario]", "kind = tunnel", "[tunnel]", "mode = sweep",
@@ -122,9 +121,8 @@ def build_parser():
         description="Quantum-ratio toolkit: wave packets, spin coherent "
                     "states, Stern-Gerlach, tunneling, Talbot-Lau, decoherence")
     parser.add_argument("--version", action="version",
-                        version="%(prog)s " + __import__("qratio").__version__)
+                        version="%(prog)s " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = dict(add_help=True)
     for kind, blurb in [
             ("ratio", "quantum ratio Q = R_q/L_0 of a catalog experiment"),
             ("diffuse", "free wave-packet doubling times"),
@@ -134,14 +132,12 @@ def build_parser():
             ("talbot", "Talbot carpets and Talbot-Lau scans"),
             ("decohere", "density-matrix localization"),
     ]:
-        p = sub.add_parser(kind, help=blurb, **common)
+        p = sub.add_parser(kind, help=blurb)
         p.add_argument("--config", help="scenario config file")
         p.add_argument("--preset", help="bundled or $%s preset name" % PRESET_ENV)
         p.add_argument("--out", help="output directory")
         p.add_argument("--threads", type=int, default=1,
                        help="FFT worker threads (default 1)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="kept for interface stability; both are written")
         if kind == "ratio":
             p.add_argument("--Rq", help="quantum range, e.g. '0.2 mm'")
             p.add_argument("--L0", help="body size, e.g. '1.44 angstrom'")

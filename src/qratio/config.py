@@ -8,7 +8,7 @@ number.  The exact grammar is documented in FORMATS.md.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .units import parse_quantity
@@ -200,34 +200,41 @@ class ScenarioConfig:
 
 
 def _raw_parse(text):
-    """Split into the [scenario] header block and named sections."""
-    sections = []   # (name, {key: (value, line)}, line)
-    current = None
+    """Tokenize the shared config/catalog grammar (FORMATS.md).
+
+    Returns ``(head, sections)``: the ``key = value`` lines that precede the
+    first section as ``{key: (value, line)}``, and the sections as
+    ``(name, {key: (value, line)}, line)`` tuples in file order.
+    """
+    head = {}
+    sections = []
+    body = head
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = (line[1:-1].strip(), {}, lineno)
-            sections.append(current)
+            body = {}
+            sections.append((line[1:-1].strip(), body, lineno))
             continue
         if "=" not in line:
             raise ConfigError("expected 'key = value' or '[section]'", lineno)
-        if current is None:
-            raise ConfigError("keys must appear inside a section", lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in current[1]:
+        if key in body:
             raise ConfigError(f"duplicate key '{key}'", lineno)
         if not value:
             raise ConfigError(f"empty value for key '{key}'", lineno)
-        current[1][key] = (value, lineno)
-    return sections
+        body[key] = (value, lineno)
+    return head, sections
 
 
 def parse_config(text):
     """Parse and validate a scenario configuration."""
-    sections = _raw_parse(text)
+    preamble, sections = _raw_parse(text)
+    if preamble:
+        raise ConfigError("keys must appear inside a section",
+                          next(iter(preamble.values()))[1])
     if not sections or sections[0][0] != "scenario":
         raise ConfigError("scenario kind required: file must begin with "
                           "[scenario] and 'kind = <name>'")

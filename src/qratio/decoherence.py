@@ -21,9 +21,10 @@ import numpy as np
 from scipy import fft as _fft
 
 from .constants import HBAR
+from .core import GaussianPacket
 from .errors import CoherenceUndefinedError, DomainError
-from .grid import Grid, WaveField, kinetic_ceiling
-from .errors import StepSizeError
+from .grid import (FreePotential, Grid, WaveField, half_kick,
+                   initialize_gaussian, kinetic_phase)
 
 
 @dataclass(frozen=True)
@@ -112,14 +113,8 @@ def apply_damping(rho, env, duration):
 def _apply_unitary(rho, potential, dt, workers=1):
     """rho' = U rho U^H with U one Strang step, computed as (U (U rho)^H)^H."""
     grid = rho.grid
-    ceiling = kinetic_ceiling(grid, rho.mass)
-    if abs(dt) * ceiling / HBAR >= math.pi / 4.0:
-        raise StepSizeError(
-            f"|dt| = {abs(dt):.3e} s too coarse; need < "
-            f"{math.pi / 4.0 * HBAR / ceiling:.3e} s")
-    v = potential.values(grid)
-    half = np.exp(np.asarray(v) * (-0.5j * dt / HBAR)) if np.ndim(v) or v != 0.0 else None
-    kin = np.exp(grid.k2() * (-0.5j * HBAR * dt / rho.mass))
+    kin = kinetic_phase(grid, rho.mass, dt)
+    half = half_kick(potential.values(grid), dt)
 
     def unitary_cols(mat):
         if half is not None:
@@ -252,11 +247,10 @@ def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
         raise DomainError("|c1|^2 + |c2|^2 must equal 1")
     if separation < 4.0 * packet_width:
         raise DomainError("bands must be separated by >> their width")
+    if steps < 1:
+        raise DomainError("steps must be >= 1")
     if duration is None:
         duration = 5.0 / env.rate_Lambda
-
-    from .grid import FreePotential, initialize_gaussian
-    from .core import GaussianPacket
 
     f1 = initialize_gaussian(grid, GaussianPacket(-0.5 * separation, packet_width,
                                                   -momentum, mass))

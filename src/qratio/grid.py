@@ -18,7 +18,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .constants import HBAR
-from .core import GaussianPacket, packet_width_at  # noqa: F401  (re-export for callers)
+from .core import GaussianPacket
 from .errors import BoundaryError, DomainError, ResolutionError, StepSizeError
 
 MIN_POINTS = 64
@@ -131,22 +131,6 @@ class SampledPotential:
             return self.grad_fns[axis](*grid.meshes())
         v = np.asarray(self.values(grid), dtype=float)
         return np.gradient(v, grid.spacings[axis], axis=axis)
-
-
-class MaskPotential:
-    """Per-point complex multiplier applied once per step (non-Hamiltonian).
-
-    Used for absorptive elements; norm-conservation guarantees do not apply.
-    """
-
-    def __init__(self, multiplier):
-        self.multiplier = multiplier
-
-    def values(self, grid):
-        return 0.0
-
-    def gradient(self, grid, axis):
-        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +294,29 @@ def suggest_dt(grid, potential, mass):
     return 0.1 * HBAR / (vmax + kinetic_ceiling(grid, mass))
 
 
+def kinetic_phase(grid, mass, dt):
+    """Full kinetic step exp(-i hbar k^2 dt / 2m) on the grid's k mesh.
+
+    This is the one spectral step-size check of every split-operator
+    stepper: it raises :class:`StepSizeError` unless |dt| times the
+    kinetic ceiling stays below pi/4 hbar.
+    """
+    ceiling = kinetic_ceiling(grid, mass)
+    if abs(dt) * ceiling / HBAR >= math.pi / 4.0:
+        raise StepSizeError(
+            f"|dt| = {abs(dt):.3e} s too coarse for the spectral band; "
+            f"need |dt| < {math.pi / 4.0 * HBAR / ceiling:.3e} s "
+            f"(suggest {0.7 * math.pi / 4.0 * HBAR / ceiling:.3e} s)")
+    return np.exp(grid.k2() * (-0.5j * HBAR * dt / mass))
+
+
+def half_kick(v, dt):
+    """Potential half step exp(-i V dt / 2 hbar), or None for V = 0."""
+    if np.ndim(v) == 0 and v == 0.0:
+        return None
+    return np.exp(v * (-0.5j * dt / HBAR))
+
+
 def _boundary_mask(grid):
     mask = np.zeros(tuple(grid.points), dtype=bool)
     for ax, n in enumerate(grid.points):
@@ -323,63 +330,48 @@ def _boundary_mask(grid):
     return mask
 
 
-def propagate(field, potential, dt, steps, record_every=0, trace=None,
-              margin_stride=1, workers=1):
+def propagate(field, potential, dt, steps, record_every=0, workers=1):
     """Evolve ``steps`` Strang steps of size ``dt`` (negative dt runs backward).
 
     Returns a new WaveField.  If ``record_every`` > 0, observables are
-    appended to ``trace`` (created on demand; retrieve it as the
-    ``.trace`` attribute of the returned field) every that many steps,
-    including the initial state.
+    recorded every that many steps, including the initial state, into an
+    :class:`ObservableTrace` held as the ``.trace`` attribute of the
+    returned field (None otherwise).
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
     grid = field.grid
-    ceiling = kinetic_ceiling(grid, field.mass)
-    if abs(dt) * ceiling / HBAR >= math.pi / 4.0:
-        raise StepSizeError(
-            f"|dt| = {abs(dt):.3e} s too coarse for the spectral band; "
-            f"need |dt| < {math.pi / 4.0 * HBAR / ceiling:.3e} s "
-            f"(suggest {0.7 * math.pi / 4.0 * HBAR / ceiling:.3e} s)")
-
-    v = potential.values(grid)
-    mask_mult = potential.multiplier if isinstance(potential, MaskPotential) else None
-    half_kick = np.exp(v * (-0.5j * dt / HBAR)) if not np.isscalar(v) or v != 0.0 else None
-    kin = np.exp(grid.k2() * (-0.5j * HBAR * dt / field.mass))
+    kin = kinetic_phase(grid, field.mass, dt)
+    kick = half_kick(potential.values(grid), dt)
     bmask = _boundary_mask(grid)
     dv = grid.cell_volume
 
     out = field.copy()
-    if record_every and trace is None:
-        trace = ObservableTrace()
+    trace = ObservableTrace() if record_every else None
     if record_every:
         trace.append(out.time, snapshot_with_force(out, potential))
 
     psi = out.psi
     for step in range(1, steps + 1):
-        if half_kick is not None:
-            psi *= half_kick
+        if kick is not None:
+            psi *= kick
         psi = _fft.ifftn(_fft.fftn(psi, workers=workers) * kin, workers=workers)
-        if half_kick is not None:
-            psi *= half_kick
-        if mask_mult is not None:
-            psi *= mask_mult
+        if kick is not None:
+            psi *= kick
         out.time += dt
 
-        if margin_stride and step % margin_stride == 0:
-            edge = float(np.sum(np.abs(psi[bmask]) ** 2) * dv)
-            if edge >= BOUNDARY_TOLERANCE:
-                raise BoundaryError(
-                    f"probability {edge:.3e} in the outer {BOUNDARY_MARGIN:.0%} "
-                    f"margin at t = {out.time:.3e} s (step {step}); "
-                    "enlarge the grid or shorten the run")
+        edge = float(np.sum(np.abs(psi[bmask]) ** 2) * dv)
+        if edge >= BOUNDARY_TOLERANCE:
+            raise BoundaryError(
+                f"probability {edge:.3e} in the outer {BOUNDARY_MARGIN:.0%} "
+                f"margin at t = {out.time:.3e} s (step {step}); "
+                "enlarge the grid or shorten the run")
         if record_every and step % record_every == 0:
             out.psi = psi
             trace.append(out.time, snapshot_with_force(out, potential))
 
     out.psi = psi
-    if mask_mult is None:
-        out.norm_drift = max(field.norm_drift, abs(out.norm() - 1.0))
+    out.norm_drift = max(field.norm_drift, abs(out.norm() - 1.0))
     out.trace = trace
     return out
 

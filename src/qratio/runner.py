@@ -142,10 +142,14 @@ def _run_spin_dist(cfg, threads):
     return summary, files, {}
 
 
-def _sg_grid(cfg, default_points=(256, 256), default_extent=1e-6):
+_SG_POINTS = (256, 256)
+_SG_EXTENT = 1e-6   # m
+
+
+def _sg_grid(cfg):
     g = cfg.params.get("grid", {})
-    points = g.get("points") or default_points
-    extent = g.get("extent") or default_extent
+    points = g.get("points") or _SG_POINTS
+    extent = g.get("extent") or _SG_EXTENT
     if len(points) == 1:
         points = (points[0], points[0])
     return Grid.make(points, (extent, extent))
@@ -174,7 +178,7 @@ def _run_sg(cfg, threads):
         hist = sg.large_spin_bands(p["j"], p["theta"], p["phi"], config,
                                    p["drift_time"], p["mass"])
         rows = list(zip(hist.m_values, hist.deflections, hist.weights))
-        x0, m_peak = (math.cos(p["theta"] / 2.0) ** 2, p["j"] * math.cos(p["theta"]))
+        m_peak = p["j"] * math.cos(p["theta"])
         files = {"bands.csv": _csv_bytes(("m", "z_m", "weight"), rows),
                  "bands.svg": _svg_bands(hist.m_values, hist.weights)}
         summary = {"j": p["j"], "theta": p["theta"],

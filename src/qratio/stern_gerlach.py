@@ -21,7 +21,7 @@ from scipy import fft as _fft
 
 from .constants import BOHR_MAGNETON, HBAR
 from .errors import DomainError, StepSizeError
-from .grid import LinearPotential, WaveField, kinetic_ceiling, propagate
+from .grid import LinearPotential, WaveField, kinetic_phase, propagate
 from .spin import SpinCoherentState, distribution
 
 # ratio |B0| / max|b0*y| above which the decoupled equations are trusted
@@ -136,9 +136,7 @@ def propagate_coupled(spinor, config, dt, steps, record_populations_every=0,
         raise StepSizeError(
             f"|dt| = {abs(dt):.3e} s does not resolve the precession; "
             f"need <= {max_coupled_dt(config):.3e} s")
-    ceiling = kinetic_ceiling(grid, spinor.up.mass)
-    if abs(dt) * ceiling / HBAR >= math.pi / 4.0:
-        raise StepSizeError("dt too coarse for the spectral band")
+    kin = kinetic_phase(grid, spinor.up.mass, dt)
 
     ym, zm = grid.meshes()
     b_y = -config.gradient_b0 * ym
@@ -151,8 +149,6 @@ def propagate_coupled(spinor, config, dt, steps, record_populations_every=0,
     m_uu = cos_a + 1j * sin_over_b * b_z
     m_ud = sin_over_b * b_y          # i * (-i b_y) = +b_y
     m_dd = cos_a - 1j * sin_over_b * b_z
-
-    kin = np.exp(grid.k2() * (-0.5j * HBAR * dt / spinor.up.mass))
 
     psi_u = spinor.c_up * spinor.up.psi.copy()
     psi_d = spinor.c_down * spinor.down.psi.copy()

@@ -19,9 +19,13 @@ from scipy import integrate, optimize
 
 from .constants import HBAR
 from .core import GaussianPacket
+from .decoherence import apply_damping, coherence, pure_to_density
 from .errors import ConvergenceError, DomainError
-from .grid import (FreePotential, Grid, SampledPotential, initialize_gaussian,
-                   kinetic_ceiling, propagate)
+from .grid import (FreePotential, Grid, SampledPotential, WaveField,
+                   initialize_gaussian, kinetic_ceiling, propagate)
+
+# safety limit on Strang steps before the transmitted lobe must have cleared
+MAX_STEPS = 200_000
 
 # ---------------------------------------------------------------------------
 # barrier profiles
@@ -75,35 +79,6 @@ class GaussianBarrier:
         z = np.asarray(z, dtype=float)
         v = self.height * np.exp(-0.5 * (z / self.sigma) ** 2)
         return np.where(np.abs(z) <= self.cutoff * self.sigma, v, 0.0)
-
-
-@dataclass(frozen=True)
-class SampledBarrier:
-    """Piecewise-linear profile through sample points; zero outside."""
-
-    z_samples: tuple
-    v_samples: tuple
-
-    def __post_init__(self):
-        z = np.asarray(self.z_samples, dtype=float)
-        v = np.asarray(self.v_samples, dtype=float)
-        if z.ndim != 1 or z.size < 2 or z.shape != v.shape:
-            raise DomainError("need matching 1D sample arrays with >= 2 points")
-        if np.any(np.diff(z) <= 0.0):
-            raise DomainError("sample positions must be strictly increasing")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("barrier samples must be finite")
-
-    @property
-    def support(self):
-        return (self.z_samples[0], self.z_samples[-1])
-
-    @property
-    def max_height(self):
-        return float(np.max(self.v_samples))
-
-    def value(self, z):
-        return np.interp(z, self.z_samples, self.v_samples, left=0.0, right=0.0)
 
 
 def turning_points(barrier, energy):
@@ -279,7 +254,7 @@ class TunnelReport:
     flux_sum: float                # everything right + left of the barrier
     oracle_transmission: float     # energy average of exact_transmission
     transverse_coherence: float    # at the two packet centers, z > threshold
-    input_coherence: float
+    input_coherence: float         # same estimator on the input state
     band_weights: tuple            # transmitted weight near each packet
     factorization_error: float     # L2 mismatch of transverse profile (pure)
     norm_drift: float
@@ -319,6 +294,11 @@ def _transverse_state(scenario, x):
     return phi
 
 
+def _reduced_transverse(block, grid):
+    """Transverse density matrix of a (z, x) block, traced over z."""
+    return (block.conj().T @ block) * grid.spacings[0] * grid.spacings[1]
+
+
 def _coherence_from_matrix(rho, i1, i2):
     d1, d2 = rho[i1, i1].real, rho[i2, i2].real
     if d1 <= 0.0 or d2 <= 0.0:
@@ -327,7 +307,6 @@ def _coherence_from_matrix(rho, i1, i2):
 
 
 def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
-                        predamp_time=None, dt=None, max_steps=200_000,
                         workers=1):
     """Propagate the scenario through the barrier and report what crossed.
 
@@ -340,9 +319,6 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
     The transmitted window is z > a + 4 * (longitudinal width); the run
     measures once the transmitted lobe's mean position passes it.
     """
-    from .decoherence import apply_damping, coherence, pure_to_density
-    from .grid import WaveField
-
     long_pkt = scenario.longitudinal
     mass = long_pkt.mass
     if grid is None:
@@ -354,6 +330,14 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
     z_threshold = sup[1] + 4.0 * long_pkt.width
 
     p1, p2 = scenario.transverse
+    # the transverse axis on its own 1D grid, with the normalized input state
+    xgrid = Grid((grid.points[1],), (grid.extents[1],), (grid.origins[1],))
+    xax = xgrid.axis(0)
+    dxs = xgrid.spacings[0]
+    phi = _transverse_state(scenario, xax)
+    phi = phi / math.sqrt(np.sum(np.abs(phi) ** 2) * dxs)
+    i1 = int(np.argmin(np.abs(xax - p1.center)))
+    i2 = int(np.argmin(np.abs(xax - p2.center)))
     if two_dim:
         # superpose product states; initialization validates both packets
         f1 = initialize_gaussian(grid, (long_pkt, p1))
@@ -362,23 +346,19 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
         psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume)
         field = WaveField(grid, psi, mass)
         potential = SampledPotential(lambda zm, xm: bar.value(zm))
+        in_coh = _coherence_from_matrix(_reduced_transverse(psi, grid), i1, i2)
     else:
         if env is None:
             raise DomainError("decohered mode needs an EnvironmentSpec")
         zgrid_1d = Grid((grid.points[0],), (grid.extents[0],), (grid.origins[0],))
         field = initialize_gaussian(zgrid_1d, long_pkt)
         potential = SampledPotential(lambda zm: bar.value(zm))
-        # transverse density matrix on its own 1D grid, damped before arrival
-        xgrid = Grid((grid.points[1],), (grid.extents[1],), (grid.origins[1],))
-        x1d = xgrid.axis(0)
-        phi = _transverse_state(scenario, x1d)
-        phi = phi / math.sqrt(np.sum(np.abs(phi) ** 2) * xgrid.cell_volume)
+        # transverse density matrix, damped before arrival
         rho = pure_to_density(WaveField(xgrid, phi, mass))
-        t_pre = predamp_time if predamp_time is not None else 5.0 / env.rate_Lambda
-        rho = apply_damping(rho, env, t_pre)
+        in_coh = coherence(rho, xax[i1], xax[i2])
+        rho = apply_damping(rho, env, 5.0 / env.rate_Lambda)
 
-    if dt is None:
-        dt = 0.95 * (math.pi / 4.0) * HBAR / kinetic_ceiling(field.grid, mass)
+    dt = 0.95 * (math.pi / 4.0) * HBAR / kinetic_ceiling(field.grid, mass)
 
     v0 = long_pkt.momentum / mass
     chunk = max(8, int(round(0.5 * long_pkt.width / (v0 * dt))))
@@ -388,7 +368,7 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
     zsel = zax > z_threshold
     barrier_win = (zax >= sup[0]) & (zax <= sup[1])
     dens_axes = tuple(range(1, field.grid.ndim))
-    while steps_done < max_steps:
+    while steps_done < MAX_STEPS:
         field = propagate(field, potential, dt, chunk, workers=workers)
         steps_done += chunk
         dens_z = field.density().sum(axis=dens_axes) * field.grid.cell_volume
@@ -401,7 +381,7 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
                 break
     if measure_time is None:
         raise ConvergenceError("transmitted lobe never cleared the barrier "
-                               "window; increase max_steps or the grid")
+                               f"window in {MAX_STEPS} steps; enlarge the grid")
 
     reflected_threshold = sup[0] - 4.0 * long_pkt.width
     oracle = energy_averaged_transmission(scenario)
@@ -413,29 +393,20 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
         w_ref = float(dens[zax < reflected_threshold, :].sum() * dv)
         flux_sum = float(dens[zax > sup[1], :].sum() * dv
                          + dens[zax < sup[0], :].sum() * dv)
-        xax = field.grid.axis(1)
-        dxs = field.grid.spacings[1]
         profile = dens[zsel, :].sum(axis=0) * field.grid.spacings[0]
         # reduced transverse density matrix over the transmitted window
-        block = field.psi[zsel, :]
-        rho_t = (block.conj().T @ block) * field.grid.spacings[0] * dxs
-        i1 = int(np.argmin(np.abs(xax - p1.center)))
-        i2 = int(np.argmin(np.abs(xax - p2.center)))
+        rho_t = _reduced_transverse(field.psi[zsel, :], field.grid)
         coh = _coherence_from_matrix(rho_t, i1, i2)
         # with an x-independent barrier the evolution stays a product of the
         # barrier-scattered chi(z, t) and the freely spreading phi(x, t);
         # compare the transmitted profile against that free reference
-        xgrid = Grid((grid.points[1],), (grid.extents[1],), (grid.origins[1],))
-        phi0 = _transverse_state(scenario, xax)
-        phi0 = phi0 / math.sqrt(np.sum(np.abs(phi0) ** 2) * dxs)
-        phi_field = propagate(WaveField(xgrid, phi0, mass), FreePotential(),
+        phi_field = propagate(WaveField(xgrid, phi, mass), FreePotential(),
                               dt, steps_done, workers=workers)
         n_free = np.abs(phi_field.psi) ** 2
         n_free /= n_free.sum() * dxs
         n_out = profile / max(w_trans, 1e-300)
         fact_err = float(np.sqrt(np.sum((n_out - n_free) ** 2) * dxs)
                          / np.sqrt(np.sum(n_free ** 2) * dxs))
-        in_coh = 1.0
         half = 0.5 * (p1.center + p2.center)
         w1 = float(profile[xax < half].sum() * dxs)
         w2 = float(profile[xax >= half].sum() * dxs)
@@ -446,10 +417,6 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
         w_trans = float(dens_z[zsel].sum())
         w_ref = float(dens_z[zax < reflected_threshold].sum())
         flux_sum = float(dens_z[zax > sup[1]].sum() + dens_z[zax < sup[0]].sum())
-        xax = rho.grid.axis(0)
-        dxs = rho.grid.spacings[0]
-        i1 = int(np.argmin(np.abs(xax - p1.center)))
-        i2 = int(np.argmin(np.abs(xax - p2.center)))
         coh = coherence(rho, xax[i1], xax[i2])
         diag = np.real(np.diagonal(rho.rho)).copy()
         profile = w_trans * diag
@@ -458,8 +425,6 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
         w2 = float(diag[xax >= half].sum() * dxs)
         bands = (w1, w2)
         fact_err = math.nan
-        phi_in = _transverse_state(scenario, xax)
-        in_coh = 1.0
         drift = field.norm_drift
 
     return TunnelReport(

@@ -97,22 +97,26 @@ def parse_quantity(text, dimension, key="value", line=None):
     """Parse 'number unit' into an SI float of the expected dimension.
 
     Dimensionless quantities (including angles in rad and spins) may omit
-    the unit; everything else must carry one.
+    the unit; everything else must carry one.  NaN and infinite values are
+    rejected.
     """
     parts = text.strip().split(None, 1)
     if not parts:
         raise ConfigError(f"empty value for key '{key}'", line)
     value = _parse_number(parts[0], key, line)
     if len(parts) == 1:
-        if dimension in DIMENSIONLESS:
-            return value
-        raise ConfigError(
-            f"key '{key}' needs a unit of {dimension} (got bare '{text.strip()}')", line)
-    unit = parts[1].strip()
-    if unit not in _UNITS:
-        raise ConfigError(f"unknown unit '{unit}' for key '{key}'", line)
-    dim, factor = _UNITS[unit]
-    if dim != dimension:
-        raise ConfigError(
-            f"key '{key}' expects {dimension}, unit '{unit}' is {dim}", line)
-    return value * factor
+        if dimension not in DIMENSIONLESS:
+            raise ConfigError(f"key '{key}' needs a unit of {dimension} "
+                              f"(got bare '{text.strip()}')", line)
+    else:
+        unit = parts[1].strip()
+        if unit not in _UNITS:
+            raise ConfigError(f"unknown unit '{unit}' for key '{key}'", line)
+        dim, factor = _UNITS[unit]
+        if dim != dimension:
+            raise ConfigError(
+                f"key '{key}' expects {dimension}, unit '{unit}' is {dim}", line)
+        value *= factor
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}' must be finite, got '{text.strip()}'", line)
+    return value

@@ -75,6 +75,14 @@ source = synthetic
     ("version = 1\n[widget]\nname = x", "unknown catalog section"),
     ("version = 1\n[particle]\nname = x\nmass = 1 kg\nL0 = 0 m\nbogus = 2",
      "unknown keys"),
+    ("version = 1\nowner = me\n[particle]\nname = x\nmass = 1 kg\nL0 = 0 m",
+     "only 'version'"),
+    ("version = 1\n[particle]\nname = x\nmass = 1 kg\nL0 = 0 m\nsource =",
+     "empty value"),
+    ("version = 1\n[particle]\nname = x\nname = y\nmass = 1 kg\nL0 = 0 m",
+     "duplicate key"),
+    ("version = 1\n[particle]\nname = x\nmass = 1 kg\nL0 = 0 m\n"
+     "[particle]\nname = x\nmass = 2 kg\nL0 = 0 m", "duplicate catalog entry"),
 ])
 def test_malformed_catalogs_rejected(text, fragment):
     with pytest.raises(ConfigError) as err:

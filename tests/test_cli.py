@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -50,6 +51,27 @@ def test_ratio_pointlike_infinite(tmp_path):
     summary = load_summary(out)
     assert summary["classification"] == "Infinite"
     assert summary["Q"] == "inf"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_ratio_non_finite_quantity_rejected(tmp_path, capsys, value):
+    code, out = run_cli(tmp_path, "ratio", "--Rq", f"{value} m", "--L0", "1 m")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "finite" in err["message"]
+    assert not (out / "summary.json").exists()
+
+
+def test_decohere_zero_steps_is_a_domain_error(tmp_path, capsys):
+    preset = resources.files("qratio").joinpath("presets/decohere-split.cfg")
+    text = preset.read_text().replace("steps = 200", "steps = 0")
+    assert "steps = 0" in text
+    cfg = tmp_path / "zero-steps.cfg"
+    cfg.write_text(text)
+    code, out = run_cli(tmp_path, "decohere", "--config", str(cfg))
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError" and "steps" in err["message"]
 
 
 def test_diffuse_table_preset(tmp_path):

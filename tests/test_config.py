@@ -38,6 +38,15 @@ class TestUnits:
         with pytest.raises(ConfigError):
             parse_quantity("3 parsec", "length")
 
+    @pytest.mark.parametrize("text,dim", [
+        ("nan m", "length"), ("inf m", "length"), ("-inf eV", "energy"),
+        ("1e308 km/s", "speed"), ("nan", "spin"), ("infpi", "angle"),
+    ])
+    def test_non_finite_rejected(self, text, dim):
+        with pytest.raises(ConfigError) as err:
+            parse_quantity(text, dim, key="x", line=3)
+        assert "finite" in str(err.value) and "line 3" in str(err.value)
+
 
 class TestParseConfig:
     def test_ratio_preset_values(self):
@@ -89,6 +98,11 @@ class TestParseConfig:
     def test_diffuse_needs_a_case(self):
         with pytest.raises(ConfigError):
             parse_config("[scenario]\nkind = diffuse\n")
+
+    def test_keys_before_first_section_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("# top\nkind = ratio\n[scenario]\nkind = ratio\n")
+        assert "inside a section" in str(err.value) and "line 2" in str(err.value)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):

@@ -10,7 +10,7 @@ from qratio.decoherence import (EnvironmentSpec, TimescaleReport, RELIABLE,
                                 apply_damping, coherence, decohere_step,
                                 decohered_sg_scenario, pure_to_density,
                                 timescale_report)
-from qratio.errors import CoherenceUndefinedError, DomainError
+from qratio.errors import CoherenceUndefinedError, DomainError, StepSizeError
 from qratio.grid import FreePotential, Grid, WaveField, initialize_gaussian
 
 
@@ -138,6 +138,12 @@ class TestDampingStep:
         evolved = propagate(f, FreePotential(), dt, 10)
         np.testing.assert_allclose(rho.position_density(), evolved.density(),
                                    atol=1e-9 * evolved.density().max())
+
+    def test_spectral_band_enforced(self, grid):
+        rho = pure_to_density(split_state(grid, 0.6, 0.8))
+        with pytest.raises(StepSizeError) as err:
+            decohere_step(rho, self.env, FreePotential(), 1e-9)
+        assert "suggest" in str(err.value)
 
 
 class TestCoherence:

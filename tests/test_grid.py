@@ -7,7 +7,7 @@ from qratio.constants import HBAR
 from qratio.core import GaussianPacket, packet_width_at
 from qratio.errors import (BoundaryError, DomainError, ResolutionError,
                            StepSizeError)
-from qratio.grid import (FreePotential, Grid, LinearPotential, MaskPotential,
+from qratio.grid import (FreePotential, Grid, LinearPotential,
                          SampledPotential, ehrenfest_residual,
                          initialize_gaussian, kinetic_ceiling, observables,
                          propagate, read_field_array, suggest_dt,
@@ -207,15 +207,6 @@ class TestEhrenfest:
         f1 = propagate(f0, FreePotential(), dt, 10, record_every=10)
         with pytest.raises(DomainError):
             ehrenfest_residual(f1.trace, ME)
-
-
-def test_mask_potential_absorbs():
-    grid, f0 = electron_field()
-    mask = np.ones(grid.points[0])
-    mask[: grid.points[0] // 2] = 0.99
-    dt = 0.5 * (math.pi / 4) * HBAR / kinetic_ceiling(grid, ME)
-    f1 = propagate(f0, MaskPotential(mask), dt, 50)
-    assert f1.norm() < 1.0
 
 
 def test_field_array_round_trip(tmp_path):

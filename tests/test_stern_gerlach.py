@@ -147,6 +147,15 @@ class TestCoupled:
             propagate_coupled(sp, config, 1e-18, 1)
         assert "B0" in str(err.value)
 
+    def test_spectral_band_enforced(self):
+        # a bias weak enough that the precession bound is not the limit
+        grid, sp = spinor_2d()
+        config = SGFieldConfig(1.0, 1e3, 1e-12, 1.0)
+        dt = max_coupled_dt(config)
+        with pytest.raises(StepSizeError) as err:
+            propagate_coupled(sp, config, dt, 1)
+        assert "suggest" in str(err.value)
+
     def test_precession_resolution_enforced(self):
         grid, sp = spinor_2d()
         config = SGFieldConfig(1e4, 1e6, 1e-12, 1.0)
