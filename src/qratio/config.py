@@ -34,9 +34,12 @@ def _to_int(s, key, line):
 
 def _to_float(s, key, line):
     try:
-        return float(s)
+        value = float(s)
     except ValueError:
         raise ConfigError(f"key '{key}' expects a number, got '{s}'", line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}' must be finite, got '{s}'", line)
+    return value
 
 
 def _parse_value(spec, text, key, line):

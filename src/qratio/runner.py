@@ -146,6 +146,12 @@ _SG_POINTS = (256, 256)
 _SG_EXTENT = 1e-6   # m
 
 
+def _at_least_one(section, key, value):
+    if value < 1:
+        raise ConfigError(f"[{section}] {key} must be >= 1, got {value}")
+    return value
+
+
 def _sg_grid(cfg):
     g = cfg.params.get("grid", {})
     points = g.get("points") or _SG_POINTS
@@ -200,7 +206,8 @@ def _run_sg(cfg, threads):
     if mode == "decoupled":
         b_bias = p["B0"] if p["B0"] is not None else 0.0
         config = sg.SGFieldConfig(b_bias, p["b0"], p["duration"], 1.0)
-        steps = p["steps"] or 200
+        steps = _at_least_one("sg", "steps",
+                              200 if p["steps"] is None else p["steps"])
         dt = p["duration"] / steps
         rec = p["record_every"] or max(1, steps // 32)
         out = sg.propagate_decoupled(spinor, config, dt, steps, z_axis=1,
@@ -276,7 +283,8 @@ def _run_tunnel(cfg, threads):
         s = cfg.section("sweep")
         if s["energy_min"] is None or s["energy_max"] is None:
             raise ConfigError("[sweep] needs energy_min and energy_max")
-        energies = np.linspace(s["energy_min"], s["energy_max"], s["count"])
+        energies = np.linspace(s["energy_min"], s["energy_max"],
+                               _at_least_one("sweep", "count", s["count"]))
         t_exact = tn.exact_transmission(barrier, energies, mass, check=False)
         rows = []
         for e, te in zip(energies, t_exact):
@@ -302,6 +310,9 @@ def _run_tunnel(cfg, threads):
                     GaussianPacket(+sep / 2.0, w, 0.0, mass)),
         c1=c1, c2=c2, barrier=barrier)
     points = cfg.params.get("grid", {}).get("points") or (2048, 64)
+    if len(points) != 2:
+        raise ConfigError("[grid] points for a tunnel beam needs two values "
+                          f"(z x), got {len(points)}")
     grid = tn.default_scenario_grid(scen, points_z=points[0], points_x=points[1])
     env = None
     decohered = p["mode"] == "decohered"
@@ -373,7 +384,8 @@ def _run_talbot(cfg, threads):
         grating,
         tb.GratingSpec(g["period"], lau["scan_open_fraction"], g["slits"]),
         lau["L1_talbot"] * lt, lau["L2_talbot"] * lt, p["wavelength"])
-    offsets = np.linspace(-g["period"], g["period"], lau["offsets"])
+    offsets = np.linspace(-g["period"], g["period"],
+                          _at_least_one("lau", "offsets", lau["offsets"]))
     scan = tb.lau_scan(config, offsets)
     files = {"scan.csv": _csv_bytes(("offset_m", "flux"),
                                     list(zip(scan.offsets, scan.flux)))}

@@ -21,6 +21,17 @@ def load_summary(out):
         return json.load(fh)
 
 
+def preset_copy(tmp_path, name, *edits):
+    """Write a copy of a bundled preset with (old, new) text replacements."""
+    text = resources.files("qratio").joinpath(f"presets/{name}.cfg").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / f"{name}-edited.cfg"
+    path.write_text(text)
+    return str(path)
+
+
 def test_all_presets_listed():
     names = preset_names()
     for expected in ("table1", "Ag", "Na", "C70-cold", "C70-hot",
@@ -63,15 +74,53 @@ def test_ratio_non_finite_quantity_rejected(tmp_path, capsys, value):
 
 
 def test_decohere_zero_steps_is_a_domain_error(tmp_path, capsys):
-    preset = resources.files("qratio").joinpath("presets/decohere-split.cfg")
-    text = preset.read_text().replace("steps = 200", "steps = 0")
-    assert "steps = 0" in text
-    cfg = tmp_path / "zero-steps.cfg"
-    cfg.write_text(text)
-    code, out = run_cli(tmp_path, "decohere", "--config", str(cfg))
+    cfg = preset_copy(tmp_path, "decohere-split", ("steps = 200", "steps = 0"))
+    code, out = run_cli(tmp_path, "decohere", "--config", cfg)
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError" and "steps" in err["message"]
+
+
+def test_decohere_nan_amplitude_rejected(tmp_path, capsys):
+    cfg = preset_copy(tmp_path, "decohere-split",
+                      ("[decohere]", "[decohere]\nc1 = nan"),
+                      ("points = 512", "points = 256"))
+    code, out = run_cli(tmp_path, "decohere", "--config", cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "'c1'" in err["message"] and "finite" in err["message"]
+    assert not (out / "summary.json").exists()
+
+
+def test_sg_decoupled_steps(tmp_path, capsys):
+    small = ("points = 256 256", "points = 64 64")
+    cfg = preset_copy(tmp_path, "sg-split", small, ("steps = 256", "steps = 0"))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "steps" in err["message"]
+    assert not (out / "summary.json").exists()
+    # only an absent key falls back to the default step count
+    cfg = preset_copy(tmp_path, "sg-split", small, ("steps = 256\n", ""))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 0
+    assert load_summary(out)["steps"] == 200
+
+
+@pytest.mark.parametrize("kind,preset,old,new,key", [
+    ("tunnel", "tunnel-sweep-rect", "count = 29", "count = 0", "count"),
+    ("talbot", "lau-resonant", "offsets = 81", "offsets = 0", "offsets"),
+    ("tunnel", "tunnel-pure", "points = 2048 64", "points = 64", "points"),
+])
+def test_degenerate_sizes_rejected(tmp_path, capsys, kind, preset, old, new,
+                                   key):
+    cfg = preset_copy(tmp_path, preset, (old, new))
+    code, out = run_cli(tmp_path, kind, "--config", cfg)
+    assert code in (1, 2)
+    err = json.loads(capsys.readouterr().err)
+    assert key in err["message"] and err["scenario"] == kind
+    assert not (out / "summary.json").exists()
 
 
 def test_diffuse_table_preset(tmp_path):

@@ -67,6 +67,15 @@ class TestParseConfig:
             parse_config(text)
         assert "line 4" in str(err.value) and "Rq" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.5 nan"])
+    def test_non_finite_plain_number_rejected(self, value):
+        text = ("[scenario]\nkind = sg\n[sg]\nmode = decoupled\n"
+                f"bias_ratios = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        msg = str(err.value)
+        assert "finite" in msg and "bias_ratios" in msg and "line 5" in msg
+
     def test_unknown_key_rejected_with_line(self):
         text = ("[scenario]\nkind = spin-dist\n[spin]\nj = 1\ntheta = 1\n"
                 "bogus = 3\n")

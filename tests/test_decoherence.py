@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft
 
 from qratio.constants import ELECTRON_MASS as ME, HBAR
 from qratio.core import GaussianPacket
 from qratio.decoherence import (EnvironmentSpec, TimescaleReport, RELIABLE,
                                 RANDOM_MOTION, ORDERING_VIOLATED,
+                                DensityMatrix, _apply_unitary,
                                 apply_damping, coherence, decohere_step,
                                 decohered_sg_scenario, pure_to_density,
                                 timescale_report)
 from qratio.errors import CoherenceUndefinedError, DomainError, StepSizeError
-from qratio.grid import FreePotential, Grid, WaveField, initialize_gaussian
+from qratio.grid import (FreePotential, Grid, LinearPotential, WaveField,
+                         half_kick, initialize_gaussian, kinetic_phase)
 
 
 def split_state(grid, c1, c2, width=25e-9, separation=250e-9, momentum=0.0):
@@ -139,6 +142,32 @@ class TestDampingStep:
         np.testing.assert_allclose(rho.position_density(), evolved.density(),
                                    atol=1e-9 * evolved.density().max())
 
+    @pytest.mark.parametrize("potential", [FreePotential(),
+                                           LinearPotential(2e-13)])
+    def test_unitary_matches_two_pass_form(self, potential):
+        # (U (U rho)^H)^H, transposing between two column passes
+        g = Grid.make(128, 1e-6)
+        dt = 1e-14
+        kin = kinetic_phase(g, ME, dt)
+        half = half_kick(potential.values(g), dt)
+
+        def columns(mat):
+            if half is not None:
+                mat = half[:, None] * mat
+            mat = fft.ifft(kin[:, None] * fft.fft(mat, axis=0), axis=0)
+            return mat if half is None else half[:, None] * mat
+
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+        rho = DensityMatrix(g, a + a.conj().T, ME)
+        m = columns(columns(rho.rho).conj().T)
+        expected = 0.5 * (m.conj().T + m)
+        got = _apply_unitary(rho, potential, dt)
+        assert half is None or np.ptp(np.abs(np.angle(half))) > 0.1
+        assert (np.max(np.abs(got.rho - expected))
+                <= 1e-12 * np.max(np.abs(expected)))
+        assert got.time == dt and rho.time == 0.0
+
     def test_spectral_band_enforced(self, grid):
         rho = pure_to_density(split_state(grid, 0.6, 0.8))
         with pytest.raises(StepSizeError) as err:
@@ -232,9 +261,33 @@ class TestDecoheredBands:
         assert rep.intensities[1] == pytest.approx(rep.pure_intensities[1],
                                                    abs=1e-3)
 
+    def test_pure_reference_matches_density_matrix_run(self):
+        # narrow packets closing in on each other, so the band weights move
+        g = Grid.make(128, 0.3e-6)
+        width, sep, p = 10e-9, 50e-9, -2e-26
+        steps, duration = 30, 1e-13
+        rep = decohered_sg_scenario(0.6, 0.8, self.env, g, width, sep, ME,
+                                    momentum=p, duration=duration,
+                                    steps=steps)
+        rho = pure_to_density(split_state(g, 0.6, 0.8, width, sep, p))
+        x, dx = g.axis(0), g.spacings[0]
+        weights = []
+        for _ in range(steps):
+            rho = _apply_unitary(rho, FreePotential(), duration / steps)
+            diag = rho.position_density()
+            weights.append((diag[x < 0.0].sum() * dx,
+                            diag[x >= 0.0].sum() * dx))
+        assert abs(weights[-1][0] - weights[-2][0]) > 1e-9
+        assert rep.pure_intensities == pytest.approx(weights[-1], abs=1e-12)
+
     def test_amplitude_normalization_checked(self, grid):
         with pytest.raises(DomainError):
             decohered_sg_scenario(1.0, 1.0, self.env, grid, 25e-9, 250e-9, ME)
+
+    @pytest.mark.parametrize("c1,c2", [(math.nan, 0.8), (0.6, math.inf)])
+    def test_non_finite_amplitudes_rejected(self, grid, c1, c2):
+        with pytest.raises(DomainError):
+            decohered_sg_scenario(c1, c2, self.env, grid, 25e-9, 250e-9, ME)
 
 
 def test_density_matrix_grid_cap():
