@@ -9,12 +9,24 @@ is conserved to rounding and forward/backward evolution inverts exactly.
 are stacked on a leading axis, and a density matrix rho(x, x') steps as one
 2D field with kinetic factor K(k) K*(k') (the Liouville form).
 
+Each potential declares the grid axes it depends on (``axes(grid)``).  On
+an axis it does not touch, the kinetic factor commutes with every other
+factor of the step, so :func:`propagate` holds the field free-axis-major,
+steps only the coupled axes, and applies the exact free evolution
+exp(-i hbar k_f^2 t / 2m) where the field is observed: at records and on
+return.
+
 Boundaries are periodic; there are no absorbing layers.  Runs must be sized
 so that no appreciable probability reaches the grid edge, and a margin
 monitor checks every step of every wave-function run, spinors included, and
 aborts with :class:`BoundaryError` before wraparound contaminates results.
+With a free axis the margin mass is the sum of two exact parts: the coupled
+axes' margin, read off the stepped field (a unitary on the free axis keeps
+it), and the free axis's margin, from the field's reduced density matrix on
+that axis.  The sum is never below the mass in the union of the margins.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -99,6 +111,9 @@ class Grid:
 class FreePotential:
     """V = 0 everywhere."""
 
+    def axes(self, grid):
+        return ()
+
     def values(self, grid):
         return 0.0
 
@@ -113,6 +128,9 @@ class LinearPotential:
         self.slope = float(slope)
         self.axis = int(axis)
 
+    def axes(self, grid):
+        return (self.axis,)
+
     def values(self, grid):
         return self.slope * grid.meshes()[self.axis]
 
@@ -121,11 +139,18 @@ class LinearPotential:
 
 
 class SampledPotential:
-    """V given by a callable of the mesh coordinates (and optional gradient)."""
+    """V given by a callable of the mesh coordinates (and optional gradient).
 
-    def __init__(self, fn, grad_fns=None):
+    ``axes`` names the grid axes V depends on; by default, all of them.
+    """
+
+    def __init__(self, fn, grad_fns=None, axes=None):
         self.fn = fn
         self.grad_fns = grad_fns
+        self._axes = None if axes is None else tuple(int(a) for a in axes)
+
+    def axes(self, grid):
+        return tuple(range(grid.ndim)) if self._axes is None else self._axes
 
     def values(self, grid):
         return self.fn(*grid.meshes())
@@ -157,10 +182,6 @@ class WaveField:
 
     def density(self):
         return np.abs(self.psi) ** 2
-
-    def copy(self):
-        return WaveField(self.grid, self.psi.copy(), self.mass, self.time,
-                         self.norm_drift)
 
 
 @dataclass
@@ -338,25 +359,102 @@ def strang_step(psi, kin, kick=None, workers=1):
     return psi if kick is None else kick(psi)
 
 
-def boundary_monitor(grid, shape):
-    """check(psi, t, step), raising :class:`BoundaryError` once the
-    probability in the outer margin of any axis reaches the tolerance.
-    Leading axes of ``shape`` stack components; their edge masses add."""
-    widths = [max(1, int(round(BOUNDARY_MARGIN * n))) for n in grid.points]
-    mask = np.ones(tuple(grid.points), dtype=bool)
-    mask[tuple(slice(w, n - w) for w, n in zip(widths, grid.points))] = False
+def _margin_width(n):
+    return max(1, int(round(BOUNDARY_MARGIN * n)))
+
+
+def boundary_monitor(grid, shape, free=()):
+    """check(psi, t, step, free_mass=0.0), raising :class:`BoundaryError`
+    once the probability in the outer margin of any axis reaches the
+    tolerance.  Leading axes of ``shape`` stack components; their edge
+    masses add.  The grid axes named in ``free`` lead the others in
+    ``psi`` and are not read: ``free_mass`` is their margin mass."""
+    axes = free + tuple(a for a in range(grid.ndim) if a not in free)
+    points = tuple(grid.points[a] for a in axes)
+    mask = np.ones(points, dtype=bool)
+    mask[tuple(slice(None) if a in free
+               else slice(_margin_width(n), n - _margin_width(n))
+               for a, n in zip(axes, points))] = False
     edge = np.flatnonzero(np.broadcast_to(mask, shape))
     dv = grid.cell_volume
 
-    def check(psi, t, step):
+    def check(psi, t, step, free_mass=0.0):
         e = np.take(psi, edge)
-        mass = float(np.vdot(e, e).real * dv)
+        mass = float(np.vdot(e, e).real * dv) + free_mass
         if mass >= BOUNDARY_TOLERANCE:
             raise BoundaryError(
                 f"probability {mass:.3e} in the outer {BOUNDARY_MARGIN:.0%} "
                 f"margin at t = {t:.3e} s (step {step}); "
                 "enlarge the grid or shorten the run")
     return check
+
+
+# A grid has at most two axes, so a potential that depends on one axis
+# leaves at most one free: the helpers below take free = () or (f,).
+
+def _free_axes(grid, potential):
+    """Grid axes V does not depend on; () when V depends on none, since the
+    full kinetic step then treats every axis alike."""
+    coupled = potential.axes(grid)
+    if not coupled:
+        return ()
+    return tuple(a for a in range(grid.ndim) if a not in coupled)
+
+
+def _free_phase(grid, free, mass):
+    """-hbar k_f^2 / 2m on the free axis, shaped to lead a held field."""
+    return (grid.kaxis(free[0]) ** 2 * (-0.5 * HBAR / mass))[:, None]
+
+
+def _free_margin_masses(grid, free, psi, mass, dt, steps):
+    """Iterator over the free axis's outer-margin mass after steps 1, 2, ...
+
+    Nothing but the free kinetic factor acts on the free axis, so the
+    density matrix rho of the held field ``psi``, reduced to that axis,
+    stays what it is.  After time tau the margin holds
+    sum_{i in edge} [U rho U^+]_ii with U = F^-1 diag(u) F and
+    u_k = exp(-i hbar k^2 tau / 2m), which is u^T (R o Q) u* with
+    R = F rho F^+ and Q_kk' = sum_{i in edge} (F^-1)_ik (F^-1)*_ik'.  That
+    is exact and costs n^2 per step, evaluated 64 steps at a time.
+    """
+    if not free:
+        return itertools.repeat(0.0)
+    n = grid.points[free[0]]
+    rows = psi.reshape(n, -1)
+    rho = (rows @ rows.conj().T) * grid.cell_volume
+    w = _margin_width(n)
+    in_edge = np.zeros(n)
+    in_edge[:w] = in_edge[n - w:] = 1.0
+    # R = n ifft(fft(rho, axis 0), axis 1) and
+    # Q_kk' = ifft(edge indicator)[(k - k') mod n] / n: the factors n cancel
+    g = _fft.ifft(in_edge)
+    k = np.arange(n)
+    m = (_fft.ifft(_fft.fft(rho, axis=0), axis=1, overwrite_x=True)
+         * g[np.subtract.outer(k, k) % n])
+    phase = 1j * _free_phase(grid, free, mass)[:, 0]
+
+    def masses():
+        for first in range(1, steps + 1, 64):
+            taus = dt * np.arange(first, min(first + 64, steps + 1))
+            u = np.exp(np.multiply.outer(taus, phase))
+            yield from ((u @ m) * u.conj()).sum(axis=1).real.tolist()
+    return masses()
+
+
+def _observer(grid, free, order, mass, workers):
+    """observe(psi, tau): the held field ``psi`` in grid order, after the
+    exact free evolution exp(-i hbar k_f^2 tau / 2m) that it has not had."""
+    if not free:
+        return lambda psi, tau: psi
+    phase = 1j * _free_phase(grid, free, mass)
+    inverse = tuple(int(a) for a in np.argsort(order))
+
+    def observe(psi, tau):
+        phi = _fft.fftn(psi, axes=(0,), workers=workers)
+        phi *= np.exp(tau * phase)
+        return _fft.ifftn(phi, axes=(0,), overwrite_x=True,
+                          workers=workers).transpose(inverse)
+    return observe
 
 
 def propagate(field, potential, dt, steps, record_every=0, workers=1):
@@ -366,30 +464,53 @@ def propagate(field, potential, dt, steps, record_every=0, workers=1):
     recorded every that many steps and after the last, including the initial
     state, into an :class:`ObservableTrace` held as the ``.trace`` attribute
     of the returned field (None otherwise).
+
+    Axes V does not depend on are free: their kinetic factor commutes with
+    every other factor of the step, so only the coupled axes are stepped
+    and the free evolution is applied exactly where the field is observed
+    (records and the return).
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
     grid = field.grid
-    kin = kinetic_phase(grid, field.mass, dt)
-    half = half_kick(potential.values(grid), dt)
+    free = _free_axes(grid, potential)
+    # the held field is free-axis-major, the coupled axes contiguous
+    order = free + tuple(a for a in range(grid.ndim) if a not in free)
+    free_rows = tuple(slice(1) for _ in free)
+    # k = 0 on the free axes leaves the coupled kinetic factor
+    kin = kinetic_phase(grid, field.mass, dt).transpose(order)
+    kin = kin[(0,) * len(free)].copy()
+    v = potential.values(grid)
+    if free:
+        v = v.transpose(order)
+        if not np.array_equal(v, np.broadcast_to(v[free_rows], v.shape)):
+            raise DomainError(
+                f"potential varies along axes {free} it does not declare")
+        v = v[free_rows]
+    half = half_kick(v, dt)
     kick = None if half is None else (lambda p: np.multiply(p, half, out=p))
-    check = boundary_monitor(grid, field.psi.shape)
 
-    out = field.copy()
+    psi = np.array(field.psi.transpose(order), order="C")   # a copy, always
+    check = boundary_monitor(grid, psi.shape, free)
+    free_masses = _free_margin_masses(grid, free, psi, field.mass, dt, steps)
+    observe = _observer(grid, free, order, field.mass, workers)
+
+    out = WaveField(grid, field.psi, field.mass, field.time, field.norm_drift)
     trace = ObservableTrace() if record_every else None
     if record_every:
         trace.append(out.time, snapshot_with_force(out, potential))
 
-    psi = out.psi
-    for step in range(1, steps + 1):
+    for step, free_mass in zip(range(1, steps + 1), free_masses):
         psi = strang_step(psi, kin, kick, workers)
         out.time += dt
-        check(psi, out.time, step)
-        if record_every and (step % record_every == 0 or step == steps):
-            out.psi = psi
+        check(psi, out.time, step, free_mass)
+        if record_every and step % record_every == 0 and step < steps:
+            out.psi = observe(psi, step * dt)
             trace.append(out.time, snapshot_with_force(out, potential))
 
-    out.psi = psi
+    out.psi = observe(psi, steps * dt)
+    if record_every:
+        trace.append(out.time, snapshot_with_force(out, potential))
     out.norm_drift = max(field.norm_drift, abs(out.norm() - 1.0))
     out.trace = trace
     return out
@@ -448,15 +569,25 @@ def write_field_array(path, data, spacings, origins):
 
 
 def read_field_array(path):
-    """Read back (data, spacings, origins) written by write_field_array."""
+    """Read back (data, spacings, origins) written by write_field_array.
+
+    Raises :class:`DomainError` unless the file is a whole 1D or 2D array.
+    """
     with open(path, "rb") as fh:
+        def take(n, dtype):
+            chunk = fh.read(n)
+            if len(chunk) != n:
+                raise DomainError(f"{path}: truncated qratio array file")
+            return np.frombuffer(chunk, dtype=dtype)
+
         if fh.read(8) != _MAGIC:
             raise DomainError(f"{path}: not a qratio array file")
-        ndim = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        shape = tuple(np.frombuffer(fh.read(4 * ndim), dtype="<u4"))
-        spacings = tuple(np.frombuffer(fh.read(8 * ndim), dtype="<f8"))
-        origins = tuple(np.frombuffer(fh.read(8 * ndim), dtype="<f8"))
-        n = int(np.prod(shape))
-        inter = np.frombuffer(fh.read(16 * n), dtype="<f8")
+        ndim = int(take(4, "<u4")[0])
+        if ndim not in (1, 2):
+            raise DomainError(f"{path}: {ndim} axes; qratio arrays have 1 or 2")
+        shape = tuple(int(n) for n in take(4 * ndim, "<u4"))
+        spacings = tuple(take(8 * ndim, "<f8"))
+        origins = tuple(take(8 * ndim, "<f8"))
+        inter = take(16 * math.prod(shape), "<f8")
     data = (inter[0::2] + 1j * inter[1::2]).reshape(shape)
     return data, spacings, origins

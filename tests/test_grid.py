@@ -1,17 +1,21 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qratio import grid as grid_module
 from qratio.constants import HBAR
 from qratio.core import GaussianPacket, packet_width_at
 from qratio.errors import (BoundaryError, DomainError, ResolutionError,
                            StepSizeError)
 from qratio.grid import (FreePotential, Grid, LinearPotential,
-                         SampledPotential, ehrenfest_residual,
-                         initialize_gaussian, kinetic_ceiling, kinetic_phase,
-                         observables, propagate, read_field_array,
-                         strang_step, suggest_dt, write_field_array)
+                         SampledPotential, boundary_monitor,
+                         ehrenfest_residual, half_kick, initialize_gaussian,
+                         kinetic_ceiling, kinetic_phase, observables,
+                         propagate, read_field_array, strang_step, suggest_dt,
+                         write_field_array)
 
 ME = 9.1093837015e-31
 
@@ -232,3 +236,168 @@ def test_field_array_round_trip(tmp_path):
     assert np.array_equal(data, f.psi)
     assert spacings == grid.spacings
     assert origins == grid.origins
+
+
+def test_field_array_truncated_file_is_a_domain_error(tmp_path):
+    grid = Grid.make(64, 1e-6)
+    path = tmp_path / "field.bin"
+    write_field_array(path, np.ones(64, dtype=complex), grid.spacings, grid.origins)
+    whole = path.read_bytes()
+    for size in (10, 20, len(whole) - 1):
+        path.write_bytes(whole[:size])
+        with pytest.raises(DomainError) as err:
+            read_field_array(path)
+        assert "truncated" in str(err.value)
+
+
+@pytest.mark.parametrize("ndim", [0, 3, 2 ** 32 - 1])
+def test_field_array_bad_ndim_is_a_domain_error(tmp_path, ndim):
+    grid = Grid.make(64, 1e-6)
+    path = tmp_path / "field.bin"
+    write_field_array(path, np.ones(64, dtype=complex), grid.spacings, grid.origins)
+    whole = path.read_bytes()
+    path.write_bytes(whole[:8] + np.uint32(ndim).tobytes() + whole[12:])
+    with pytest.raises(DomainError) as err:
+        read_field_array(path)
+    assert "axes" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# free axes: a potential that depends on z only leaves x to exact free motion
+
+ZX = Grid.make((256, 64), (2e-6, 1e-6))          # (z, x); z is coupled
+BARRIER = SampledPotential(lambda zm, xm: 2e-21 * np.exp(-(zm / 5e-8) ** 2),
+                           axes=(0,))
+
+
+def zx_field(pz=3e-26, px=1e-26, z0=-3e-7, x0=1e-7):
+    return initialize_gaussian(ZX, (GaussianPacket(z0, 1e-7, pz, ME),
+                                    GaussianPacket(x0, 8e-8, px, ME)))
+
+
+def boundary_step(call):
+    with pytest.raises(BoundaryError) as err:
+        call()
+    return int(re.search(r"\(step (\d+)\)", str(err.value)).group(1))
+
+
+def full_grid_boundary_step(field, potential, dt, steps):
+    """Step at which stepping every axis, checked on the full grid, stops."""
+    grid = field.grid
+    kin = kinetic_phase(grid, field.mass, dt)
+    half = half_kick(potential.values(grid), dt)
+    check = boundary_monitor(grid, field.psi.shape)
+    psi = field.psi.copy()
+
+    def run():
+        nonlocal psi
+        for step in range(1, steps + 1):
+            psi = strang_step(psi, kin, lambda p: p * half)
+            check(psi, step * dt, step)
+    return boundary_step(run)
+
+
+class TestFreeAxes:
+    def test_declared_axes(self):
+        assert FreePotential().axes(ZX) == ()
+        assert LinearPotential(1.0, 1).axes(ZX) == (1,)
+        assert SampledPotential(lambda zm, xm: zm).axes(ZX) == (0, 1)
+        assert BARRIER.axes(ZX) == (0,)
+
+    def test_matches_stepping_every_axis(self):
+        f0 = zx_field()
+        every_axis = SampledPotential(BARRIER.fn)
+        dt = suggest_dt(ZX, every_axis, ME)
+        a = propagate(f0, BARRIER, dt, 300, record_every=50)
+        b = propagate(f0, every_axis, dt, 300, record_every=50)
+        assert a.psi.shape == b.psi.shape == f0.psi.shape
+        assert np.max(np.abs(a.psi - b.psi)) < 1e-12 * np.max(np.abs(b.psi))
+        assert a.time == b.time and a.trace.times == b.trace.times
+        for x, y in zip(a.trace.as_arrays()[1:], b.trace.as_arrays()[1:]):
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("potential", [
+        LinearPotential(1e-20, 1),        # (y, z): held as it is
+        BARRIER,                          # (z, x): held transposed
+    ], ids=["yz", "zx"])
+    def test_never_mutates_its_input(self, potential):
+        f0 = zx_field()
+        before = f0.psi.copy()
+        dt = suggest_dt(ZX, potential, ME)
+        out = propagate(f0, potential, dt, 20, record_every=10)
+        assert np.array_equal(f0.psi, before) and f0.time == 0.0
+        back = propagate(out, potential, -dt, 20)
+        assert np.max(np.abs(back.psi - before)) < 1e-10 * np.max(np.abs(before))
+
+    def test_undeclared_dependence_is_an_error(self):
+        wrong = SampledPotential(lambda zm, xm: 1e-21 * xm / 1e-6, axes=(0,))
+        with pytest.raises(DomainError):
+            propagate(zx_field(), wrong, 1e-16, 1)
+
+    # each packet starts off the barrier and moves along one axis only
+    @pytest.mark.parametrize("pz, px, z0, x0", [(0.0, 1e-26, -4e-7, 1e-7),
+                                                (-2e-26, 0.0, -6e-7, 0.0)],
+                             ids=["free-margin", "coupled-margin"])
+    def test_margin_aborts_no_later_than_full_grid(self, pz, px, z0, x0):
+        f0 = zx_field(pz=pz, px=px, z0=z0, x0=x0)
+        dt = suggest_dt(ZX, BARRIER, ME)
+        reference = full_grid_boundary_step(f0, BARRIER, dt, 100_000)
+        step = boundary_step(lambda: propagate(f0, BARRIER, dt, 100_000))
+        assert reference - 2 <= step <= reference
+
+    def test_long_run_holds_nothing_sized_by_steps(self):
+        f0 = zx_field(pz=-2e-26, px=0.0, z0=-6e-7, x0=0.0)
+        dt = suggest_dt(ZX, BARRIER, ME)
+        peaks, stops = [], []
+        for steps in (2_000, 100_000):
+            tracemalloc.start()
+            try:
+                stops.append(boundary_step(lambda: propagate(f0, BARRIER, dt, steps)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert stops[0] == stops[1] < 2_000
+        # one float per step would add 0.8 MB
+        assert peaks[1] - peaks[0] < 64_000
+
+
+class _CountingFFT:
+    """Stands in for grid._fft and logs every transform it is asked for."""
+
+    def __init__(self, real):
+        self.real, self.calls = real, []
+
+    def __getattr__(self, name):
+        fn = getattr(self.real, name)
+        if name not in ("fft", "ifft", "fftn", "ifftn"):
+            return fn
+
+        def logged(x, *args, **kwargs):
+            self.calls.append((np.shape(x), kwargs.get("axes", kwargs.get("axis"))))
+            return fn(x, *args, **kwargs)
+        return logged
+
+
+@pytest.mark.parametrize("record_every", [0, 20])
+def test_steps_transform_only_the_coupled_axis(monkeypatch, record_every):
+    proxy = _CountingFFT(grid_module._fft)
+    monkeypatch.setattr(grid_module, "_fft", proxy)
+    f0 = zx_field()
+    steps = 60
+    propagate(f0, BARRIER, suggest_dt(ZX, BARRIER, ME), steps,
+              record_every=record_every)
+    n_z, n_x = ZX.points
+    held, small = (n_x, n_z), n_x * n_x
+    per_step = [c for c in proxy.calls if c == (held, (-1,))]
+    free_axis = [c for c in proxy.calls if c == (held, (0,))]
+    snapshots = [c for c in proxy.calls if c == ((n_z, n_x), None)]
+    setup = [c for c in proxy.calls if math.prod(c[0]) <= small]
+    records = steps // record_every + 1 if record_every else 0
+    # the free axis is transformed at each record after step 0, or at the return
+    observations = records - 1 if record_every else 1
+    assert len(per_step) == 2 * steps
+    assert len(free_axis) == 2 * observations
+    assert len(snapshots) == records
+    assert len(setup) == 3
+    assert len(proxy.calls) == (len(per_step) + len(free_axis) + len(snapshots)
+                                + len(setup))

@@ -128,6 +128,29 @@ class TestScenario:
         central = exact_transmission(scen.barrier, scen.energy, ME, check=False)
         assert avg == pytest.approx(central, rel=0.1)
 
+    def test_energy_average_quadrature_converged(self):
+        scen = make_scenario()
+        pkt = scen.longitudinal
+        b = pkt.momentum_scale
+
+        def transmission(p):
+            return exact_transmission(scen.barrier, p ** 2 / (2 * ME), ME,
+                                      check=False)
+
+        x, w = np.polynomial.hermite.hermgauss(64)
+        p = pkt.momentum + b * x / math.sqrt(2.0)
+        w, p = w[p > 0.0], p[p > 0.0]
+        hermite_64 = float(np.dot(w, transmission(p)) / w.sum())
+        # the 513-point trapezoid over p0 +/- 6 sigma_p (sigma_p = b / 2)
+        p = np.linspace(pkt.momentum - 3.0 * b, pkt.momentum + 3.0 * b, 513)
+        p = p[p > 0.0]
+        w = np.exp(-2.0 * ((p - pkt.momentum) / b) ** 2)
+        trapezoid = float(np.trapezoid(w * transmission(p), p) / np.trapezoid(w, p))
+
+        avg = energy_averaged_transmission(scen)
+        assert abs(avg / hermite_64 - 1.0) <= 1e-13
+        assert abs(avg / trapezoid - 1.0) <= 1e-8
+
     def test_decohered_run_bands_and_coherence(self):
         scen = make_scenario(c1=0.6, c2=0.8)
         grid = default_scenario_grid(scen, points_z=2048, points_x=64)
