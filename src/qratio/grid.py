@@ -9,9 +9,9 @@ is conserved to rounding and forward/backward evolution inverts exactly.
 are stacked on a leading axis, and a density matrix rho(x, x') steps as one
 2D field with kinetic factor K(k) K*(k') (the Liouville form).
 
-Each potential declares the grid axes it depends on (``axes(grid)``).  On
-an axis it does not touch, the kinetic factor commutes with every other
-factor of the step, so :func:`propagate` holds the field free-axis-major,
+On a grid axis along which V is constant, the kinetic factor commutes with
+every other factor of the step, so :func:`propagate` holds the field
+free-axis-major,
 steps only the coupled axes, and applies the exact free evolution
 exp(-i hbar k_f^2 t / 2m) where the field is observed: at records and on
 return.
@@ -28,6 +28,7 @@ that axis.  The sum is never below the mass in the union of the margins.
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,9 +112,6 @@ class Grid:
 class FreePotential:
     """V = 0 everywhere."""
 
-    def axes(self, grid):
-        return ()
-
     def values(self, grid):
         return 0.0
 
@@ -128,9 +126,6 @@ class LinearPotential:
         self.slope = float(slope)
         self.axis = int(axis)
 
-    def axes(self, grid):
-        return (self.axis,)
-
     def values(self, grid):
         return self.slope * grid.meshes()[self.axis]
 
@@ -139,18 +134,11 @@ class LinearPotential:
 
 
 class SampledPotential:
-    """V given by a callable of the mesh coordinates (and optional gradient).
+    """V given by a callable of the mesh coordinates (and optional gradient)."""
 
-    ``axes`` names the grid axes V depends on; by default, all of them.
-    """
-
-    def __init__(self, fn, grad_fns=None, axes=None):
+    def __init__(self, fn, grad_fns=None):
         self.fn = fn
         self.grad_fns = grad_fns
-        self._axes = None if axes is None else tuple(int(a) for a in axes)
-
-    def axes(self, grid):
-        return tuple(range(grid.ndim)) if self._axes is None else self._axes
 
     def values(self, grid):
         return self.fn(*grid.meshes())
@@ -389,16 +377,18 @@ def boundary_monitor(grid, shape, free=()):
     return check
 
 
-# A grid has at most two axes, so a potential that depends on one axis
+# A grid has at most two axes, so a potential that varies along one axis
 # leaves at most one free: the helpers below take free = () or (f,).
 
-def _free_axes(grid, potential):
-    """Grid axes V does not depend on; () when V depends on none, since the
-    full kinetic step then treats every axis alike."""
-    coupled = potential.axes(grid)
-    if not coupled:
+def _free_axes(grid, v):
+    """Grid axes along which the potential values ``v`` are exactly
+    constant; () when V varies along none or along no axis at all, since
+    the full kinetic step then treats every axis alike."""
+    if np.ndim(v) != grid.ndim:
         return ()
-    return tuple(a for a in range(grid.ndim) if a not in coupled)
+    free = tuple(a for a in range(grid.ndim) if np.array_equal(
+        v, np.broadcast_to(v[(slice(None),) * a + (slice(1),)], v.shape)))
+    return () if len(free) == grid.ndim else free
 
 
 def _free_phase(grid, free, mass):
@@ -465,7 +455,7 @@ def propagate(field, potential, dt, steps, record_every=0, workers=1):
     state, into an :class:`ObservableTrace` held as the ``.trace`` attribute
     of the returned field (None otherwise).
 
-    Axes V does not depend on are free: their kinetic factor commutes with
+    Axes along which V is constant are free: their kinetic factor commutes with
     every other factor of the step, so only the coupled axes are stepped
     and the free evolution is applied exactly where the field is observed
     (records and the return).
@@ -473,20 +463,15 @@ def propagate(field, potential, dt, steps, record_every=0, workers=1):
     if steps < 1:
         raise DomainError("steps must be >= 1")
     grid = field.grid
-    free = _free_axes(grid, potential)
+    v = potential.values(grid)
+    free = _free_axes(grid, v)
     # the held field is free-axis-major, the coupled axes contiguous
     order = free + tuple(a for a in range(grid.ndim) if a not in free)
-    free_rows = tuple(slice(1) for _ in free)
     # k = 0 on the free axes leaves the coupled kinetic factor
     kin = kinetic_phase(grid, field.mass, dt).transpose(order)
     kin = kin[(0,) * len(free)].copy()
-    v = potential.values(grid)
     if free:
-        v = v.transpose(order)
-        if not np.array_equal(v, np.broadcast_to(v[free_rows], v.shape)):
-            raise DomainError(
-                f"potential varies along axes {free} it does not declare")
-        v = v[free_rows]
+        v = v.transpose(order)[tuple(slice(1) for _ in free)]
     half = half_kick(v, dt)
     kick = None if half is None else (lambda p: np.multiply(p, half, out=p))
 
@@ -574,11 +559,13 @@ def read_field_array(path):
     Raises :class:`DomainError` unless the file is a whole 1D or 2D array.
     """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
         def take(n, dtype):
-            chunk = fh.read(n)
-            if len(chunk) != n:
+            # checked before reading, so a corrupt shape never sizes a buffer
+            if n > size - fh.tell():
                 raise DomainError(f"{path}: truncated qratio array file")
-            return np.frombuffer(chunk, dtype=dtype)
+            return np.frombuffer(fh.read(n), dtype=dtype)
 
         if fh.read(8) != _MAGIC:
             raise DomainError(f"{path}: not a qratio array file")

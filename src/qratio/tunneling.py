@@ -347,7 +347,7 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
         psi = scenario.c1 * f1.psi + scenario.c2 * f2.psi
         psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume)
         field = WaveField(grid, psi, mass)
-        potential = SampledPotential(lambda zm, xm: bar.value(zm), axes=(0,))
+        potential = SampledPotential(lambda zm, xm: bar.value(zm))
         in_coh = _coherence_from_matrix(_reduced_transverse(psi, grid), i1, i2)
     else:
         if env is None:

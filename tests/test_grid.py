@@ -11,11 +11,11 @@ from qratio.core import GaussianPacket, packet_width_at
 from qratio.errors import (BoundaryError, DomainError, ResolutionError,
                            StepSizeError)
 from qratio.grid import (FreePotential, Grid, LinearPotential,
-                         SampledPotential, boundary_monitor,
+                         SampledPotential, WaveField, boundary_monitor,
                          ehrenfest_residual, half_kick, initialize_gaussian,
                          kinetic_ceiling, kinetic_phase, observables,
-                         propagate, read_field_array, strang_step, suggest_dt,
-                         write_field_array)
+                         propagate, read_field_array, snapshot_with_force,
+                         strang_step, suggest_dt, write_field_array)
 
 ME = 9.1093837015e-31
 
@@ -250,6 +250,19 @@ def test_field_array_truncated_file_is_a_domain_error(tmp_path):
         assert "truncated" in str(err.value)
 
 
+def test_field_array_corrupt_shape_is_a_domain_error(tmp_path):
+    grid = Grid.make((64, 64), (1e-6, 1e-6))
+    path = tmp_path / "field.bin"
+    write_field_array(path, np.ones((64, 64), dtype=complex), grid.spacings,
+                      grid.origins)
+    whole = path.read_bytes()
+    # a shape claiming ~2.7e20 bytes must not size a read buffer
+    path.write_bytes(whole[:12] + np.uint32(2 ** 32 - 1).tobytes() + whole[16:])
+    with pytest.raises(DomainError) as err:
+        read_field_array(path)
+    assert "truncated" in str(err.value)
+
+
 @pytest.mark.parametrize("ndim", [0, 3, 2 ** 32 - 1])
 def test_field_array_bad_ndim_is_a_domain_error(tmp_path, ndim):
     grid = Grid.make(64, 1e-6)
@@ -266,8 +279,7 @@ def test_field_array_bad_ndim_is_a_domain_error(tmp_path, ndim):
 # free axes: a potential that depends on z only leaves x to exact free motion
 
 ZX = Grid.make((256, 64), (2e-6, 1e-6))          # (z, x); z is coupled
-BARRIER = SampledPotential(lambda zm, xm: 2e-21 * np.exp(-(zm / 5e-8) ** 2),
-                           axes=(0,))
+BARRIER = SampledPotential(lambda zm, xm: 2e-21 * np.exp(-(zm / 5e-8) ** 2))
 
 
 def zx_field(pz=3e-26, px=1e-26, z0=-3e-7, x0=1e-7):
@@ -279,6 +291,20 @@ def boundary_step(call):
     with pytest.raises(BoundaryError) as err:
         call()
     return int(re.search(r"\(step (\d+)\)", str(err.value)).group(1))
+
+
+def full_grid_steps(field, potential, dt, steps, record_every):
+    """psi after ``steps`` steps of every axis, and a snapshot at each record."""
+    grid = field.grid
+    kin = kinetic_phase(grid, field.mass, dt)
+    half = half_kick(potential.values(grid), dt)
+    out = WaveField(grid, field.psi, field.mass)
+    snaps = [snapshot_with_force(out, potential)]
+    for step in range(1, steps + 1):
+        out.psi = strang_step(out.psi, kin, lambda p: p * half)
+        if step % record_every == 0 or step == steps:
+            snaps.append(snapshot_with_force(out, potential))
+    return out.psi, snaps
 
 
 def full_grid_boundary_step(field, potential, dt, steps):
@@ -298,22 +324,27 @@ def full_grid_boundary_step(field, potential, dt, steps):
 
 
 class TestFreeAxes:
-    def test_declared_axes(self):
-        assert FreePotential().axes(ZX) == ()
-        assert LinearPotential(1.0, 1).axes(ZX) == (1,)
-        assert SampledPotential(lambda zm, xm: zm).axes(ZX) == (0, 1)
-        assert BARRIER.axes(ZX) == (0,)
+    @pytest.mark.parametrize("potential, free", [
+        (FreePotential(), ()),
+        (LinearPotential(1.0, 1), (0,)),
+        (LinearPotential(0.0, 1), ()),             # constant along both
+        (BARRIER, (1,)),
+        (SampledPotential(lambda zm, xm: zm * xm), ()),
+    ], ids=["free", "linear-x", "constant", "barrier", "both"])
+    def test_free_axes_are_read_off_v(self, potential, free):
+        assert grid_module._free_axes(ZX, potential.values(ZX)) == free
 
     def test_matches_stepping_every_axis(self):
         f0 = zx_field()
-        every_axis = SampledPotential(BARRIER.fn)
-        dt = suggest_dt(ZX, every_axis, ME)
+        dt = suggest_dt(ZX, BARRIER, ME)
         a = propagate(f0, BARRIER, dt, 300, record_every=50)
-        b = propagate(f0, every_axis, dt, 300, record_every=50)
-        assert a.psi.shape == b.psi.shape == f0.psi.shape
-        assert np.max(np.abs(a.psi - b.psi)) < 1e-12 * np.max(np.abs(b.psi))
-        assert a.time == b.time and a.trace.times == b.trace.times
-        for x, y in zip(a.trace.as_arrays()[1:], b.trace.as_arrays()[1:]):
+        psi, snaps = full_grid_steps(f0, BARRIER, dt, 300, 50)
+        assert a.psi.shape == f0.psi.shape
+        assert np.max(np.abs(a.psi - psi)) < 1e-12 * np.max(np.abs(psi))
+        assert len(a.trace.times) == len(snaps)
+        for name in ("mean_position", "mean_momentum", "widths", "mean_force"):
+            x = np.asarray(getattr(a.trace, name))
+            y = np.asarray([getattr(s, name) for s in snaps])
             assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
     @pytest.mark.parametrize("potential", [
@@ -328,11 +359,6 @@ class TestFreeAxes:
         assert np.array_equal(f0.psi, before) and f0.time == 0.0
         back = propagate(out, potential, -dt, 20)
         assert np.max(np.abs(back.psi - before)) < 1e-10 * np.max(np.abs(before))
-
-    def test_undeclared_dependence_is_an_error(self):
-        wrong = SampledPotential(lambda zm, xm: 1e-21 * xm / 1e-6, axes=(0,))
-        with pytest.raises(DomainError):
-            propagate(zx_field(), wrong, 1e-16, 1)
 
     # each packet starts off the barrier and moves along one axis only
     @pytest.mark.parametrize("pz, px, z0, x0", [(0.0, 1e-26, -4e-7, 1e-7),
