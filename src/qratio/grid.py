@@ -9,21 +9,26 @@ is conserved to rounding and forward/backward evolution inverts exactly.
 are stacked on a leading axis, and a density matrix rho(x, x') steps as one
 2D field with kinetic factor K(k) K*(k') (the Liouville form).
 
+A stepping loop holds its field before the trailing half kick, which joins
+the next step's leading one into one full kick; it is applied only where
+the field is observed (records, population samples, the return).
+
 On a grid axis along which V is constant, the kinetic factor commutes with
 every other factor of the step, so :func:`propagate` holds the field
 free-axis-major,
 steps only the coupled axes, and applies the exact free evolution
-exp(-i hbar k_f^2 t / 2m) where the field is observed: at records and on
-return.
+exp(-i hbar k_f^2 t / 2m) where the field is observed.
 
 Boundaries are periodic; there are no absorbing layers.  Runs must be sized
 so that no appreciable probability reaches the grid edge, and a margin
 monitor checks every step of every wave-function run, spinors included, and
 aborts with :class:`BoundaryError` before wraparound contaminates results.
-With a free axis the margin mass is the sum of two exact parts: the coupled
-axes' margin, read off the stepped field (a unitary on the free axis keeps
-it), and the free axis's margin, from the field's reduced density matrix on
-that axis.  The sum is never below the mass in the union of the margins.
+It reads the held field: a kick, a per-point phase or 2x2 spin unitary,
+keeps the summed margin mass.  With a free axis the margin mass is the sum
+of two exact parts: the coupled axes' margin, read off the stepped field (a
+unitary on the free axis keeps it), and the free axis's margin, from the
+field's reduced density matrix on that axis.  The sum is never below the
+mass in the union of the margins.
 """
 
 import itertools
@@ -307,6 +312,12 @@ def suggest_dt(grid, potential, mass):
     return 0.1 * HBAR / (vmax + kinetic_ceiling(grid, mass))
 
 
+def ceiling_dt(grid, mass):
+    """Suggested step at the spectral band: 0.7 of the pi/4 hbar / ceiling
+    bound that :func:`kinetic_phase` enforces."""
+    return 0.7 * math.pi / 4.0 * HBAR / kinetic_ceiling(grid, mass)
+
+
 def kinetic_phase(grid, mass, dt):
     """Full kinetic step exp(-i hbar k^2 dt / 2m) on the grid's k mesh.
 
@@ -319,7 +330,7 @@ def kinetic_phase(grid, mass, dt):
         raise StepSizeError(
             f"|dt| = {abs(dt):.3e} s too coarse for the spectral band; "
             f"need |dt| < {math.pi / 4.0 * HBAR / ceiling:.3e} s "
-            f"(suggest {0.7 * math.pi / 4.0 * HBAR / ceiling:.3e} s)")
+            f"(suggest {ceiling_dt(grid, mass):.3e} s)")
     return np.exp(grid.k2() * (-0.5j * HBAR * dt / mass))
 
 
@@ -351,29 +362,35 @@ def _margin_width(n):
     return max(1, int(round(BOUNDARY_MARGIN * n)))
 
 
-def boundary_monitor(grid, shape, free=()):
-    """check(psi, t, step, free_mass=0.0), raising :class:`BoundaryError`
-    once the probability in the outer margin of any axis reaches the
-    tolerance.  Leading axes of ``shape`` stack components; their edge
-    masses add.  The grid axes named in ``free`` lead the others in
-    ``psi`` and are not read: ``free_mass`` is their margin mass."""
-    axes = free + tuple(a for a in range(grid.ndim) if a not in free)
-    points = tuple(grid.points[a] for a in axes)
-    mask = np.ones(points, dtype=bool)
-    mask[tuple(slice(None) if a in free
-               else slice(_margin_width(n), n - _margin_width(n))
-               for a, n in zip(axes, points))] = False
-    edge = np.flatnonzero(np.broadcast_to(mask, shape))
+def boundary_monitor(grid, free=()):
+    """check(psi, t, step, free_mass=0.0) -> the margin mass, raising
+    :class:`BoundaryError` once the probability in the outer margin of any
+    axis reaches the tolerance.  Leading axes of ``psi`` stack components;
+    their edge masses add.  The grid axes named in ``free`` lead the others
+    in ``psi`` and are not read: ``free_mass`` is their margin mass."""
+    coupled = [grid.points[a] for a in range(grid.ndim) if a not in free]
+    # the two outer slabs of each trailing axis, cut to the interior of the
+    # axes before it, so that a corner counts once
+    slabs, interior = [], ()
+    for i, n in enumerate(coupled):
+        w = _margin_width(n)
+        rest = (slice(None),) * (len(coupled) - i - 1)
+        slabs += [(Ellipsis,) + interior + (edge,) + rest
+                  for edge in (slice(None, w), slice(n - w, None))]
+        interior += (slice(w, n - w),)
     dv = grid.cell_volume
 
     def check(psi, t, step, free_mass=0.0):
-        e = np.take(psi, edge)
-        mass = float(np.vdot(e, e).real * dv) + free_mass
+        mass = free_mass
+        for s in slabs:
+            e = psi[s]
+            mass += float(np.vdot(e, e).real) * dv
         if mass >= BOUNDARY_TOLERANCE:
             raise BoundaryError(
                 f"probability {mass:.3e} in the outer {BOUNDARY_MARGIN:.0%} "
                 f"margin at t = {t:.3e} s (step {step}); "
                 "enlarge the grid or shorten the run")
+        return mass
     return check
 
 
@@ -431,17 +448,24 @@ def _free_margin_masses(grid, free, psi, mass, dt, steps):
     return masses()
 
 
-def _observer(grid, free, order, mass, workers):
-    """observe(psi, tau): the held field ``psi`` in grid order, after the
-    exact free evolution exp(-i hbar k_f^2 tau / 2m) that it has not had."""
+def _observer(grid, free, order, mass, half, workers):
+    """observe(psi, tau): the held field ``psi`` in grid order, after what
+    it has not had: the trailing half kick ``half`` (None for V = 0) and the
+    exact free evolution exp(-i hbar k_f^2 tau / 2m).  ``psi`` is not
+    changed."""
     if not free:
-        return lambda psi, tau: psi
+        if half is None:
+            return lambda psi, tau: psi
+        return lambda psi, tau: psi * half
     phase = 1j * _free_phase(grid, free, mass)
     inverse = tuple(int(a) for a in np.argsort(order))
 
     def observe(psi, tau):
+        # V varies along the coupled axes only (so ``half`` is an array),
+        # and the kick commutes with the free axis's transform
         phi = _fft.fftn(psi, axes=(0,), workers=workers)
         phi *= np.exp(tau * phase)
+        phi *= half
         return _fft.ifftn(phi, axes=(0,), overwrite_x=True,
                           workers=workers).transpose(inverse)
     return observe
@@ -458,7 +482,8 @@ def propagate(field, potential, dt, steps, record_every=0, workers=1):
     Axes along which V is constant are free: their kinetic factor commutes with
     every other factor of the step, so only the coupled axes are stepped
     and the free evolution is applied exactly where the field is observed
-    (records and the return).
+    (records and the return).  Each step applies one full kick; the last
+    step's trailing half kick is applied there too.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
@@ -472,13 +497,14 @@ def propagate(field, potential, dt, steps, record_every=0, workers=1):
     kin = kin[(0,) * len(free)].copy()
     if free:
         v = v.transpose(order)[tuple(slice(1) for _ in free)]
-    half = half_kick(v, dt)
-    kick = None if half is None else (lambda p: np.multiply(p, half, out=p))
+    # the held field lacks its trailing half kick, which joins the next
+    # step's leading one into one full kick
+    half, full = half_kick(v, dt), half_kick(v, 2.0 * dt)
 
     psi = np.array(field.psi.transpose(order), order="C")   # a copy, always
-    check = boundary_monitor(grid, psi.shape, free)
+    check = boundary_monitor(grid, free)
     free_masses = _free_margin_masses(grid, free, psi, field.mass, dt, steps)
-    observe = _observer(grid, free, order, field.mass, workers)
+    observe = _observer(grid, free, order, field.mass, half, workers)
 
     out = WaveField(grid, field.psi, field.mass, field.time, field.norm_drift)
     trace = ObservableTrace() if record_every else None
@@ -486,7 +512,9 @@ def propagate(field, potential, dt, steps, record_every=0, workers=1):
         trace.append(out.time, snapshot_with_force(out, potential))
 
     for step, free_mass in zip(range(1, steps + 1), free_masses):
-        psi = strang_step(psi, kin, kick, workers)
+        if half is not None:
+            psi *= half if step == 1 else full
+        psi = strang_step(psi, kin, workers=workers)
         out.time += dt
         check(psi, out.time, step, free_mass)
         if record_every and step % record_every == 0 and step < steps:

@@ -121,7 +121,7 @@ def propagate_coupled(spinor, config, dt, steps, record_populations_every=0,
 
     The potential is the exact 2x2 spin coupling -mu_B (sigma . B) with
     B = (0, -b0 y, B0 + b0 z), exponentiated in closed form per grid point,
-    so each half kick is exactly unitary.  The time step must resolve the
+    so each kick is exactly unitary.  The time step must resolve the
     precession period (see :func:`max_coupled_dt`).
 
     Returns (spinor, populations) where populations is a list of
@@ -143,29 +143,35 @@ def propagate_coupled(spinor, config, dt, steps, record_populations_every=0,
     b_y = -config.gradient_b0 * ym
     b_z = config.field_B0 + config.gradient_b0 * zm
     b_mag = np.sqrt(b_y ** 2 + b_z ** 2)
-    # half kick of exp(+i dt mu_B (sigma.B) / 2 hbar)
-    angle = 0.5 * dt * BOHR_MAGNETON * b_mag / HBAR
-    cos_a = np.cos(angle)
-    sin_over_b = np.sin(angle) / b_mag
-    m_uu = cos_a + 1j * sin_over_b * b_z
-    m_ud = sin_over_b * b_y          # i * (-i b_y) = +b_y
-    m_dd = cos_a - 1j * sin_over_b * b_z
 
-    diag, off = np.array([m_uu, m_dd]), np.array([m_ud, -m_ud])
+    def spin_kick(angle):
+        """exp(+i (angle / |B|) sigma.B) on the stacked (up, down) field."""
+        cos_a, sin_over_b = np.cos(angle), np.sin(angle) / b_mag
+        diag = np.array([cos_a + 1j * sin_over_b * b_z, cos_a - 1j * sin_over_b * b_z])
+        off = np.array([sin_over_b * b_y, -sin_over_b * b_y])   # i * (-i b_y) = +b_y
+        return lambda p: diag * p + off * p[::-1]
+
+    # half kick of exp(+i dt mu_B (sigma.B) / 2 hbar); the held field lacks
+    # its trailing half kick, so each step applies one full kick
+    angle = 0.5 * dt * BOHR_MAGNETON * b_mag / HBAR
+    half, full = spin_kick(angle), spin_kick(2.0 * angle)
+
     psi = np.array([spinor.c_up * spinor.up.psi, spinor.c_down * spinor.down.psi])
-    check = boundary_monitor(grid, psi.shape)
+    check = boundary_monitor(grid)
     dv = grid.cell_volume
     populations = []
     t = spinor.up.time
     for step in range(1, steps + 1):
-        psi = strang_step(psi, kin, lambda p: diag * p + off * p[::-1], workers)
+        psi = (half if step == 1 else full)(psi)
+        psi = strang_step(psi, kin, workers=workers)
         t += dt
         check(psi, t, step)
         if record_populations_every and step % record_populations_every == 0:
-            populations.append((t, float(np.sum(np.abs(psi[0]) ** 2) * dv),
-                                float(np.sum(np.abs(psi[1]) ** 2) * dv)))
+            u, d = half(psi)
+            populations.append((t, float(np.sum(np.abs(u) ** 2) * dv),
+                                float(np.sum(np.abs(d) ** 2) * dv)))
 
-    psi_u, psi_d = psi
+    psi_u, psi_d = half(psi)
     p_up = float(np.sum(np.abs(psi_u) ** 2) * dv)
     p_down = float(np.sum(np.abs(psi_d) ** 2) * dv)
     total = math.sqrt(p_up + p_down)   # unitary up to rounding; drift recorded

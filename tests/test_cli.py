@@ -6,7 +6,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from qratio import runner
 from qratio.cli import main, preset_names
+from qratio.errors import DomainError
 from qratio.grid import read_field_array
 
 
@@ -123,6 +125,46 @@ def test_sg_decoupled_trace_ends_at_last_step(tmp_path, edit, samples):
     assert len(rows) == samples
     assert float(rows[-1].split(",")[0]) == pytest.approx(2e-12, rel=1e-12)
     assert load_summary(out)["pz_relative_error"] < 1e-9
+
+
+@pytest.mark.parametrize("old,new,words", [
+    ("bias_ratios = 200", "bias_ratios = 0", "B0"),
+    ("bias_ratios = 200", "B0 = 0 T", "B0"),
+    ("b0 = 1.05e6 T/m", "b0 = 0 T/m", "b0"),
+], ids=["zero-ratio", "zero-B0", "zero-b0"])
+def test_sg_coupled_check_zero_field_is_a_domain_error(tmp_path, capsys, old,
+                                                       new, words):
+    cfg = preset_copy(tmp_path, "sg-coupled-check", (old, new))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError" and words in err["message"]
+    assert not (out / "summary.json").exists()
+
+
+def test_sg_coupled_check_records_both_step_counts(tmp_path):
+    cfg = preset_copy(tmp_path, "sg-coupled-check",
+                      ("duration = 5.4e-11 s", "duration = 5.4e-12 s"))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 0
+    (res,) = load_summary(out)["results"]
+    assert res["steps"] > 10 * res["decoupled_steps"] > 0
+    drift = json.loads((out / "manifest.json").read_text())["drift"]
+    assert set(drift) == {"norm_drift_ratio_200",
+                          "norm_drift_decoupled_up_ratio_200",
+                          "norm_drift_decoupled_down_ratio_200"}
+
+
+def test_non_finite_output_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(runner._RUNNERS, "diffuse",
+                        lambda cfg, threads: ({"doubling_time_s": math.nan}, {}, {}))
+    code, out = run_cli(tmp_path, "diffuse", "--preset", "table1")
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError" and "non-finite" in err["message"]
+    assert not (out / "summary.json").exists()
+    with pytest.raises(DomainError):
+        runner._json_bytes({"drift": {"norm_drift_up": math.inf}})
 
 
 SPIN = "[scenario]\nkind = spin-dist\n[spin]\nj = {}\ntheta = pi/3\nmode = {}\n"

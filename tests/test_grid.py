@@ -161,6 +161,29 @@ class TestBoundaryMonitor:
             propagate(f0, FreePotential(), dt, 100000)
         assert "margin" in str(err.value)
 
+    @pytest.mark.parametrize("points, shape, free", [
+        ((128,), (128,), ()),
+        ((64, 128), (64, 128), ()),
+        ((64, 64), (2, 64, 64), ()),              # stacked spinor
+        ((256, 64), (64, 256), (1,)),             # (z, x) held as (x, z)
+        ((64, 128), (64, 128), (0,)),             # (y, z) held as it is
+    ], ids=["1d", "2d", "stacked", "free-x", "free-y"])
+    def test_slab_mass_is_the_union_of_the_margins(self, points, shape, free):
+        grid = Grid.make(points, (1e-6,) * len(points))
+        rng = np.random.default_rng(5)
+        psi = 1e-6 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        # the margin as a mask over the held layout, gathered by flat index
+        axes = free + tuple(a for a in range(grid.ndim) if a not in free)
+        held = tuple(grid.points[a] for a in axes)
+        mask = np.ones(held, dtype=bool)
+        mask[tuple(slice(None) if a in free else
+                   slice(grid_module._margin_width(n), n - grid_module._margin_width(n))
+                   for a, n in zip(axes, held))] = False
+        e = np.take(psi, np.flatnonzero(np.broadcast_to(mask, shape)))
+        gathered = float(np.vdot(e, e).real * grid.cell_volume)
+        mass = boundary_monitor(grid, free)(psi, 0.0, 0)
+        assert abs(mass - gathered) <= 1e-14 * gathered
+
 
 class TestStrangStep:
     def test_stacked_components_step_as_if_alone(self):
@@ -312,7 +335,7 @@ def full_grid_boundary_step(field, potential, dt, steps):
     grid = field.grid
     kin = kinetic_phase(grid, field.mass, dt)
     half = half_kick(potential.values(grid), dt)
-    check = boundary_monitor(grid, field.psi.shape)
+    check = boundary_monitor(grid)
     psi = field.psi.copy()
 
     def run():
@@ -346,6 +369,19 @@ class TestFreeAxes:
             x = np.asarray(getattr(a.trace, name))
             y = np.asarray([getattr(s, name) for s in snaps])
             assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+    def test_one_kick_per_step_matches_two_half_kicks(self):
+        # V varies along both axes: the empty free set of the same loop
+        potential = SampledPotential(
+            lambda zm, xm: 2e-21 * np.exp(-(zm / 5e-8) ** 2 - (xm / 2e-7) ** 2))
+        f0 = zx_field()
+        dt = suggest_dt(ZX, potential, ME)
+        a = propagate(f0, potential, dt, 300, record_every=50)
+        psi, snaps = full_grid_steps(f0, potential, dt, 300, 50)
+        assert np.max(np.abs(a.psi - psi)) < 1e-12 * np.max(np.abs(psi))
+        x = np.asarray(a.trace.mean_momentum)
+        y = np.asarray([s.mean_momentum for s in snaps])
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
     @pytest.mark.parametrize("potential", [
         LinearPotential(1e-20, 1),        # (y, z): held as it is

@@ -7,7 +7,9 @@ from qratio.catalog import catalog_lookup
 from qratio.constants import BOHR_MAGNETON as MUB, HBAR
 from qratio.core import Classification, GaussianPacket, quantum_ratio
 from qratio.errors import BoundaryError, DomainError, StepSizeError
-from qratio.grid import FreePotential, Grid, initialize_gaussian, observables, propagate
+from qratio.grid import (FreePotential, Grid, boundary_monitor, ceiling_dt,
+                         initialize_gaussian, kinetic_phase, observables,
+                         propagate, strang_step)
 from qratio.spin import SpinCoherentState, distribution
 from qratio.stern_gerlach import (SGFieldConfig, SpinorField, band_separation,
                                   gradient_potentials, large_spin_bands,
@@ -102,6 +104,20 @@ class TestDecoupled:
         expected = band_separation(config, ME, t_drift)
         assert dz == pytest.approx(expected, rel=1e-9)
 
+    def test_kinetic_ceiling_step_gives_the_fine_step_densities(self):
+        # Strang splitting is exact up to a global phase for a linear
+        # potential, so the step size leaves the densities as they are
+        grid, sp = spinor_2d()
+        config, duration = desk_config(grid, 8 * grid.spacings[0])
+        duration /= 8
+        fine = int(math.ceil(duration / max_coupled_dt(config)))
+        coarse = int(math.ceil(duration / ceiling_dt(grid, ME)))
+        assert coarse * 10 < fine
+        a = propagate_decoupled(sp, config, duration / fine, fine, z_axis=1)
+        b = propagate_decoupled(sp, config, duration / coarse, coarse, z_axis=1)
+        for x, y in zip(a.densities(), b.densities()):
+            assert np.abs(x - y).sum() * grid.cell_volume <= 1e-10
+
     def test_potentials_have_opposite_signs(self):
         v_up, v_down = gradient_potentials(SGFieldConfig(1.0, 5e8, 1e-12, 1.0), 0)
         assert v_up.slope == -v_down.slope
@@ -133,6 +149,37 @@ class TestCoupled:
         _, _, l1_hi = run_pair(grid, sp, cfg_hi, duration)
         _, _, l1_lo = run_pair(grid, sp, cfg_lo, duration)
         assert l1_lo > l1_hi
+
+    def test_one_kick_per_step_matches_two_half_kicks(self):
+        grid, sp = spinor_2d()
+        config, duration = desk_config(grid, 8 * grid.spacings[0])
+        dt, steps, every = max_coupled_dt(config), 400, 100
+        out, pops = propagate_coupled(sp, config, dt, steps,
+                                      record_populations_every=every)
+
+        # the unfused loop: half kick, kinetic step, half kick
+        ym, zm = grid.meshes()
+        b_y = -config.gradient_b0 * ym
+        b_z = config.field_B0 + config.gradient_b0 * zm
+        b_mag = np.hypot(b_y, b_z)
+        angle = 0.5 * dt * MUB * b_mag / HBAR
+        c, s = np.cos(angle), np.sin(angle) / b_mag
+        u = np.array([[c + 1j * s * b_z, s * b_y], [-s * b_y, c - 1j * s * b_z]])
+        kin = kinetic_phase(grid, ME, dt)
+        check = boundary_monitor(grid)
+        psi = np.array([sp.c_up * sp.up.psi, sp.c_down * sp.down.psi])
+        dv = grid.cell_volume
+        for step in range(1, steps + 1):
+            psi = strang_step(psi, kin, lambda p: np.einsum("ij...,j...->i...", u, p))
+            check(psi, step * dt, step)
+            if step % every == 0:
+                p_up, p_down = (np.abs(psi) ** 2).sum(axis=(1, 2)) * dv
+                ref = (step * dt, p_up, p_down)
+                assert pops[step // every - 1] == pytest.approx(ref, rel=1e-12)
+        assert len(pops) == steps // every
+        scale = np.max(np.abs(psi))
+        assert np.max(np.abs(out.c_up * out.up.psi - psi[0])) < 1e-12 * scale
+        assert np.max(np.abs(out.c_down * out.down.psi - psi[1])) < 1e-12 * scale
 
     def test_requires_2d(self):
         grid, sp = spinor_1d()
