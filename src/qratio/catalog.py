@@ -8,10 +8,9 @@ files with the same schema on top via :func:`load_catalog`.
 from dataclasses import dataclass
 from importlib import resources
 
-from .config import _raw_parse
+from .config import _check_required, _raw_parse, _validate_section
 from .constants import ATOMIC_MASS_UNIT
 from .errors import CatalogKeyError, ConfigError
-from .units import parse_quantity
 
 
 @dataclass(frozen=True)
@@ -55,28 +54,20 @@ class ExperimentRecord:
             raise ValueError(f"quantum range must be positive for {self.name!r}")
 
 
-_REQUIRED = {
-    "particle": {"name", "mass", "L0"},
-    "experiment": {"name", "mass", "L0", "Rq"},
-}
-_OPTIONAL = {"source"}
+_RECORD = {"name": ("str", True, None), "mass": ("mass", True, None),
+           "L0": ("length", True, None), "source": ("str", False, "")}
+# section -> key -> (type, required, default), as in config.SCHEMAS
+SCHEMA = {"particle": _RECORD,
+          "experiment": {**_RECORD, "Rq": ("length", True, None)}}
 
 
 def _finish_record(kind, fields, line):
-    missing = _REQUIRED[kind] - fields.keys()
-    if missing:
-        raise ConfigError(f"[{kind}] entry missing keys {sorted(missing)}", line)
-    unknown = fields.keys() - _REQUIRED[kind] - _OPTIONAL
-    if unknown:
-        raise ConfigError(f"[{kind}] entry has unknown keys {sorted(unknown)}", line)
-    name = fields["name"][0]
-    source = fields.get("source", ("",))[0]
-    mass = parse_quantity(fields["mass"][0], "mass", "mass", fields["mass"][1])
-    size = parse_quantity(fields["L0"][0], "length", "L0", fields["L0"][1])
+    v = _validate_section(kind, SCHEMA[kind], fields, line)
+    _check_required(kind, SCHEMA[kind], v, line, {})
     if kind == "particle":
-        return ParticleSpec(name, mass, size, source)
-    rq = parse_quantity(fields["Rq"][0], "length", "Rq", fields["Rq"][1])
-    return ExperimentRecord(name, mass, mass / ATOMIC_MASS_UNIT, size, rq, source)
+        return ParticleSpec(v["name"], v["mass"], v["L0"], v["source"])
+    return ExperimentRecord(v["name"], v["mass"], v["mass"] / ATOMIC_MASS_UNIT,
+                            v["L0"], v["Rq"], v["source"])
 
 
 def parse_catalog(text):
@@ -89,7 +80,7 @@ def parse_catalog(text):
         raise ConfigError("catalog file must declare a version")
     records = {}
     for kind, fields, line in sections:
-        if kind not in _REQUIRED:
+        if kind not in SCHEMA:
             raise ConfigError(f"unknown catalog section [{kind}]", line)
         rec = _finish_record(kind, fields, line)
         if rec.name in records:
@@ -120,6 +111,14 @@ def catalog_lookup(name, catalog=None):
         known = ", ".join(sorted(cat))
         raise CatalogKeyError(
             f"unknown catalog entry {name!r}; available: {known}") from None
+
+
+def experiment_lookup(name, catalog=None):
+    """Return the ExperimentRecord registered under ``name``."""
+    rec = catalog_lookup(name, catalog)
+    if not isinstance(rec, ExperimentRecord):
+        raise ConfigError(f"catalog entry {name!r} is not an experiment record")
+    return rec
 
 
 def experiment_names(catalog=None):

@@ -176,6 +176,8 @@ def _config_text(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         text, label = _config_text(args)
         cfg = parse_config(text)
         if cfg.kind != args.command:

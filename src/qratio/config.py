@@ -42,20 +42,43 @@ def _to_float(s, key, line):
     return value
 
 
-def _parse_value(spec, text, key, line):
-    if spec in _SIMPLE:
-        return _SIMPLE[spec](text, key, line)
-    if spec.startswith("choice:"):
-        choices = spec.split(":", 1)[1].split("|")
+def _type_parts(vtype):
+    """'energy>0' -> ('energy', None, '>', 0.0); 'ints:2' -> ('ints', 2,
+    None, None).  A bound is in SI units and holds for every listed value."""
+    op = ">=" if ">=" in vtype else ">" if ">" in vtype else None
+    base, bound = vtype.split(op) if op else (vtype, None)
+    base, _, count = base.partition(":")
+    return (base, int(count) if count else None, op,
+            None if bound is None else float(bound))
+
+
+def _parse_value(vtype, text, key, line):
+    if vtype.startswith("choice:"):
+        choices = vtype.split(":", 1)[1].split("|")
         if text not in choices:
             raise ConfigError(
                 f"key '{key}' must be one of {choices}, got '{text}'", line)
         return text
-    return parse_quantity(text, spec, key, line)
+    base, count, op, bound = _type_parts(vtype)
+    value = (_SIMPLE[base](text, key, line) if base in _SIMPLE
+             else parse_quantity(text, base, key, line))
+    values = value if isinstance(value, tuple) else (value,)
+    if count is not None and len(values) != count:
+        raise ConfigError(f"key '{key}' needs {count} value(s), "
+                          f"got {len(values)}", line)
+    if op and not all(v > bound if op == ">" else v >= bound for v in values):
+        raise ConfigError(f"key '{key}' must be {op} {bound:g}, got '{text}'",
+                          line)
+    return value
 
 
-# section -> key -> (type/dimension, required, default); sections marked
-# with a trailing '*' may repeat
+_C1 = 1.0 / math.sqrt(2.0)   # default first amplitude of a two-band state
+
+# section -> key -> (type, required, default).  A type may carry a lower
+# bound ('int>=1', 'energy>0') and a list type a value count ('ints:2').
+# ``required`` is True, False, or a condition 'section.key=a|b' on a
+# choice key of the same kind.  Sections marked with a trailing '*' may
+# repeat.
 SCHEMAS = {
     "ratio": {
         "ratio": {
@@ -82,26 +105,26 @@ SCHEMAS = {
     "sg": {
         "sg": {
             "mode": ("choice:decoupled|coupled-check|bands", True, None),
-            "mass": ("mass", False, None),
+            "mass": ("mass", True, None),
             "B0": ("field", False, None),
-            "b0": ("gradient", False, None),
-            "width": ("length", False, None),
-            "duration": ("time", False, None),
-            "steps": ("int", False, None),
-            "c_up": ("float", False, None),
+            "b0": ("gradient", True, None),
+            "width": ("length", "sg.mode=decoupled|coupled-check", None),
+            "duration": ("time", "sg.mode=decoupled|coupled-check", None),
+            "steps": ("int>=1", False, 200),
+            "c_up": ("float", False, _C1),
             "c_down": ("float", False, None),
             "bias_ratios": ("floats", False, None),
-            "record_every": ("int", False, 0),
-            "j": ("spin", False, None),
-            "theta": ("angle", False, None),
+            "record_every": ("int>=0", False, 0),
+            "j": ("spin", "sg.mode=bands", None),
+            "theta": ("angle", "sg.mode=bands", None),
             "phi": ("angle", False, 0.0),
-            "region_length": ("length", False, None),
-            "speed": ("speed", False, None),
+            "region_length": ("length", "sg.mode=bands", None),
+            "speed": ("speed", "sg.mode=bands", None),
             "drift_time": ("time", False, 0.0),
         },
         "grid": {
-            "points": ("ints", False, None),
-            "extent": ("length", False, None),
+            "points": ("ints", False, (256, 256)),
+            "extent": ("length", False, 1e-6),
         },
     },
     "tunnel": {
@@ -112,29 +135,29 @@ SCHEMAS = {
         "barrier": {
             "shape": ("choice:rectangular|gaussian", True, None),
             "height": ("energy", True, None),
-            "width": ("length", False, None),
-            "sigma": ("length", False, None),
+            "width": ("length", "barrier.shape=rectangular", None),
+            "sigma": ("length", "barrier.shape=gaussian", None),
         },
         "sweep": {
-            "energy_min": ("energy", False, None),
-            "energy_max": ("energy", False, None),
-            "count": ("int", False, 33),
+            "energy_min": ("energy", "tunnel.mode=sweep", None),
+            "energy_max": ("energy", "tunnel.mode=sweep", None),
+            "count": ("int>=1", False, 33),
         },
         "beam": {
-            "energy": ("energy", False, None),
-            "width": ("length", False, None),
+            "energy": ("energy>0", "tunnel.mode=pure|decohered", None),
+            "width": ("length", "tunnel.mode=pure|decohered", None),
             "start": ("length", False, None),
-            "transverse_width": ("length", False, None),
-            "separation": ("length", False, None),
-            "c1": ("float", False, None),
+            "transverse_width": ("length", "tunnel.mode=pure|decohered", None),
+            "separation": ("length", "tunnel.mode=pure|decohered", None),
+            "c1": ("float", False, _C1),
             "c2": ("float", False, None),
         },
         "grid": {
-            "points": ("ints", False, (2048, 64)),
+            "points": ("ints:2", False, (2048, 64)),
         },
         "environment": {
-            "wavelength": ("length", False, None),
-            "rate": ("rate", False, None),
+            "wavelength": ("length", "tunnel.mode=decohered", None),
+            "rate": ("rate", "tunnel.mode=decohered", None),
         },
     },
     "talbot": {
@@ -157,7 +180,7 @@ SCHEMAS = {
             "source_slits": ("int", False, 16),
             "source_open_fraction": ("float", False, 0.3),
             "scan_open_fraction": ("float", False, 0.3),
-            "offsets": ("int", False, 81),
+            "offsets": ("int>=1", False, 81),
         },
     },
     "decohere": {
@@ -166,7 +189,7 @@ SCHEMAS = {
             "width": ("length", True, None),
             "separation": ("length", True, None),
             "momentum": ("momentum", False, 0.0),
-            "c1": ("float", False, None),
+            "c1": ("float", False, _C1),
             "c2": ("float", False, None),
             "duration_rate": ("float", False, 5.0),
             "steps": ("int", False, 200),
@@ -176,7 +199,7 @@ SCHEMAS = {
             "rate": ("rate", True, None),
         },
         "grid": {
-            "points": ("ints", False, (512,)),
+            "points": ("ints:1", False, (512,)),
             "extent": ("length", True, None),
         },
         "timescales": {
@@ -187,7 +210,11 @@ SCHEMAS = {
     },
 }
 
-_SCENARIO_KEYS = {"kind": None, "seed": None, "out": None}
+SCENARIO = {                # the header section of every file
+    "kind": ("choice:" + "|".join(KINDS), True, None),
+    "seed": ("int", False, 0),
+    "out": ("str", False, None),
+}
 
 
 @dataclass
@@ -241,65 +268,66 @@ def parse_config(text):
     if not sections or sections[0][0] != "scenario":
         raise ConfigError("scenario kind required: file must begin with "
                           "[scenario] and 'kind = <name>'")
-    head = sections[0][1]
-    unknown = head.keys() - _SCENARIO_KEYS.keys()
-    if unknown:
-        raise ConfigError(f"unknown [scenario] keys {sorted(unknown)}",
-                          head[sorted(unknown)[0]][1])
-    if "kind" not in head:
-        raise ConfigError("scenario kind required", sections[0][2])
-    kind, kind_line = head["kind"]
-    if kind not in KINDS:
-        raise ConfigError(f"unknown scenario kind '{kind}' "
-                          f"(one of {', '.join(KINDS)})", kind_line)
-    seed = (_to_int(head["seed"][0], "seed", head["seed"][1])
-            if "seed" in head else 0)
-    out = head["out"][0] if "out" in head else None
+    _, head, head_line = sections[0]
+    header = _validate_section("scenario", SCENARIO, head, head_line)
+    _check_required("scenario", SCENARIO, header, head_line, {})
+    kind = header["kind"]
 
-    schema = SCHEMAS[kind]
-    repeatable = {name[:-1] for name in schema if name.endswith("*")}
-    plain = {name for name in schema if not name.endswith("*")}
-    params = {name: [] for name in repeatable}
-
+    specs = {name.rstrip("*"): spec for name, spec in SCHEMAS[kind].items()}
+    params = {name[:-1]: [] for name in SCHEMAS[kind] if name.endswith("*")}
+    checked = []            # (name, values, line) in file order
     for name, body, line in sections[1:]:
-        if name in repeatable:
-            spec = schema[name + "*"]
-            params[name].append(_validate_section(name, spec, body, line))
-        elif name in plain:
-            if name in params:
-                raise ConfigError(f"section [{name}] may not repeat", line)
-            params[name] = _validate_section(name, schema[name], body, line)
-        else:
+        if name not in specs:
             raise ConfigError(f"unknown section [{name}] for kind '{kind}'", line)
-
-    for name in plain:
-        if name not in params:
-            params[name] = _validate_section(name, schema[name], {}, None)
-    for name in repeatable:
-        if not params[name] and any(req for _, req, _ in schema[name + "*"].values()):
+        values = _validate_section(name, specs[name], body, line)
+        if isinstance(params.get(name), list):
+            params[name].append(values)
+        elif name in params:
+            raise ConfigError(f"section [{name}] may not repeat", line)
+        else:
+            params[name] = values
+        checked.append((name, values, line))
+    for name, spec in specs.items():
+        if params.get(name) == []:
             raise ConfigError(f"kind '{kind}' needs at least one [{name}] section")
+        if name not in params:
+            params[name] = _validate_section(name, spec, {}, None)
+            checked.append((name, params[name], None))
+    for name, values, line in checked:
+        _check_required(name, specs[name], values, line, params)
 
-    cfg = ScenarioConfig(kind, seed, out, params)
+    cfg = ScenarioConfig(kind, header["seed"], header["out"], params)
     cfg.canonical = serialize_config(cfg)
     return cfg
 
 
 def _validate_section(name, spec, body, line):
-    unknown = body.keys() - spec.keys()
+    """The values of one section: unknown keys, types, bounds and counts
+    are checked here, and absent keys take their defaults.  Required keys
+    are checked by :func:`_check_required` once every value has parsed."""
+    unknown = sorted(body.keys() - spec.keys())
     if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"unknown key '{key}' in section [{name}]",
-                          body[key][1])
-    out = {}
-    for key, (vtype, required, default) in spec.items():
-        if key in body:
-            out[key] = _parse_value(vtype, body[key][0], key, body[key][1])
-        elif required:
-            raise ConfigError(f"section [{name}] is missing required key "
-                              f"'{key}'", line)
-        else:
-            out[key] = default
-    return out
+        raise ConfigError(f"[{name}] unknown keys {unknown}", body[unknown[0]][1])
+    return {key: (_parse_value(vtype, body[key][0], key, body[key][1])
+                  if key in body else default)
+            for key, (vtype, _, default) in spec.items()}
+
+
+def _check_required(name, spec, values, line, params):
+    """Raise for required keys left unset; a condition reads ``params``."""
+    missing = [key for key, (_, required, _) in spec.items()
+               if values[key] is None and _applies(required, params)]
+    if missing:
+        raise ConfigError(f"[{name}] missing keys {missing}", line)
+
+
+def _applies(required, params):
+    """A requirement: True, False or a condition 'section.key=a|b'."""
+    if isinstance(required, bool):
+        return required
+    target, _, choices = required.partition("=")
+    section, _, key = target.partition(".")
+    return params[section][key] in choices.split("|")
 
 
 def _format_value(v):
@@ -338,13 +366,11 @@ def serialize_config(cfg):
             v = values.get(key)
             if v is None:
                 continue
-            vtype = spec[key][0]
-            if vtype in _SIMPLE or vtype.startswith("choice:"):
+            dim = spec[key][0].partition(":")[0].partition(">")[0]
+            if dim not in si_unit:
                 lines.append(f"{key} = {_format_value(v)}")
-            else:
-                if math.isinf(v):
-                    continue
-                unit = si_unit[vtype]
+            elif not math.isinf(v):
+                unit = si_unit[dim]
                 tail = f" {unit}" if unit else ""
                 lines.append(f"{key} = {v!r}{tail}")
 

@@ -44,6 +44,7 @@ from .core import GaussianPacket
 from .errors import BoundaryError, DomainError, ResolutionError, StepSizeError
 
 MIN_POINTS = 64
+MAX_POINTS = 2 ** 22      # points per grid, all axes: 64 MiB per complex field
 SUPPORT_WIDTHS = 3.0      # packet support = center +/- 3 widths (|psi|^2 < 2e-8)
 BOUNDARY_MARGIN = 0.05    # outer fraction of each axis watched by the monitor
 BOUNDARY_TOLERANCE = 1e-6
@@ -70,6 +71,9 @@ class Grid:
                 raise DomainError(f"points per axis must be a power of two >= {MIN_POINTS}")
             if ext <= 0.0:
                 raise DomainError("grid extent must be positive")
+        if math.prod(self.points) > MAX_POINTS:
+            raise DomainError(f"grid of {'x'.join(map(str, self.points))} points "
+                              f"exceeds the cap of {MAX_POINTS} points")
 
     @classmethod
     def make(cls, points, extents, centers=None):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .catalog import ExperimentRecord, catalog_lookup
+from .catalog import experiment_lookup
 from .constants import BOHR_MAGNETON, EV
 from .core import (GaussianPacket, doubling_time, quantum_ratio)
 from .errors import ConfigError, DomainError
@@ -96,10 +96,7 @@ def _svg_bands(m_values, weights, width=640, height=360):
 def _run_ratio(cfg, threads):
     p = cfg.section("ratio")
     if p["experiment"] is not None:
-        rec = catalog_lookup(p["experiment"])
-        if not isinstance(rec, ExperimentRecord):
-            raise ConfigError(f"catalog entry {p['experiment']!r} is not an "
-                              "experiment record")
+        rec = experiment_lookup(p["experiment"])
         rq, l0, name = rec.quantum_range_Rq, rec.size_L0, rec.name
     elif p["Rq"] is not None and p["L0"] is not None:
         rq, l0, name = p["Rq"], p["L0"], "custom"
@@ -146,23 +143,16 @@ def _run_spin_dist(cfg, threads):
     return summary, files, {}
 
 
-_SG_POINTS = (256, 256)
-_SG_EXTENT = 1e-6   # m
-
-
-def _at_least_one(section, key, value):
-    if value < 1:
-        raise ConfigError(f"[{section}] {key} must be >= 1, got {value}")
-    return value
+def _amplitudes(c1, c2):
+    """Two-band amplitudes; an absent ``c2`` normalizes the pair."""
+    return c1, c2 if c2 is not None else math.sqrt(max(1.0 - c1 ** 2, 0.0))
 
 
 def _sg_grid(cfg):
-    g = cfg.params.get("grid", {})
-    points = g.get("points") or _SG_POINTS
-    extent = g.get("extent") or _SG_EXTENT
-    if len(points) == 1:
-        points = (points[0], points[0])
-    return Grid.make(points, (extent, extent))
+    g = cfg.section("grid")
+    # a single value makes a square grid
+    points = g["points"] * 2 if len(g["points"]) == 1 else g["points"]
+    return Grid.make(points, (g["extent"], g["extent"]))
 
 
 def _trace_rows(trace):
@@ -178,13 +168,9 @@ def _trace_rows(trace):
 def _run_sg(cfg, threads):
     p = cfg.section("sg")
     mode = p["mode"]
+    b_bias = p["B0"] if p["B0"] is not None else 0.0
     if mode == "bands":
-        needed = ("j", "theta", "b0", "region_length", "speed", "mass")
-        missing = [k for k in needed if p[k] is None]
-        if missing:
-            raise ConfigError(f"[sg] bands mode needs keys {missing}")
-        config = sg.SGFieldConfig(p["B0"] or 0.0, p["b0"], p["region_length"],
-                                  p["speed"])
+        config = sg.SGFieldConfig(b_bias, p["b0"], p["region_length"], p["speed"])
         hist = sg.large_spin_bands(p["j"], p["theta"], p["phi"], config,
                                    p["drift_time"], p["mass"])
         rows = list(zip(hist.m_values, hist.deflections, hist.weights))
@@ -196,22 +182,20 @@ def _run_sg(cfg, threads):
                    "classical_m": m_peak, "total_weight": float(hist.weights.sum())}
         return summary, files, {}
 
-    for key in ("mass", "b0", "width", "duration"):
-        if p[key] is None:
-            raise ConfigError(f"[sg] {mode} mode needs key '{key}'")
+    if mode == "coupled-check" and p["B0"] is None and not p["bias_ratios"]:
+        raise ConfigError("[sg] coupled-check needs 'B0' or 'bias_ratios'")
+    if p["b0"] == 0.0:
+        raise DomainError(f"[sg] {mode} needs a nonzero gradient 'b0'")
     grid = _sg_grid(cfg)
     pkt = GaussianPacket(0.0, p["width"], 0.0, p["mass"])
-    c_up = p["c_up"] if p["c_up"] is not None else 1.0 / math.sqrt(2.0)
-    c_down = p["c_down"] if p["c_down"] is not None else math.sqrt(max(1.0 - c_up ** 2, 0.0))
+    c_up, c_down = _amplitudes(p["c_up"], p["c_down"])
     up = initialize_gaussian(grid, (pkt, pkt))
     down = initialize_gaussian(grid, (pkt, pkt))
     spinor = sg.SpinorField(up, down, c_up, c_down)
 
     if mode == "decoupled":
-        b_bias = p["B0"] if p["B0"] is not None else 0.0
         config = sg.SGFieldConfig(b_bias, p["b0"], p["duration"], 1.0)
-        steps = _at_least_one("sg", "steps",
-                              200 if p["steps"] is None else p["steps"])
+        steps = p["steps"]
         dt = p["duration"] / steps
         rec = p["record_every"] or max(1, steps // 32)
         out = sg.propagate_decoupled(spinor, config, dt, steps, z_axis=1,
@@ -234,10 +218,6 @@ def _run_sg(cfg, threads):
         return summary, files, drift
 
     # coupled-check
-    if p["B0"] is None and not p["bias_ratios"]:
-        raise ConfigError("[sg] coupled-check needs 'B0' or 'bias_ratios'")
-    if p["b0"] == 0.0:
-        raise DomainError("[sg] coupled-check needs a nonzero gradient 'b0'")
     y_max = grid.extents[0] / 2.0
     ratios = p["bias_ratios"] or (abs(p["B0"]) / (p["b0"] * y_max),)
     # Strang splitting is exact up to a global phase for a linear
@@ -280,11 +260,7 @@ def _run_sg(cfg, threads):
 def _barrier_from(cfg):
     b = cfg.section("barrier")
     if b["shape"] == "rectangular":
-        if b["width"] is None:
-            raise ConfigError("[barrier] rectangular needs 'width' (full width)")
         return tn.RectangularBarrier(b["height"], b["width"] / 2.0)
-    if b["sigma"] is None:
-        raise ConfigError("[barrier] gaussian needs 'sigma'")
     return tn.GaussianBarrier(b["height"], b["sigma"])
 
 
@@ -294,10 +270,7 @@ def _run_tunnel(cfg, threads):
     mass = p["mass"]
     if p["mode"] == "sweep":
         s = cfg.section("sweep")
-        if s["energy_min"] is None or s["energy_max"] is None:
-            raise ConfigError("[sweep] needs energy_min and energy_max")
-        energies = np.linspace(s["energy_min"], s["energy_max"],
-                               _at_least_one("sweep", "count", s["count"]))
+        energies = np.linspace(s["energy_min"], s["energy_max"], s["count"])
         t_exact = tn.exact_transmission(barrier, energies, mass, check=False)
         rows = []
         for e, te in zip(energies, t_exact):
@@ -307,14 +280,10 @@ def _run_tunnel(cfg, threads):
         return summary, files, {}
 
     beam = cfg.section("beam")
-    for key in ("energy", "width", "transverse_width", "separation"):
-        if beam[key] is None:
-            raise ConfigError(f"[beam] needs key '{key}'")
     p0 = math.sqrt(2.0 * mass * beam["energy"])
     a = beam["width"]
     start = beam["start"] if beam["start"] is not None else -3.5 * a
-    c1 = beam["c1"] if beam["c1"] is not None else 1.0 / math.sqrt(2.0)
-    c2 = beam["c2"] if beam["c2"] is not None else math.sqrt(max(1.0 - c1 ** 2, 0.0))
+    c1, c2 = _amplitudes(beam["c1"], beam["c2"])
     sep = beam["separation"]
     w = beam["transverse_width"]
     scen = tn.TunnelScenario(
@@ -322,17 +291,12 @@ def _run_tunnel(cfg, threads):
         transverse=(GaussianPacket(-sep / 2.0, w, 0.0, mass),
                     GaussianPacket(+sep / 2.0, w, 0.0, mass)),
         c1=c1, c2=c2, barrier=barrier)
-    points = cfg.params.get("grid", {}).get("points") or (2048, 64)
-    if len(points) != 2:
-        raise ConfigError("[grid] points for a tunnel beam needs two values "
-                          f"(z x), got {len(points)}")
+    points = cfg.section("grid")["points"]
     grid = tn.default_scenario_grid(scen, points_z=points[0], points_x=points[1])
     env = None
     decohered = p["mode"] == "decohered"
     if decohered:
         e = cfg.section("environment")
-        if e["wavelength"] is None or e["rate"] is None:
-            raise ConfigError("[environment] needs wavelength and rate")
         env = dec.EnvironmentSpec(e["wavelength"], e["rate"])
     rep = tn.run_tunnel_scenario(scen, grid=grid, with_decoherence=decohered,
                                  env=env, workers=threads)
@@ -397,8 +361,7 @@ def _run_talbot(cfg, threads):
         grating,
         tb.GratingSpec(g["period"], lau["scan_open_fraction"], g["slits"]),
         lau["L1_talbot"] * lt, lau["L2_talbot"] * lt, p["wavelength"])
-    offsets = np.linspace(-g["period"], g["period"],
-                          _at_least_one("lau", "offsets", lau["offsets"]))
+    offsets = np.linspace(-g["period"], g["period"], lau["offsets"])
     scan = tb.lau_scan(config, offsets)
     files = {"scan.csv": _csv_bytes(("offset_m", "flux"),
                                     list(zip(scan.offsets, scan.flux)))}
@@ -415,10 +378,8 @@ def _run_decohere(cfg, threads):
     e = cfg.section("environment")
     env = dec.EnvironmentSpec(e["wavelength"], e["rate"])
     gsec = cfg.section("grid")
-    points = gsec["points"] or (512,)
-    grid = Grid.make(points[:1], gsec["extent"])
-    c1 = p["c1"] if p["c1"] is not None else 1.0 / math.sqrt(2.0)
-    c2 = p["c2"] if p["c2"] is not None else math.sqrt(max(1.0 - c1 ** 2, 0.0))
+    grid = Grid.make(gsec["points"], gsec["extent"])
+    c1, c2 = _amplitudes(p["c1"], p["c2"])
     duration = p["duration_rate"] / env.rate_Lambda
     report = dec.decohered_sg_scenario(
         c1, c2, env, grid, p["width"], p["separation"], p["mass"],
@@ -442,11 +403,11 @@ def _run_decohere(cfg, threads):
         "final_purity": report.purity,
         "duration_s": duration,
     }
-    ts = cfg.params.get("timescales", {})
-    if ts.get("transit_length") is not None and ts.get("transit_speed") is not None:
+    ts = cfg.section("timescales")
+    if ts["transit_length"] is not None and ts["transit_speed"] is not None:
         rep = dec.timescale_report(p["width"], p["separation"], env,
                                    ts["transit_length"], ts["transit_speed"],
-                                   p["mass"], ts.get("tau_diss", math.inf))
+                                   p["mass"], ts["tau_diss"])
         files["timescales.json"] = _json_bytes({
             "tau_dec_s": rep.tau_dec, "tau_trans_s": rep.tau_trans,
             "tau_diff_s": rep.tau_diff,
@@ -469,11 +430,11 @@ _RUNNERS = {
 
 def run(cfg, outdir, threads=1):
     """Execute a validated config, write outputs + manifest into ``outdir``."""
-    os.makedirs(outdir, exist_ok=True)
     started = time.time()
     summary, files, drift = _RUNNERS[cfg.kind](cfg, threads)
     files = dict(files)
     files["summary.json"] = _json_bytes(summary)
+    os.makedirs(outdir, exist_ok=True)
 
     entries = []
     for name in sorted(files):

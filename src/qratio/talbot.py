@@ -24,6 +24,7 @@ from .errors import DomainError
 PARAXIAL_BOUND = 0.1
 TAPER_PERIODS = 2.0
 MIN_POINTS_PER_SLIT = 16
+MAX_CARPET_VALUES = 2 ** 24   # intensity values in one carpet: 128 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,21 @@ def _check_paraxial(period, wavelength):
             f">= {PARAXIAL_BOUND}")
 
 
-def _carpet_grid(grating, pad_factor=2.0):
-    """Transverse grid: spacing an exact divisor of d/2, power-of-two points."""
+def _carpet_grid(grating, pad_factor=2.0, rows=1):
+    """Transverse grid: spacing an exact divisor of d/2, power-of-two points.
+
+    Raises DomainError, before anything is allocated, when ``rows`` rows of
+    it would hold more than MAX_CARPET_VALUES values.
+    """
     d = grating.period
     dx_target = min(grating.open_fraction * d / MIN_POINTS_PER_SLIT, d / 2.0)
     per_period = 2 ** math.ceil(math.log2(d / dx_target))
     dx = d / per_period
     width = pad_factor * grating.slit_count * d
     n = 2 ** math.ceil(math.log2(width / dx))
+    if rows * n > MAX_CARPET_VALUES:
+        raise DomainError(f"a carpet of {rows} x {n} values exceeds the cap of "
+                          f"{MAX_CARPET_VALUES}")
     x = (np.arange(n) - n // 2) * dx
     return x, dx
 
@@ -132,7 +140,7 @@ def propagate_carpet(grating, wavelength, z_max, z_steps, pad_factor=2.0):
     _check_paraxial(grating.period, wavelength)
     if z_max <= 0.0 or z_steps < 1:
         raise DomainError("need z_max > 0 and z_steps >= 1")
-    x, dx = _carpet_grid(grating, pad_factor)
+    x, dx = _carpet_grid(grating, pad_factor, rows=z_steps + 1)
     u0 = grating.mask(x)
     power = float(np.mean(np.abs(u0) ** 2))
     if power == 0.0:

@@ -202,6 +202,70 @@ def test_degenerate_sizes_rejected(tmp_path, capsys, kind, preset, old, new,
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("kind,preset,old,new,key", [
+    ("tunnel", "tunnel-pure", "energy = 1 eV", "energy = 0 eV", "energy"),
+    ("tunnel", "tunnel-pure", "energy = 1 eV", "energy = -1 eV", "energy"),
+    ("sg", "sg-split", "steps = 256", "steps = 256\nrecord_every = -5",
+     "record_every"),
+    ("decohere", "decohere-split", "points = 512", "points = 512 7", "points"),
+], ids=["zero-energy", "negative-energy", "negative-record-every",
+        "decohere-two-points"])
+def test_schema_bounds_rejected(tmp_path, capsys, kind, preset, old, new, key):
+    cfg = preset_copy(tmp_path, preset, (old, new))
+    code, out = run_cli(tmp_path, kind, "--config", cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and f"'{key}'" in err["message"]
+    assert not out.exists()
+
+
+def test_sg_decoupled_zero_gradient_is_a_domain_error(tmp_path, capsys):
+    cfg = preset_copy(tmp_path, "sg-split", ("points = 256 256", "points = 64 64"),
+                      ("b0 = 5e8 T/m", "b0 = 0 T/m"))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError" and "'b0'" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,preset,old,new,words", [
+    ("ratio", "Ag", "experiment = Ag", "Rq = 1 mm", "'experiment'"),
+    ("sg", "sg-coupled-check", "bias_ratios = 200\n", "", "'bias_ratios'"),
+])
+def test_one_of_two_keys_rules(tmp_path, capsys, kind, preset, old, new, words):
+    cfg = preset_copy(tmp_path, preset, (old, new))
+    code, out = run_cli(tmp_path, kind, "--config", cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and words in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-100"])
+def test_threads_below_one_rejected(tmp_path, capsys, threads):
+    code, out = run_cli(tmp_path, "ratio", "--preset", "Ag", "--threads", threads)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "--threads" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,preset,old,new", [
+    ("sg", "sg-split", "points = 256 256", "points = 65536 65536"),
+    ("talbot", "carpet-100nm", "open_fraction = 0.3", "open_fraction = 0.001"),
+], ids=["sg-grid", "talbot-carpet"])
+def test_oversize_arrays_are_domain_errors(tmp_path, capsys, kind, preset, old,
+                                           new):
+    # each would allocate gigabytes without the size caps
+    cfg = preset_copy(tmp_path, preset, (old, new))
+    code, out = run_cli(tmp_path, kind, "--config", cfg)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError" and "cap" in err["message"]
+    assert not out.exists()
+
+
 def test_diffuse_table_preset(tmp_path):
     code, out = run_cli(tmp_path, "diffuse", "--preset", "table1")
     assert code == 0

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
-from qratio.config import parse_config, serialize_config
+from qratio import catalog
+from qratio.config import (_SIMPLE, SCENARIO, SCHEMAS, _type_parts,
+                           parse_config, serialize_config)
 from qratio.errors import ConfigError
-from qratio.units import parse_quantity
+from qratio.units import _UNITS, DIMENSIONLESS, parse_quantity
 
 
 class TestUnits:
@@ -134,3 +136,110 @@ class TestParseConfig:
                 "[ratio]\nRq = 1 m\nL0 = 1 m\n")
         cfg = parse_config(text)
         assert cfg.section("ratio")["Rq"] == 1.0
+
+
+SPECS = ([(kind, section.rstrip("*"), key, entry)
+          for kind, schema in SCHEMAS.items()
+          for section, spec in schema.items() for key, entry in spec.items()]
+         + [("scenario", "scenario", key, entry) for key, entry in SCENARIO.items()]
+         + [("catalog", section, key, entry)
+            for section, spec in catalog.SCHEMA.items()
+            for key, entry in spec.items()])
+DIMENSIONS = {dim for dim, _ in _UNITS.values()} | set(DIMENSIONLESS)
+
+
+@pytest.mark.parametrize("kind,section,key,entry", SPECS,
+                         ids=[f"{k}.{s}.{key}" for k, s, key, _ in SPECS])
+def test_schema_entry_is_consistent(kind, section, key, entry):
+    vtype, required, default = entry
+    if isinstance(required, str):
+        # a typo such as 'tunel.mode=pure' would quietly drop a requirement
+        target, _, listed = required.partition("=")
+        cond_section, _, cond_key = target.partition(".")
+        assert cond_key in SCHEMAS[kind].get(cond_section, {}), required
+        cond_type = SCHEMAS[kind][cond_section][cond_key][0]
+        assert cond_type.startswith("choice:"), required
+        assert set(listed.split("|")) <= set(cond_type[7:].split("|")), required
+    else:
+        assert required in (True, False)
+    if required is not False:
+        assert default is None, "a required key's default is never used"
+    if vtype.startswith("choice:"):
+        assert default is None or default in vtype[7:].split("|")
+        return
+    base, count, op, bound = _type_parts(vtype)
+    assert base in _SIMPLE or base in DIMENSIONS, vtype
+    assert (count is None or base in ("ints", "floats")) and (
+        op is None or math.isfinite(bound))
+    if default is not None:
+        values = default if isinstance(default, tuple) else (default,)
+        assert count is None or len(values) == count
+        assert op is None or all(v > bound if op == ">" else v >= bound
+                                 for v in values)
+
+
+TUNNEL_BEAM = ("[scenario]\nkind = tunnel\n[tunnel]\nmode = pure\nmass = 1 kg\n"
+               "[barrier]\nshape = gaussian\nheight = 1 eV\nsigma = 1 nm\n"
+               "[beam]\nenergy = 1 eV\nwidth = 1 nm\ntransverse_width = 1 nm\n"
+               "separation = 1 nm\n")
+SG = "[scenario]\nkind = sg\n[sg]\nmass = 1 kg\nb0 = 1 T/m\n"
+
+
+@pytest.mark.parametrize("text,key", [
+    # per-mode required keys
+    (SG + "mode = bands\nj = 1\ntheta = 1\nspeed = 1 m/s\n", "region_length"),
+    (SG + "mode = decoupled\nwidth = 1 nm\n", "duration"),
+    (SG + "mode = coupled-check\nduration = 1 s\n", "width"),
+    (SG.replace("mass = 1 kg\n", "") + "mode = bands\n", "mass"),
+    (TUNNEL_BEAM.replace("sigma = 1 nm", "width = 1 nm"), "sigma"),
+    (TUNNEL_BEAM.replace("shape = gaussian", "shape = rectangular"), "width"),
+    (TUNNEL_BEAM.replace("energy = 1 eV\n", ""), "energy"),
+    (TUNNEL_BEAM.replace("separation = 1 nm\n", ""), "separation"),
+    (TUNNEL_BEAM.replace("mode = pure", "mode = decohered"), "wavelength"),
+    (TUNNEL_BEAM.replace("mode = pure", "mode = sweep"), "energy_min"),
+    # bounds and value counts
+    (TUNNEL_BEAM.replace("mode = pure", "mode = sweep")
+     + "[sweep]\nenergy_min = 1 eV\nenergy_max = 2 eV\ncount = 0\n", "count"),
+    (TUNNEL_BEAM + "[grid]\npoints = 64\n", "points"),
+    (SG + "mode = decoupled\nwidth = 1 nm\nduration = 1 s\nsteps = 0\n", "steps"),
+    ("[scenario]\nkind = talbot\n[talbot]\nmode = lau\nwavelength = 1 nm\n"
+     "[grating]\nperiod = 1 um\n[lau]\noffsets = -1\n", "offsets"),
+    # the [scenario] header
+    ("[scenario]\nseed = 1\n", "kind"),
+    ("[scenario]\nkind = ratio\nseed = x\n", "seed"),
+    ("[scenario]\nkind = ratio\nwhere = here\n", "where"),
+])
+def test_schema_rules(text, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"'{key}'" in str(err.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("version = 1\n[experiment]\nname = x\nmass = 1 kg\nL0 = 0 m\n",
+     "line 2: [experiment] missing keys ['Rq']"),
+    ("version = 1\n[particle]\nmass = 1 kg\nL0 = 0 m\n",
+     "line 2: [particle] missing keys ['name']"),
+    ("version = 1\n[particle]\nname = x\nmass = 1 kg\nL0 = 0 m\nRq = 1 m\n",
+     "line 6: [particle] unknown keys ['Rq']"),
+])
+def test_catalog_uses_the_schema(text, message):
+    with pytest.raises(ConfigError) as err:
+        catalog.parse_catalog(text)
+    assert str(err.value) == message
+
+
+def test_value_errors_come_before_missing_keys():
+    # [beam] lacks every required key, but the bad [sweep] count comes first
+    text = TUNNEL_BEAM.split("[beam]")[0] + "[beam]\n[sweep]\ncount = 0\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "'count'" in str(err.value)
+
+
+def test_defaults_fill_absent_sections():
+    cfg = parse_config(SG + "mode = bands\nj = 1\ntheta = 1\nspeed = 1 m/s\n"
+                       "region_length = 1 cm\n")
+    assert cfg.section("grid") == {"points": (256, 256), "extent": 1e-6}
+    assert cfg.section("sg")["steps"] == 200
+    assert cfg.section("sg")["c_up"] == 1.0 / math.sqrt(2.0)

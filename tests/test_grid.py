@@ -10,7 +10,7 @@ from qratio.constants import HBAR
 from qratio.core import GaussianPacket, packet_width_at
 from qratio.errors import (BoundaryError, DomainError, ResolutionError,
                            StepSizeError)
-from qratio.grid import (FreePotential, Grid, LinearPotential,
+from qratio.grid import (MAX_POINTS, FreePotential, Grid, LinearPotential,
                          SampledPotential, WaveField, boundary_monitor,
                          ehrenfest_residual, half_kick, initialize_gaussian,
                          kinetic_ceiling, kinetic_phase, observables,
@@ -38,6 +38,13 @@ class TestGrid:
     def test_rejects_3d(self):
         with pytest.raises(DomainError):
             Grid.make((64, 64, 64), (1e-6, 1e-6, 1e-6))
+
+    def test_rejects_more_than_max_points(self):
+        # 65536² points would be 64 GiB per complex field; the largest
+        # accepted grid is exactly at the cap
+        with pytest.raises(DomainError, match="cap"):
+            Grid.make((65536, 65536), (1e-6, 1e-6))
+        assert math.prod(Grid.make((4096, 1024), (1e-6, 1e-6)).points) == MAX_POINTS
 
     def test_spacing(self):
         g = Grid.make(128, 1e-6)

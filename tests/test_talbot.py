@@ -98,6 +98,15 @@ class TestCarpet:
         with pytest.raises(DomainError):
             propagate_carpet(GratingSpec(5e-9, 0.3, 16), LAM, 1e-6, 4)
 
+    @pytest.mark.parametrize("open_fraction,z_steps", [(0.001, 200), (0.3, 10 ** 6)])
+    def test_oversize_carpet_rejected_before_allocation(self, open_fraction,
+                                                        z_steps):
+        # 0.001 asks for 2^21 points x 201 rows (3.4 GB); 10^6 rows of the
+        # 8192-point preset grid ask for 65 GB
+        with pytest.raises(DomainError, match="cap"):
+            propagate_carpet(GratingSpec(D, open_fraction, 64), LAM, 2.2e-5,
+                             z_steps)
+
 
 class TestGratingSpec:
     def test_validation(self):
