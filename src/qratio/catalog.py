@@ -10,7 +10,7 @@ from importlib import resources
 
 from .config import _check_required, _raw_parse, _validate_section
 from .constants import ATOMIC_MASS_UNIT
-from .errors import CatalogKeyError, ConfigError
+from .errors import CatalogKeyError, ConfigError, DomainError
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class ParticleSpec:
 
     def __post_init__(self):
         if self.mass < 0.0 or self.size_L0 < 0.0:
-            raise ValueError(f"negative mass or size for particle {self.name!r}")
+            raise DomainError(f"negative mass or size for particle {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,17 @@ class ExperimentRecord:
 
     def __post_init__(self):
         if self.size_L0 < 0.0 or self.mass <= 0.0:
-            raise ValueError(f"bad mass or size for experiment {self.name!r}")
+            raise DomainError(f"bad mass or size for experiment {self.name!r}")
         if self.quantum_range_Rq <= 0.0:
-            raise ValueError(f"quantum range must be positive for {self.name!r}")
+            raise DomainError(f"quantum range must be positive for {self.name!r}")
 
 
-_RECORD = {"name": ("str", True, None), "mass": ("mass", True, None),
-           "L0": ("length", True, None), "source": ("str", False, "")}
+_RECORD = {"name": ("str", True, None), "mass": ("mass>=0", True, None),
+           "L0": ("length>=0", True, None), "source": ("str", False, "")}
 # section -> key -> (type, required, default), as in config.SCHEMAS
 SCHEMA = {"particle": _RECORD,
-          "experiment": {**_RECORD, "Rq": ("length", True, None)}}
+          "experiment": {**_RECORD, "mass": ("mass>0", True, None),
+                         "Rq": ("length>0", True, None)}}
 
 
 def _finish_record(kind, fields, line):

@@ -56,12 +56,7 @@ class DensityMatrix:
     MAX_POINTS = 1024   # N^2 storage; scenarios are sized to fit
 
     def __post_init__(self):
-        if self.grid.ndim != 1:
-            raise DomainError("density matrices are 1D only")
-        n = self.grid.points[0]
-        if n > self.MAX_POINTS:
-            raise DomainError(f"density-matrix grids are capped at "
-                              f"{self.MAX_POINTS} points, got {n}")
+        n = _matrix_points(self.grid)
         if self.rho.shape != (n, n):
             raise DomainError("rho shape must match the grid")
 
@@ -87,10 +82,20 @@ class DensityMatrix:
         return DensityMatrix(self.grid, self.rho.copy(), self.mass, self.time)
 
 
+def _matrix_points(grid):
+    """The point count n of a grid that may carry an n x n density matrix."""
+    if grid.ndim != 1:
+        raise DomainError("density matrices are 1D only")
+    n = grid.points[0]
+    if n > DensityMatrix.MAX_POINTS:
+        raise DomainError(f"density-matrix grids are capped at "
+                          f"{DensityMatrix.MAX_POINTS} points, got {n}")
+    return n
+
+
 def pure_to_density(field):
     """rho = psi psi* for a normalized 1D wave field (purity 1)."""
-    if field.grid.ndim != 1:
-        raise DomainError("pure_to_density needs a 1D field")
+    _matrix_points(field.grid)      # before the n^2 allocation
     psi = field.psi
     return DensityMatrix(field.grid, np.outer(psi, psi.conj()), field.mass,
                          field.time)
@@ -224,6 +229,15 @@ class BandIntensityReport:
     final_rho: DensityMatrix = None
 
 
+def two_band_state(grid, c1, c2, packets):
+    """The normalized c1 psi_1 + c2 psi_2 of two Gaussian packets on a 1D
+    grid; :func:`~qratio.grid.initialize_gaussian` validates both."""
+    f1, f2 = (initialize_gaussian(grid, p) for p in packets)
+    psi = c1 * f1.psi + c2 * f2.psi
+    psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume)
+    return WaveField(grid, psi, f1.mass)
+
+
 def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
                           momentum=0.0, duration=None, steps=200, workers=1):
     """Two deflected bands c1|left> + c2|right> under localization.
@@ -242,13 +256,9 @@ def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
     if duration is None:
         duration = 5.0 / env.rate_Lambda
 
-    f1 = initialize_gaussian(grid, GaussianPacket(-0.5 * separation, packet_width,
-                                                  -momentum, mass))
-    f2 = initialize_gaussian(grid, GaussianPacket(+0.5 * separation, packet_width,
-                                                  +momentum, mass))
-    psi = c1 * f1.psi + c2 * f2.psi
-    psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume)
-    field = WaveField(grid, psi, mass)
+    field = two_band_state(grid, c1, c2, (
+        GaussianPacket(-0.5 * separation, packet_width, -momentum, mass),
+        GaussianPacket(+0.5 * separation, packet_width, +momentum, mass)))
     rho = pure_to_density(field)
 
     dt = duration / steps

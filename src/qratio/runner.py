@@ -375,6 +375,10 @@ def _run_talbot(cfg, threads):
 
 def _run_decohere(cfg, threads):
     p = cfg.section("decohere")
+    ts = cfg.section("timescales")
+    if (ts["transit_length"] is None) != (ts["transit_speed"] is None):
+        raise ConfigError("[timescales] needs both 'transit_length' and "
+                          "'transit_speed', or neither")
     e = cfg.section("environment")
     env = dec.EnvironmentSpec(e["wavelength"], e["rate"])
     gsec = cfg.section("grid")
@@ -403,8 +407,7 @@ def _run_decohere(cfg, threads):
         "final_purity": report.purity,
         "duration_s": duration,
     }
-    ts = cfg.section("timescales")
-    if ts["transit_length"] is not None and ts["transit_speed"] is not None:
+    if ts["transit_length"] is not None:
         rep = dec.timescale_report(p["width"], p["separation"], env,
                                    ts["transit_length"], ts["transit_speed"],
                                    p["mass"], ts["tau_diss"])

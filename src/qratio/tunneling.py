@@ -19,10 +19,11 @@ from scipy import integrate, optimize
 
 from .constants import HBAR
 from .core import GaussianPacket
-from .decoherence import apply_damping, coherence, pure_to_density
+from .decoherence import (DensityMatrix, apply_damping, coherence,
+                          pure_to_density, two_band_state)
 from .errors import ConvergenceError, DomainError
 from .grid import (FreePotential, Grid, SampledPotential, WaveField,
-                   initialize_gaussian, kinetic_ceiling, propagate)
+                   ceiling_dt, initialize_gaussian, kinetic_ceiling, propagate)
 
 # safety limit on Strang steps before the transmitted lobe must have cleared
 MAX_STEPS = 200_000
@@ -287,36 +288,17 @@ def energy_averaged_transmission(scenario):
     return float(np.dot(w, t) / w.sum())
 
 
-def _transverse_state(scenario, x):
-    p1, p2 = scenario.transverse
-    phi = (scenario.c1 * np.exp(-((x - p1.center) / p1.width) ** 2
-                                + 1j * p1.momentum * x / HBAR)
-           + scenario.c2 * np.exp(-((x - p2.center) / p2.width) ** 2
-                                  + 1j * p2.momentum * x / HBAR))
-    return phi
-
-
-def _reduced_transverse(block, grid):
-    """Transverse density matrix of a (z, x) block, traced over z."""
-    return (block.conj().T @ block) * grid.spacings[0] * grid.spacings[1]
-
-
-def _coherence_from_matrix(rho, i1, i2):
-    d1, d2 = rho[i1, i1].real, rho[i2, i2].real
-    if d1 <= 0.0 or d2 <= 0.0:
-        return 0.0
-    return float(abs(rho[i1, i2]) / math.sqrt(d1 * d2))
-
-
 def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
                         workers=1):
     """Propagate the scenario through the barrier and report what crossed.
 
-    Pure mode evolves the full 2D (z, x) wave function.  Decohered mode
-    pre-damps the transverse density matrix (environment acting before the
-    barrier) and factorizes it against the 1D longitudinal propagation,
-    since the barrier is independent of x; ``env`` must then be an
-    :class:`~qratio.decoherence.EnvironmentSpec`.
+    Pure mode evolves the 2D (z, x) product of chi(z) and the transverse
+    state phi(x).  Decohered mode pre-damps the transverse density matrix
+    (environment acting before the barrier) and factorizes it against the
+    1D longitudinal propagation, since the barrier is independent of x;
+    ``env`` must then be an :class:`~qratio.decoherence.EnvironmentSpec`.
+    Both modes step chi(z) alike and read the transmitted state through a
+    transverse density matrix.
 
     The transmitted window is z > a + 4 * (longitudinal width); the run
     measures once the transmitted lobe's mean position passes it.
@@ -325,48 +307,37 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
     mass = long_pkt.mass
     if grid is None:
         grid = default_scenario_grid(scenario)
-    two_dim = not with_decoherence
 
     bar = scenario.barrier
     sup = bar.support
     z_threshold = sup[1] + 4.0 * long_pkt.width
 
     p1, p2 = scenario.transverse
-    # the transverse axis on its own 1D grid, with the normalized input state
-    xgrid = Grid((grid.points[1],), (grid.extents[1],), (grid.origins[1],))
-    xax = xgrid.axis(0)
-    dxs = xgrid.spacings[0]
-    phi = _transverse_state(scenario, xax)
-    phi = phi / math.sqrt(np.sum(np.abs(phi) ** 2) * dxs)
-    i1 = int(np.argmin(np.abs(xax - p1.center)))
-    i2 = int(np.argmin(np.abs(xax - p2.center)))
-    if two_dim:
-        # superpose product states; initialization validates both packets
-        f1 = initialize_gaussian(grid, (long_pkt, p1))
-        f2 = initialize_gaussian(grid, (long_pkt, p2))
-        psi = scenario.c1 * f1.psi + scenario.c2 * f2.psi
-        psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume)
-        field = WaveField(grid, psi, mass)
-        potential = SampledPotential(lambda zm, xm: bar.value(zm))
-        in_coh = _coherence_from_matrix(_reduced_transverse(psi, grid), i1, i2)
-    else:
+    zgrid, xgrid = (Grid((n,), (e,), (o,)) for n, e, o
+                    in zip(grid.points, grid.extents, grid.origins))
+    chi = initialize_gaussian(zgrid, long_pkt)
+    phi = two_band_state(xgrid, scenario.c1, scenario.c2, (p1, p2))
+    rho = pure_to_density(phi)
+    in_coh = coherence(rho, p1.center, p2.center)
+    if with_decoherence:
         if env is None:
             raise DomainError("decohered mode needs an EnvironmentSpec")
-        zgrid_1d = Grid((grid.points[0],), (grid.extents[0],), (grid.origins[0],))
-        field = initialize_gaussian(zgrid_1d, long_pkt)
-        potential = SampledPotential(lambda zm: bar.value(zm))
         # transverse density matrix, damped before arrival
-        rho = pure_to_density(WaveField(xgrid, phi, mass))
-        in_coh = coherence(rho, xax[i1], xax[i2])
         rho = apply_damping(rho, env, 5.0 / env.rate_Lambda)
+        field = chi
+        potential = SampledPotential(lambda zm: bar.value(zm))
+    else:
+        field = WaveField(grid, np.outer(chi.psi, phi.psi), mass)
+        potential = SampledPotential(lambda zm, xm: bar.value(zm))
 
-    dt = 0.95 * (math.pi / 4.0) * HBAR / kinetic_ceiling(field.grid, mass)
+    # one step for both modes, so that their z runs are one run
+    dt = 0.95 * (math.pi / 4.0) * HBAR / kinetic_ceiling(grid, mass)
 
     v0 = long_pkt.momentum / mass
     chunk = max(8, int(round(0.5 * long_pkt.width / (v0 * dt))))
     steps_done = 0
     measure_time = None
-    zax = field.grid.axis(0)
+    zax = zgrid.axis(0)
     zsel = zax > z_threshold
     barrier_win = (zax >= sup[0]) & (zax <= sup[1])
     dens_axes = tuple(range(1, field.grid.ndim))
@@ -374,9 +345,9 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
         field = propagate(field, potential, dt, chunk, workers=workers)
         steps_done += chunk
         dens_z = field.density().sum(axis=dens_axes) * field.grid.cell_volume
-        w_t = float(dens_z[zsel].sum())
-        if w_t > 1e-12:
-            z_mean = float((dens_z[zsel] * zax[zsel]).sum() / w_t)
+        w_trans = float(dens_z[zsel].sum())
+        if w_trans > 1e-12:
+            z_mean = float((dens_z[zsel] * zax[zsel]).sum() / w_trans)
             remnant = float(dens_z[barrier_win].sum())
             if z_mean > z_threshold + long_pkt.width and remnant < 1e-7:
                 measure_time = field.time
@@ -385,66 +356,51 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
         raise ConvergenceError("transmitted lobe never cleared the barrier "
                                f"window in {MAX_STEPS} steps; enlarge the grid")
 
-    reflected_threshold = sup[0] - 4.0 * long_pkt.width
-    oracle = energy_averaged_transmission(scenario)
-
-    if two_dim:
-        dens = field.density()
-        dv = field.grid.cell_volume
-        w_trans = float(dens[zsel, :].sum() * dv)
-        w_ref = float(dens[zax < reflected_threshold, :].sum() * dv)
-        flux_sum = float(dens[zax > sup[1], :].sum() * dv
-                         + dens[zax < sup[0], :].sum() * dv)
-        profile = dens[zsel, :].sum(axis=0) * field.grid.spacings[0]
+    w_ref = float(dens_z[zax < sup[0] - 4.0 * long_pkt.width].sum())
+    flux_sum = float(dens_z[zax > sup[1]].sum() + dens_z[zax < sup[0]].sum())
+    xax = xgrid.axis(0)
+    dx = xgrid.spacings[0]
+    fact_err, final_density = math.nan, None
+    if with_decoherence:
+        rho_t = DensityMatrix(xgrid, w_trans * rho.rho, mass)
+    else:
+        final_density = field.density()
         # reduced transverse density matrix over the transmitted window
-        rho_t = _reduced_transverse(field.psi[zsel, :], field.grid)
-        coh = _coherence_from_matrix(rho_t, i1, i2)
+        block = field.psi[zsel]
+        rho_t = DensityMatrix(
+            xgrid, (block.T @ block.conj()) * zgrid.spacings[0], mass)
         # with an x-independent barrier the evolution stays a product of the
         # barrier-scattered chi(z, t) and the freely spreading phi(x, t);
-        # compare the transmitted profile against that free reference
-        phi_field = propagate(WaveField(xgrid, phi, mass), FreePotential(),
-                              dt, steps_done, workers=workers)
-        n_free = np.abs(phi_field.psi) ** 2
-        n_free /= n_free.sum() * dxs
-        n_out = profile / max(w_trans, 1e-300)
-        fact_err = float(np.sqrt(np.sum((n_out - n_free) ** 2) * dxs)
-                         / np.sqrt(np.sum(n_free ** 2) * dxs))
-        half = 0.5 * (p1.center + p2.center)
-        w1 = float(profile[xax < half].sum() * dxs)
-        w2 = float(profile[xax >= half].sum() * dxs)
-        bands = (w1 / max(w_trans, 1e-300), w2 / max(w_trans, 1e-300))
-        drift = field.norm_drift
-    else:
-        dens_z = field.density() * field.grid.cell_volume
-        w_trans = float(dens_z[zsel].sum())
-        w_ref = float(dens_z[zax < reflected_threshold].sum())
-        flux_sum = float(dens_z[zax > sup[1]].sum() + dens_z[zax < sup[0]].sum())
-        coh = coherence(rho, xax[i1], xax[i2])
-        diag = np.real(np.diagonal(rho.rho)).copy()
-        profile = w_trans * diag
-        half = 0.5 * (p1.center + p2.center)
-        w1 = float(diag[xax < half].sum() * dxs)
-        w2 = float(diag[xax >= half].sum() * dxs)
-        bands = (w1, w2)
-        fact_err = math.nan
-        drift = field.norm_drift
+        # compare the transmitted profile against that free reference,
+        # stepped at the ceiling since Strang splitting is exact for V = 0
+        ref_steps = int(math.ceil(measure_time / ceiling_dt(xgrid, mass)))
+        n_free = propagate(phi, FreePotential(), measure_time / ref_steps,
+                           ref_steps, workers=workers).density()
+        n_free /= n_free.sum() * dx
+        n_out = rho_t.position_density() / w_trans
+        fact_err = float(np.sqrt(np.sum((n_out - n_free) ** 2) * dx)
+                         / np.sqrt(np.sum(n_free ** 2) * dx))
+    profile = rho_t.position_density()
+    half = 0.5 * (p1.center + p2.center)
+    bands = (float(profile[xax < half].sum() * dx) / w_trans,
+             float(profile[xax >= half].sum() * dx) / w_trans)
 
     return TunnelReport(
         transmitted_fraction=w_trans,
         reflected_fraction=w_ref,
         flux_sum=flux_sum,
-        oracle_transmission=oracle,
-        transverse_coherence=coh,
+        oracle_transmission=energy_averaged_transmission(scenario),
+        transverse_coherence=coherence(rho_t, p1.center, p2.center),
         input_coherence=in_coh,
         band_weights=bands,
         factorization_error=fact_err,
-        norm_drift=drift,
+        norm_drift=field.norm_drift,
         tunneling_regime=scenario.tunneling_regime,
         measure_time=measure_time,
         transverse_positions=np.asarray(xax),
-        transverse_profile=np.asarray(profile),
-        final_density=dens if two_dim else None,
-        density_grid=field.grid if two_dim else None,
+        transverse_profile=profile,
+        final_density=final_density,
+        density_grid=None if final_density is None else field.grid,
     )
 
 

@@ -1,10 +1,12 @@
 import pytest
 
-from qratio.catalog import (ExperimentRecord, ParticleSpec, catalog_lookup,
-                            experiment_names, parse_catalog)
+from qratio import catalog
+from qratio.catalog import (CATALOG, ExperimentRecord, ParticleSpec,
+                            catalog_lookup, experiment_names, load_catalog,
+                            parse_catalog)
 from qratio.constants import ATOMIC_MASS_UNIT, KG_PER_MEV_C2
 from qratio.core import Classification, quantum_ratio
-from qratio.errors import CatalogKeyError, ConfigError
+from qratio.errors import CatalogKeyError, ConfigError, DomainError
 
 
 def test_electron_mass_matches_quoted_value():
@@ -83,8 +85,36 @@ source = synthetic
      "duplicate key"),
     ("version = 1\n[particle]\nname = x\nmass = 1 kg\nL0 = 0 m\n"
      "[particle]\nname = x\nmass = 2 kg\nL0 = 0 m", "duplicate catalog entry"),
+    ("version = 1\n[particle]\nname = x\nmass = -1 kg\nL0 = 0 m",
+     "line 4: key 'mass' must be >= 0"),
+    ("version = 1\n[particle]\nname = x\nmass = 1 kg\nL0 = -1 nm",
+     "line 5: key 'L0' must be >= 0"),
+    ("version = 1\n[experiment]\nname = x\nmass = 0 kg\nL0 = 0 m\nRq = 1 mm",
+     "line 4: key 'mass' must be > 0"),
+    ("version = 1\n[experiment]\nname = x\nmass = 1 kg\nL0 = -1 nm\nRq = 1 mm",
+     "line 5: key 'L0' must be >= 0"),
+    ("version = 1\n[experiment]\nname = x\nmass = 1 kg\nL0 = 0 m\nRq = 0 m",
+     "line 6: key 'Rq' must be > 0"),
 ])
 def test_malformed_catalogs_rejected(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_catalog(text)
     assert fragment in str(err.value)
+
+
+def test_bounds_leave_the_bundled_catalog_unchanged(monkeypatch):
+    unbounded = {kind: {key: (vtype.partition(">")[0], required, default)
+                        for key, (vtype, required, default) in spec.items()}
+                 for kind, spec in catalog.SCHEMA.items()}
+    monkeypatch.setattr(catalog, "SCHEMA", unbounded)
+    assert load_catalog() == CATALOG
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ParticleSpec("x", -1.0, 0.0),
+    lambda: ExperimentRecord("x", 0.0, 0.0, 0.0, 1.0),
+    lambda: ExperimentRecord("x", 1.0, 1.0, 0.0, 0.0),
+])
+def test_records_raise_domain_errors(make):
+    with pytest.raises(DomainError):
+        make()

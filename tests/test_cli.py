@@ -242,6 +242,27 @@ def test_one_of_two_keys_rules(tmp_path, capsys, kind, preset, old, new, words):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old", ["transit_length = 0.5 um\n",
+                                 "transit_speed = 1e6 m/s\n"])
+def test_timescales_need_both_keys(tmp_path, capsys, old):
+    cfg = preset_copy(tmp_path, "decohere-split", (old, ""))
+    code, out = run_cli(tmp_path, "decohere", "--config", cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "[timescales]" in err["message"]
+    assert not out.exists()
+
+
+def test_tunnel_decohered_validates_transverse_packets(tmp_path, capsys):
+    cfg = preset_copy(tmp_path, "tunnel-decohered",
+                      ("transverse_width = 36 nm", "transverse_width = 5 nm"))
+    code, out = run_cli(tmp_path, "tunnel", "--config", cfg)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ResolutionError" and err["scenario"] == "tunnel"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-100"])
 def test_threads_below_one_rejected(tmp_path, capsys, threads):
     code, out = run_cli(tmp_path, "ratio", "--preset", "Ag", "--threads", threads)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from qratio.decoherence import (EnvironmentSpec, TimescaleReport, RELIABLE,
                                 DensityMatrix, _apply_unitary,
                                 apply_damping, coherence, decohere_step,
                                 decohered_sg_scenario, pure_to_density,
-                                timescale_report)
+                                timescale_report, two_band_state)
 from qratio.errors import CoherenceUndefinedError, DomainError, StepSizeError
 from qratio.grid import (FreePotential, Grid, LinearPotential, WaveField,
                          half_kick, initialize_gaussian, kinetic_phase)
@@ -295,3 +296,23 @@ def test_density_matrix_grid_cap():
     big = Grid.make(2048, 1e-6)
     with pytest.raises(DomainError):
         pure_to_density(WaveField(big, _np.ones(2048, dtype=complex), ME))
+
+
+def test_density_matrix_cap_checked_before_allocating():
+    field = WaveField(Grid.make(2048, 1e-6), np.ones(2048, dtype=complex), ME)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="cap"):
+            pure_to_density(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_two_band_state_matches_split_state(grid):
+    packets = (GaussianPacket(-125e-9, 25e-9, 0.0, ME),
+               GaussianPacket(+125e-9, 25e-9, 0.0, ME))
+    field = two_band_state(grid, 0.6, 0.8, packets)
+    assert np.array_equal(field.psi, split_state(grid, 0.6, 0.8).psi)
+    assert field.norm() == pytest.approx(1.0, abs=1e-12)
