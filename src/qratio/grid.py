@@ -14,10 +14,15 @@ the next step's leading one into one full kick; it is applied only where
 the field is observed (records, population samples, the return).
 
 On a grid axis along which V is constant, the kinetic factor commutes with
-every other factor of the step, so :func:`propagate` holds the field
-free-axis-major,
-steps only the coupled axes, and applies the exact free evolution
-exp(-i hbar k_f^2 t / 2m) where the field is observed.
+every other factor of the step, so :func:`propagate` steps only the coupled
+axes and applies the exact free evolution exp(-i hbar k_f^2 t / 2m) where
+the field is observed.  Every step then acts alike on each free-axis row of
+the free-axis-major field psi, so it steps a basis of their span instead:
+psi = u b, with u an orthonormal basis of psi's column space (pivoted
+Gram-Schmidt, to rounding) and b = u^+ psi, whose r rows span psi's rows.
+The Strang loop steps b; the free evolution acts on the small u at
+observations, where the field is rebuilt as u_t b.  A product field
+chi(z) phi(x) has r = 1.
 
 Boundaries are periodic; there are no absorbing layers.  Runs must be sized
 so that no appreciable probability reaches the grid edge, and a margin
@@ -25,10 +30,11 @@ monitor checks every step of every wave-function run, spinors included, and
 aborts with :class:`BoundaryError` before wraparound contaminates results.
 It reads the held field: a kick, a per-point phase or 2x2 spin unitary,
 keeps the summed margin mass.  With a free axis the margin mass is the sum
-of two exact parts: the coupled axes' margin, read off the stepped field (a
+of two exact parts: the coupled axes' margin, read off the stepped rows b
+(u has orthonormal columns, so b's margin mass is the field's, and a
 unitary on the free axis keeps it), and the free axis's margin, from the
-field's reduced density matrix on that axis.  The sum is never below the
-mass in the union of the margins.
+field's reduced density matrix u (b b^+) u^+ on that axis.  The sum is never
+below the mass in the union of the margins.
 """
 
 import itertools
@@ -48,6 +54,9 @@ MAX_POINTS = 2 ** 22      # points per grid, all axes: 64 MiB per complex field
 SUPPORT_WIDTHS = 3.0      # packet support = center +/- 3 widths (|psi|^2 < 2e-8)
 BOUNDARY_MARGIN = 0.05    # outer fraction of each axis watched by the monitor
 BOUNDARY_TOLERANCE = 1e-6
+# a free-axis field's row basis is complete once the mass outside it is at
+# most (max(n_free, n_coupled) * ROW_BASIS_EPS)^2 of the total
+ROW_BASIS_EPS = np.finfo(float).eps
 
 
 def _is_pow2(n):
@@ -369,9 +378,10 @@ def _margin_width(n):
 def boundary_monitor(grid, free=()):
     """check(psi, t, step, free_mass=0.0) -> the margin mass, raising
     :class:`BoundaryError` once the probability in the outer margin of any
-    axis reaches the tolerance.  Leading axes of ``psi`` stack components;
-    their edge masses add.  The grid axes named in ``free`` lead the others
-    in ``psi`` and are not read: ``free_mass`` is their margin mass."""
+    axis reaches the tolerance.  Leading axes of ``psi`` stack components
+    or the rows of a free axis's orthonormal basis; their edge masses add.
+    The grid axes named in ``free`` are not read: ``free_mass`` is their
+    margin mass."""
     coupled = [grid.points[a] for a in range(grid.ndim) if a not in free]
     # the two outer slabs of each trailing axis, cut to the interior of the
     # axes before it, so that a corner counts once
@@ -417,22 +427,47 @@ def _free_phase(grid, free, mass):
     return (grid.kaxis(free[0]) ** 2 * (-0.5 * HBAR / mass))[:, None]
 
 
-def _free_margin_masses(grid, free, psi, mass, dt, steps):
+def _row_basis(psi):
+    """u, an orthonormal basis of the column space of the free-axis-major
+    field ``psi`` (n_free x n_coupled), as n_free x r columns.
+
+    Pivoted Gram-Schmidt: each pass takes the column with the most mass
+    left, orthogonalises it against u once more (so that u stays
+    orthonormal to rounding), and projects it out of every column in place.
+    It stops once the mass left is at most (max(n_free, n_coupled) eps)^2 of
+    the total, so a product field takes one pass.  ``psi`` is overwritten.
+    """
+    n, m = psi.shape
+    left = np.sum(np.abs(psi) ** 2, axis=0)
+    floor = (max(n, m) * ROW_BASIS_EPS) ** 2 * left.sum()
+    basis = np.empty((min(n, m), n), dtype=complex)   # u^T, filled row by row
+    r = 0
+    while r < len(basis) and left.sum() > floor:
+        q = psi[:, int(np.argmax(left))].copy()
+        q -= basis[:r].T @ (basis[:r].conj() @ q)
+        q /= np.linalg.norm(q)
+        basis[r] = q
+        psi -= np.outer(q, q.conj() @ psi)
+        left = np.sum(np.abs(psi) ** 2, axis=0)
+        r += 1
+    return np.ascontiguousarray(basis[:r].T)
+
+
+def _free_margin_masses(grid, free, u, b, mass, dt, steps):
     """Iterator over the free axis's outer-margin mass after steps 1, 2, ...
 
     Nothing but the free kinetic factor acts on the free axis, so the
-    density matrix rho of the held field ``psi``, reduced to that axis,
-    stays what it is.  After time tau the margin holds
-    sum_{i in edge} [U rho U^+]_ii with U = F^-1 diag(u) F and
-    u_k = exp(-i hbar k^2 tau / 2m), which is u^T (R o Q) u* with
+    density matrix rho = u (b b^+) u^+ of the held field u b, reduced to
+    that axis, stays what it is.  After time tau the margin holds
+    sum_{i in edge} [U rho U^+]_ii with U = F^-1 diag(e) F and
+    e_k = exp(-i hbar k^2 tau / 2m), which is e^T (R o Q) e* with
     R = F rho F^+ and Q_kk' = sum_{i in edge} (F^-1)_ik (F^-1)*_ik'.  That
     is exact and costs n^2 per step, evaluated 64 steps at a time.
     """
     if not free:
         return itertools.repeat(0.0)
     n = grid.points[free[0]]
-    rows = psi.reshape(n, -1)
-    rho = (rows @ rows.conj().T) * grid.cell_volume
+    rho = (u @ (b @ b.conj().T) @ u.conj().T) * grid.cell_volume
     w = _margin_width(n)
     in_edge = np.zeros(n)
     in_edge[:w] = in_edge[n - w:] = 1.0
@@ -447,16 +482,17 @@ def _free_margin_masses(grid, free, psi, mass, dt, steps):
     def masses():
         for first in range(1, steps + 1, 64):
             taus = dt * np.arange(first, min(first + 64, steps + 1))
-            u = np.exp(np.multiply.outer(taus, phase))
-            yield from ((u @ m) * u.conj()).sum(axis=1).real.tolist()
+            e = np.exp(np.multiply.outer(taus, phase))
+            yield from ((e @ m) * e.conj()).sum(axis=1).real.tolist()
     return masses()
 
 
-def _observer(grid, free, order, mass, half, workers):
-    """observe(psi, tau): the held field ``psi`` in grid order, after what
-    it has not had: the trailing half kick ``half`` (None for V = 0) and the
-    exact free evolution exp(-i hbar k_f^2 tau / 2m).  ``psi`` is not
-    changed."""
+def _observer(grid, free, order, mass, half, u, workers):
+    """observe(psi, tau): the held field in grid order, after what it has
+    not had: the trailing half kick ``half`` (None for V = 0) and, with a
+    free axis, the exact free evolution exp(-i hbar k_f^2 tau / 2m) of its
+    basis ``u``.  The held field is ``psi`` itself, or u psi with a free
+    axis; ``psi`` is not changed."""
     if not free:
         if half is None:
             return lambda psi, tau: psi
@@ -465,13 +501,11 @@ def _observer(grid, free, order, mass, half, workers):
     inverse = tuple(int(a) for a in np.argsort(order))
 
     def observe(psi, tau):
-        # V varies along the coupled axes only (so ``half`` is an array),
-        # and the kick commutes with the free axis's transform
-        phi = _fft.fftn(psi, axes=(0,), workers=workers)
+        # V varies along the coupled axes only, so ``half`` is an array
+        phi = _fft.fftn(u, axes=(0,), workers=workers)
         phi *= np.exp(tau * phase)
-        phi *= half
-        return _fft.ifftn(phi, axes=(0,), overwrite_x=True,
-                          workers=workers).transpose(inverse)
+        u_tau = _fft.ifftn(phi, axes=(0,), overwrite_x=True, workers=workers)
+        return (u_tau @ (psi * half)).transpose(inverse)
     return observe
 
 
@@ -486,8 +520,14 @@ def propagate(field, potential, dt, steps, record_every=0, workers=1):
     Axes along which V is constant are free: their kinetic factor commutes with
     every other factor of the step, so only the coupled axes are stepped
     and the free evolution is applied exactly where the field is observed
-    (records and the return).  Each step applies one full kick; the last
-    step's trailing half kick is applied there too.
+    (records and the return).  Every step acts alike on each row of the
+    free-axis-major field, so only the r rows b = u^+ psi of an orthonormal
+    basis u of its column space are stepped (r = 1 for a product field),
+    and the field is rebuilt as u_t b where it is observed.  The margin
+    check is exact all the same: b's coupled-axis margin mass is the
+    field's, and the free axis's comes from u (b b^+) u^+.  Each step
+    applies one full kick; the last step's trailing half kick is applied
+    where the field is observed too.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
@@ -506,9 +546,14 @@ def propagate(field, potential, dt, steps, record_every=0, workers=1):
     half, full = half_kick(v, dt), half_kick(v, 2.0 * dt)
 
     psi = np.array(field.psi.transpose(order), order="C")   # a copy, always
+    u = None
+    if free:
+        # the copy is the basis's scratch; the loop steps b = u^+ psi
+        u = _row_basis(psi)
+        psi = u.conj().T @ field.psi.transpose(order)
     check = boundary_monitor(grid, free)
-    free_masses = _free_margin_masses(grid, free, psi, field.mass, dt, steps)
-    observe = _observer(grid, free, order, field.mass, half, workers)
+    free_masses = _free_margin_masses(grid, free, u, psi, field.mass, dt, steps)
+    observe = _observer(grid, free, order, field.mass, half, u, workers)
 
     out = WaveField(grid, field.psi, field.mass, field.time, field.norm_drift)
     trace = ObservableTrace() if record_every else None

@@ -257,6 +257,14 @@ def _run_sg(cfg, threads):
     return summary, files, drift
 
 
+def _scan(lo, hi, count, key):
+    """np.linspace(lo, hi, count), once ``count`` is within the scan cap."""
+    if count > tb.MAX_SCAN_POINTS:
+        raise DomainError(f"'{key}' = {count} exceeds the cap of "
+                          f"{tb.MAX_SCAN_POINTS} scan points")
+    return np.linspace(lo, hi, count)
+
+
 def _barrier_from(cfg):
     b = cfg.section("barrier")
     if b["shape"] == "rectangular":
@@ -270,7 +278,7 @@ def _run_tunnel(cfg, threads):
     mass = p["mass"]
     if p["mode"] == "sweep":
         s = cfg.section("sweep")
-        energies = np.linspace(s["energy_min"], s["energy_max"], s["count"])
+        energies = _scan(s["energy_min"], s["energy_max"], s["count"], "count")
         t_exact = tn.exact_transmission(barrier, energies, mass, check=False)
         rows = []
         for e, te in zip(energies, t_exact):
@@ -361,7 +369,7 @@ def _run_talbot(cfg, threads):
         grating,
         tb.GratingSpec(g["period"], lau["scan_open_fraction"], g["slits"]),
         lau["L1_talbot"] * lt, lau["L2_talbot"] * lt, p["wavelength"])
-    offsets = np.linspace(-g["period"], g["period"], lau["offsets"])
+    offsets = _scan(-g["period"], g["period"], lau["offsets"], "offsets")
     scan = tb.lau_scan(config, offsets)
     files = {"scan.csv": _csv_bytes(("offset_m", "flux"),
                                     list(zip(scan.offsets, scan.flux)))}

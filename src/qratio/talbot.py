@@ -25,6 +25,7 @@ PARAXIAL_BOUND = 0.1
 TAPER_PERIODS = 2.0
 MIN_POINTS_PER_SLIT = 16
 MAX_CARPET_VALUES = 2 ** 24   # intensity values in one carpet: 128 MiB of float64
+MAX_SCAN_POINTS = 2 ** 16     # points of one scan: [lau] offsets, [sweep] count
 
 
 @dataclass(frozen=True)

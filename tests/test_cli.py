@@ -275,10 +275,13 @@ def test_threads_below_one_rejected(tmp_path, capsys, threads):
 @pytest.mark.parametrize("kind,preset,old,new", [
     ("sg", "sg-split", "points = 256 256", "points = 65536 65536"),
     ("talbot", "carpet-100nm", "open_fraction = 0.3", "open_fraction = 0.001"),
-], ids=["sg-grid", "talbot-carpet"])
+    ("tunnel", "tunnel-sweep-rect", "count = 29", "count = 1000000000"),
+    ("talbot", "lau-resonant", "offsets = 81", "offsets = 1000000000"),
+], ids=["sg-grid", "talbot-carpet", "sweep-count", "lau-offsets"])
 def test_oversize_arrays_are_domain_errors(tmp_path, capsys, kind, preset, old,
                                            new):
-    # each would allocate gigabytes without the size caps
+    # each would allocate gigabytes (or loop a billion times) without the
+    # size caps
     cfg = preset_copy(tmp_path, preset, (old, new))
     code, out = run_cli(tmp_path, kind, "--config", cfg)
     assert code == 1

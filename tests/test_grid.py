@@ -10,12 +10,13 @@ from qratio.constants import HBAR
 from qratio.core import GaussianPacket, packet_width_at
 from qratio.errors import (BoundaryError, DomainError, ResolutionError,
                            StepSizeError)
-from qratio.grid import (MAX_POINTS, FreePotential, Grid, LinearPotential,
-                         SampledPotential, WaveField, boundary_monitor,
-                         ehrenfest_residual, half_kick, initialize_gaussian,
-                         kinetic_ceiling, kinetic_phase, observables,
-                         propagate, read_field_array, snapshot_with_force,
-                         strang_step, suggest_dt, write_field_array)
+from qratio.grid import (BOUNDARY_TOLERANCE, MAX_POINTS, FreePotential, Grid,
+                         LinearPotential, SampledPotential, WaveField,
+                         boundary_monitor, ehrenfest_residual, half_kick,
+                         initialize_gaussian, kinetic_ceiling, kinetic_phase,
+                         observables, propagate, read_field_array,
+                         snapshot_with_force, strang_step, suggest_dt,
+                         write_field_array)
 
 ME = 9.1093837015e-31
 
@@ -456,13 +457,14 @@ def test_steps_transform_only_the_coupled_axis(monkeypatch, record_every):
     propagate(f0, BARRIER, suggest_dt(ZX, BARRIER, ME), steps,
               record_every=record_every)
     n_z, n_x = ZX.points
-    held, small = (n_x, n_z), n_x * n_x
-    per_step = [c for c in proxy.calls if c == (held, (-1,))]
-    free_axis = [c for c in proxy.calls if c == (held, (0,))]
+    # a product field's free-axis rows span one row
+    per_step = [c for c in proxy.calls if c == ((1, n_z), (-1,))]
+    free_axis = [c for c in proxy.calls if c == ((n_x, 1), (0,))]
     snapshots = [c for c in proxy.calls if c == ((n_z, n_x), None)]
-    setup = [c for c in proxy.calls if math.prod(c[0]) <= small]
+    setup = [c for c in proxy.calls if c[0] in ((n_x,), (n_x, n_x))]
     records = steps // record_every + 1 if record_every else 0
-    # the free axis is transformed at each record after step 0, or at the return
+    # the free axis's basis is transformed at each record after step 0, or
+    # at the return
     observations = records - 1 if record_every else 1
     assert len(per_step) == 2 * steps
     assert len(free_axis) == 2 * observations
@@ -470,3 +472,109 @@ def test_steps_transform_only_the_coupled_axis(monkeypatch, record_every):
     assert len(setup) == 3
     assert len(proxy.calls) == (len(per_step) + len(free_axis) + len(snapshots)
                                 + len(setup))
+
+
+# ---------------------------------------------------------------------------
+# fields that are not products: the stepped rows span the free-axis rows
+
+def rank2_field(second=(2e-26, -1e-26, 2e-7, -1.2e-7)):
+    """Sum of two product packets, normalized."""
+    psi = zx_field().psi + zx_field(*second).psi
+    return WaveField(ZX, psi / math.sqrt(np.sum(np.abs(psi) ** 2)
+                                         * ZX.cell_volume), ME)
+
+
+def seeded_field(seed=20260):
+    """Complex Gaussian noise under a Gaussian envelope well inside the
+    margins: full rank, with every row of it independent."""
+    rng = np.random.default_rng(seed)
+    zm, xm = ZX.meshes()
+    envelope = np.exp(-((zm + 3e-7) / 1.5e-7) ** 2 - (xm / 1.2e-7) ** 2)
+    psi = envelope * (rng.standard_normal(ZX.points)
+                      + 1j * rng.standard_normal(ZX.points))
+    return WaveField(ZX, psi / math.sqrt(np.sum(np.abs(psi) ** 2)
+                                         * ZX.cell_volume), ME)
+
+
+def full_grid_fields(field, potential, dt, steps, record_every):
+    """psi at step 0, at each record and at the end, stepping every axis."""
+    grid = field.grid
+    kin = kinetic_phase(grid, field.mass, dt)
+    half = half_kick(potential.values(grid), dt)
+    psi, fields = field.psi, [field.psi]
+    for step in range(1, steps + 1):
+        psi = strang_step(psi, kin, lambda p: p * half)
+        if step % record_every == 0 or step == steps:
+            fields.append(psi)
+    return fields
+
+
+def recorded_fields(monkeypatch, field, potential, dt, steps, record_every):
+    """psi at each record of :func:`propagate` and at its return."""
+    fields = []
+
+    def logged(f, pot):
+        fields.append(f.psi.copy())
+        return snapshot_with_force(f, pot)
+    monkeypatch.setattr(grid_module, "snapshot_with_force", logged)
+    out = propagate(field, potential, dt, steps, record_every=record_every)
+    assert np.array_equal(fields[-1], out.psi)
+    return fields
+
+
+def margin_masses(monkeypatch, field, potential, dt, steps):
+    """The margin mass of each checked step, and the BoundaryError text."""
+    masses = []
+
+    def logged(grid, free=()):
+        check = boundary_monitor(grid, free)
+
+        def logged_check(*args):
+            masses.append(check(*args))
+            return masses[-1]
+        return logged_check
+    monkeypatch.setattr(grid_module, "boundary_monitor", logged)
+    with pytest.raises(BoundaryError) as err:
+        propagate(field, potential, dt, steps)
+    return masses, str(err.value)
+
+
+class TestRowBasis:
+    @pytest.mark.parametrize("make, rank", [(zx_field, 1), (rank2_field, 2),
+                                            (seeded_field, 64)],
+                             ids=["product", "rank-2", "seeded"])
+    def test_spans_the_rows_with_orthonormal_columns(self, make, rank):
+        psi = make().psi.T                      # free-axis-major
+        u = grid_module._row_basis(np.array(psi, order="C"))
+        assert u.shape == (ZX.points[1], rank)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(rank))) < 1e-14
+        rebuilt = u @ (u.conj().T @ psi)
+        assert np.linalg.norm(rebuilt - psi) < 1e-13 * np.linalg.norm(psi)
+
+    @pytest.mark.parametrize("make", [rank2_field, seeded_field],
+                             ids=["rank-2", "seeded"])
+    def test_matches_stepping_every_axis(self, monkeypatch, make):
+        f0 = make()
+        dt = suggest_dt(ZX, BARRIER, ME)
+        got = recorded_fields(monkeypatch, f0, BARRIER, dt, 60, 20)
+        want = full_grid_fields(f0, BARRIER, dt, 60, 20)
+        assert len(got) == len(want) == 4
+        for a, b in zip(got, want):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    # the second packet moves out along x, the free axis; the first along z
+    @pytest.mark.parametrize("second", [(0.0, -1e-26, 4e-7, -1.2e-7),
+                                        (-3e-26, 0.0, -5e-7, -1e-7)],
+                             ids=["free-margin", "coupled-margin"])
+    def test_margin_mass_and_stop_match_every_row(self, monkeypatch, second):
+        f0 = rank2_field(second)
+        dt = suggest_dt(ZX, BARRIER, ME)
+        masses, stop = margin_masses(monkeypatch, f0, BARRIER, dt, 100_000)
+        # the identity basis: every free-axis row is stepped
+        monkeypatch.setattr(grid_module, "_row_basis",
+                            lambda psi: np.eye(len(psi), dtype=complex))
+        want, want_stop = margin_masses(monkeypatch, f0, BARRIER, dt, 100_000)
+        assert len(masses) == len(want) > 100
+        assert (np.max(np.abs(np.subtract(masses, want)))
+                <= 1e-9 * BOUNDARY_TOLERANCE)
+        assert stop == want_stop
