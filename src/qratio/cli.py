@@ -165,8 +165,16 @@ def _config_text(args):
     if inline is not None:
         return inline, f"{args.command}-inline"
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            return fh.read(), os.path.splitext(os.path.basename(args.config))[0]
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {args.config!r}: "
+                              f"{exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config!r} is not UTF-8: "
+                              f"{exc.reason} at byte {exc.start}") from None
+        return text, os.path.splitext(os.path.basename(args.config))[0]
     if args.preset:
         return _preset_text(args.preset), args.preset
     raise ConfigError(f"'{args.command}' needs --config, --preset, or inline "

@@ -192,7 +192,7 @@ SCHEMAS = {
             "c1": ("float", False, _C1),
             "c2": ("float", False, None),
             "duration_rate": ("float", False, 5.0),
-            "steps": ("int", False, 200),
+            "steps": ("int>=1", False, 200),
         },
         "environment": {
             "wavelength": ("length", True, None),

@@ -12,6 +12,9 @@ form with both limits; it is completely positive (Gaussian kernel, Schur
 products) and leaves the diagonal strictly untouched.  Damping drives a
 split packet into a position mixture - "either here or there" - which is
 decohered but still fully quantum mechanical.
+
+One loop, :func:`propagate_density`, steps every density matrix: a Strang
+step of both indices, then the damping kernel, both built once per call.
 """
 
 import math
@@ -25,6 +28,8 @@ from .core import GaussianPacket
 from .errors import CoherenceUndefinedError, DomainError
 from .grid import (FreePotential, Grid, WaveField, half_kick,
                    initialize_gaussian, kinetic_phase, propagate, strang_step)
+
+MAX_STEPS = 100_000     # Trotter steps per scenario run, and history samples
 
 
 @dataclass(frozen=True)
@@ -109,39 +114,54 @@ def damping_kernel(grid, env, duration):
 
 def apply_damping(rho, env, duration):
     """Pure localization over ``duration`` (no Hamiltonian): exact one-shot."""
-    out = rho.copy()
-    out.rho *= damping_kernel(rho.grid, env, duration)
-    out.time += duration
-    return out
+    return propagate_density(rho, env, None, duration, 1)
+
+
+def propagate_density(rho, env, potential, dt, steps, observe=None,
+                      workers=1):
+    """Evolve ``steps`` Trotter steps of size ``dt``: a Strang step of both
+    indices (the Liouville form, kinetic factor K(k) K*(k'); K is even in
+    k, so U^H = F K* F^-1), then elementwise damping.  ``env=None`` leaves
+    out the damping, ``potential=None`` the Hamiltonian.  ``observe(state,
+    step)`` sees steps 1 .. ``steps``, Hermitian to rounding; only the
+    returned matrix is re-symmetrized.  ``rho`` is not changed.
+    """
+    if steps < 1:
+        raise DomainError("steps must be >= 1")
+    if potential is None and observe is None:
+        dt, steps = steps * dt, 1       # damping alone: one exact kernel
+    state = rho.copy()
+    del rho     # a caller that let go of the input frees it here
+    kin = kick = None
+    if potential is not None:
+        k = kinetic_phase(state.grid, state.mass, dt)
+        kin = k[:, None] * k.conj()[None, :]
+        half = half_kick(potential.values(state.grid), dt)
+        kick = None if half is None else (lambda m: half[:, None] * m * half.conj()[None, :])
+    kernel = None if env is None else damping_kernel(state.grid, env, dt)
+    for step in range(1, steps + 1):
+        if kin is not None:
+            state.rho = strang_step(state.rho, kin, kick, workers)
+        if kernel is not None:
+            state.rho *= kernel
+        state.time += dt
+        if observe is not None:
+            observe(state, step)
+    del kin, kernel
+    # rounding leaves an O(eps) asymmetry; m + m^H is Hermitian exactly
+    state.rho += state.rho.conj().T
+    state.rho *= 0.5
+    return state
 
 
 def _apply_unitary(rho, potential, dt, workers=1):
-    """rho' = U rho U^H with U one Strang step.
-
-    Taken as one 2D step of rho(x, x') (the Liouville form) with kinetic
-    factor K(k) K*(k'): K is even in k, so U^H = F^-1 K* F = F K* F^-1.
-    """
-    grid = rho.grid
-    kin = kinetic_phase(grid, rho.mass, dt)
-    half = half_kick(potential.values(grid), dt)
-    kick = None if half is None else (lambda m: half[:, None] * m * half.conj()[None, :])
-    m = strang_step(rho.rho, kin[:, None] * kin.conj()[None, :], kick, workers)
-    # rounding leaves an O(eps) asymmetry; re-symmetrize so Hermiticity is
-    # exact by construction
-    return DensityMatrix(grid, 0.5 * (m.conj().T + m), rho.mass,
-                         rho.time + dt)
+    """rho' = U rho U^H with U one Strang step."""
+    return propagate_density(rho, None, potential, dt, 1, workers=workers)
 
 
 def decohere_step(rho, env, potential, dt, workers=1):
-    """One Trotter step: unitary Strang evolution of both indices, then
-    elementwise damping.  The diagonal is invariant under the damping part.
-    ``potential=None`` freezes the Hamiltonian entirely (damping only).
-    """
-    if potential is None:
-        return apply_damping(rho, env, dt)
-    out = _apply_unitary(rho, potential, dt, workers=workers)
-    out.rho *= damping_kernel(out.grid, env, dt)
-    return out
+    """One Trotter step of :func:`propagate_density`."""
+    return propagate_density(rho, env, potential, dt, 1, workers=workers)
 
 
 def coherence(rho, x1, x2):
@@ -251,15 +271,14 @@ def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
         raise DomainError("|c1|^2 + |c2|^2 must equal 1")
     if separation < 4.0 * packet_width:
         raise DomainError("bands must be separated by >> their width")
-    if steps < 1:
-        raise DomainError("steps must be >= 1")
+    if not 1 <= steps <= MAX_STEPS:
+        raise DomainError(f"steps must be >= 1 and within the cap {MAX_STEPS}")
     if duration is None:
         duration = 5.0 / env.rate_Lambda
 
     field = two_band_state(grid, c1, c2, (
         GaussianPacket(-0.5 * separation, packet_width, -momentum, mass),
         GaussianPacket(+0.5 * separation, packet_width, +momentum, mass)))
-    rho = pure_to_density(field)
 
     dt = duration / steps
     x = grid.axis(0)
@@ -271,22 +290,20 @@ def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
         return (float(diag[x < 0.0].sum() * dx),
                 float(diag[x >= 0.0].sum() * dx))
 
-    def safe_coherence(r, a, b):
-        # an empty band has nothing to decohere against
-        if min(abs(c1), abs(c2)) < 1e-9:
-            return 0.0
-        return coherence(r, a, b)
+    times, cohs, purs = [], [], []
 
-    coh0 = safe_coherence(rho, x1, x2)
-    kernel = damping_kernel(grid, env, dt)
-    times, cohs, purs = [0.0], [coh0], [rho.purity()]
-    for _ in range(steps):
-        rho = _apply_unitary(rho, free, dt, workers=workers)
-        rho.rho *= kernel
-        drift = momentum * rho.time / mass
-        times.append(rho.time)
-        cohs.append(safe_coherence(rho, x1 - drift, x2 + drift))
-        purs.append(rho.purity())
+    def record(state, step):
+        drift = momentum * state.time / mass
+        times.append(state.time)
+        # an empty band has nothing to decohere against
+        empty = min(abs(c1), abs(c2)) < 1e-9
+        cohs.append(0.0 if empty else coherence(state, x1 - drift, x2 + drift))
+        purs.append(state.purity())
+
+    # the initial matrix is built twice rather than held through the loop
+    record(pure_to_density(field), 0)
+    rho = propagate_density(pure_to_density(field), env, free, dt, steps,
+                            observe=record, workers=workers)
 
     # the damping leaves the diagonal alone and diag(U rho U^H) = |U psi|^2,
     # so the undamped reference needs only the wave function
@@ -296,7 +313,7 @@ def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
         intensities=band_weights(rho.position_density()),
         pure_intensities=band_weights(pure.density()),
         coherence=cohs[-1],
-        initial_coherence=coh0,
+        initial_coherence=cohs[0],
         trace_drift=abs(rho.trace() - 1.0),
         purity=purs[-1],
         times=np.asarray(times),

@@ -116,11 +116,13 @@ class Grid:
     def meshes(self):
         return np.meshgrid(*[self.axis(i) for i in range(self.ndim)], indexing="ij")
 
-    def kmeshes(self):
-        return np.meshgrid(*[self.kaxis(i) for i in range(self.ndim)], indexing="ij")
+    def kmeshes(self, axes=None):
+        axes = range(self.ndim) if axes is None else axes
+        return np.meshgrid(*[self.kaxis(i) for i in axes], indexing="ij")
 
-    def k2(self):
-        return sum(km ** 2 for km in self.kmeshes())
+    def k2(self, axes=None):
+        """|k|^2 on the k mesh of ``axes`` (default all)."""
+        return sum(km ** 2 for km in self.kmeshes(axes))
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +333,13 @@ def ceiling_dt(grid, mass):
     return 0.7 * math.pi / 4.0 * HBAR / kinetic_ceiling(grid, mass)
 
 
-def kinetic_phase(grid, mass, dt):
-    """Full kinetic step exp(-i hbar k^2 dt / 2m) on the grid's k mesh.
+def kinetic_phase(grid, mass, dt, axes=None):
+    """Full kinetic step exp(-i hbar k^2 dt / 2m) on the k mesh of the grid
+    axes ``axes`` (default all; the others are taken at k = 0).
 
     This is the one spectral step-size check of every split-operator
-    stepper: it raises :class:`StepSizeError` unless |dt| times the
-    kinetic ceiling stays below pi/4 hbar.
+    stepper: it raises :class:`StepSizeError` unless |dt| times the whole
+    grid's kinetic ceiling stays below pi/4 hbar.
     """
     ceiling = kinetic_ceiling(grid, mass)
     if abs(dt) * ceiling / HBAR >= math.pi / 4.0:
@@ -344,7 +347,7 @@ def kinetic_phase(grid, mass, dt):
             f"|dt| = {abs(dt):.3e} s too coarse for the spectral band; "
             f"need |dt| < {math.pi / 4.0 * HBAR / ceiling:.3e} s "
             f"(suggest {ceiling_dt(grid, mass):.3e} s)")
-    return np.exp(grid.k2() * (-0.5j * HBAR * dt / mass))
+    return np.exp(grid.k2(axes) * (-0.5j * HBAR * dt / mass))
 
 
 def half_kick(v, dt):
@@ -535,10 +538,9 @@ def propagate(field, potential, dt, steps, record_every=0, workers=1):
     v = potential.values(grid)
     free = _free_axes(grid, v)
     # the held field is free-axis-major, the coupled axes contiguous
-    order = free + tuple(a for a in range(grid.ndim) if a not in free)
-    # k = 0 on the free axes leaves the coupled kinetic factor
-    kin = kinetic_phase(grid, field.mass, dt).transpose(order)
-    kin = kin[(0,) * len(free)].copy()
+    coupled = tuple(a for a in range(grid.ndim) if a not in free)
+    order = free + coupled
+    kin = kinetic_phase(grid, field.mass, dt, coupled)
     if free:
         v = v.transpose(order)[tuple(slice(1) for _ in free)]
     # the held field lacks its trailing half kick, which joins the next

@@ -445,7 +445,11 @@ def run(cfg, outdir, threads=1):
     summary, files, drift = _RUNNERS[cfg.kind](cfg, threads)
     files = dict(files)
     files["summary.json"] = _json_bytes(summary)
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir!r}: "
+                          f"{exc.strerror or exc}") from None
 
     entries = []
     for name in sorted(files):

@@ -14,7 +14,7 @@ from qratio.cli import main as cli_main, preset_names, _preset_text
 from qratio.config import parse_config
 from qratio.constants import BOHR_MAGNETON as MUB, ELECTRON_MASS as ME, EV, HBAR
 from qratio.core import GaussianPacket
-from qratio.decoherence import (EnvironmentSpec, decohere_step,
+from qratio.decoherence import (EnvironmentSpec, propagate_density,
                                 decohered_sg_scenario, pure_to_density)
 from qratio.grid import (FreePotential, Grid, initialize_gaussian,
                          kinetic_ceiling, observables, propagate)
@@ -264,26 +264,21 @@ def test_criterion_8_decoherence_engine():
 
         # 10^3 Trotter steps with the free Hamiltonian: trace must hold
         dt = (5.0 / env.rate_Lambda) / 1000
-        trace_rho = rho.copy()
-        for _ in range(1000):
-            trace_rho = decohere_step(trace_rho, env, FreePotential(), dt)
+        trace_rho = propagate_density(rho, env, FreePotential(), dt, 1000)
         trace_ok = abs(trace_rho.trace() - 1.0) < 1e-9
 
         # purity never increases without a Hamiltonian
-        pur = rho.copy()
-        purities = [pur.purity()]
-        for _ in range(100):
-            pur = decohere_step(pur, env, None, dt)
-            purities.append(pur.purity())
+        purities = [rho.purity()]
+        propagate_density(rho, env, None, dt, 100,
+                          observe=lambda state, step:
+                          purities.append(state.purity()))
         purity_ok = all(b <= a + 1e-12 for a, b in zip(purities, purities[1:]))
 
         # scalar exponential at separations far beyond lambda
         from qratio.decoherence import coherence
         wide = EnvironmentSpec(2e-8, 2e13)   # sep / lambda = 12.5
-        dec = rho.copy()
         n_steps = 200
-        for _ in range(n_steps):
-            dec = decohere_step(dec, wide, None, dt)
+        dec = propagate_density(rho, wide, None, dt, n_steps)
         expected = math.exp(-wide.rate_Lambda * n_steps * dt)
         decay_ok = abs(coherence(dec, -sep / 2, sep / 2) / expected - 1.0) < 1e-3
 

@@ -75,12 +75,13 @@ def test_ratio_non_finite_quantity_rejected(tmp_path, capsys, value):
     assert not (out / "summary.json").exists()
 
 
-def test_decohere_zero_steps_is_a_domain_error(tmp_path, capsys):
+def test_decohere_zero_steps_is_a_config_error(tmp_path, capsys):
     cfg = preset_copy(tmp_path, "decohere-split", ("steps = 200", "steps = 0"))
     code, out = run_cli(tmp_path, "decohere", "--config", cfg)
-    assert code == 1
+    assert code == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "DomainError" and "steps" in err["message"]
+    assert err["error"] == "ConfigError" and "'steps'" in err["message"]
+    assert not out.exists()
 
 
 def test_decohere_nan_amplitude_rejected(tmp_path, capsys):
@@ -272,12 +273,47 @@ def test_threads_below_one_rejected(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+def _unreadable_config(tmp_path, case):
+    if case == "missing":
+        return str(tmp_path / "missing.cfg"), "No such file"
+    if case == "directory":
+        return str(tmp_path), "Is a directory"
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("[scenario]\nkind = ratio\n# \u00e9t\u00e9\n"
+                     .encode("latin-1"))
+    return str(path), "not UTF-8"
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, case):
+    path, words = _unreadable_config(tmp_path, case)
+    code, out = run_cli(tmp_path, "ratio", "--config", path)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and words in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, under):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "run" if under else taken
+    code = main(["ratio", "--preset", "Ag", "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "output directory" in err["message"]
+    assert taken.read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize("kind,preset,old,new", [
     ("sg", "sg-split", "points = 256 256", "points = 65536 65536"),
     ("talbot", "carpet-100nm", "open_fraction = 0.3", "open_fraction = 0.001"),
     ("tunnel", "tunnel-sweep-rect", "count = 29", "count = 1000000000"),
     ("talbot", "lau-resonant", "offsets = 81", "offsets = 1000000000"),
-], ids=["sg-grid", "talbot-carpet", "sweep-count", "lau-offsets"])
+    ("decohere", "decohere-split", "steps = 200", "steps = 1000000000"),
+], ids=["sg-grid", "talbot-carpet", "sweep-count", "lau-offsets",
+        "decohere-steps"])
 def test_oversize_arrays_are_domain_errors(tmp_path, capsys, kind, preset, old,
                                            new):
     # each would allocate gigabytes (or loop a billion times) without the

@@ -202,6 +202,7 @@ SG = "[scenario]\nkind = sg\n[sg]\nmass = 1 kg\nb0 = 1 T/m\n"
      + "[sweep]\nenergy_min = 1 eV\nenergy_max = 2 eV\ncount = 0\n", "count"),
     (TUNNEL_BEAM + "[grid]\npoints = 64\n", "points"),
     (SG + "mode = decoupled\nwidth = 1 nm\nduration = 1 s\nsteps = 0\n", "steps"),
+    ("[scenario]\nkind = decohere\n[decohere]\nsteps = 0\n", "steps"),
     ("[scenario]\nkind = talbot\n[talbot]\nmode = lau\nwavelength = 1 nm\n"
      "[grating]\nperiod = 1 um\n[lau]\noffsets = -1\n", "offsets"),
     # the [scenario] header

@@ -8,11 +8,12 @@ from scipy import fft
 from qratio.constants import ELECTRON_MASS as ME, HBAR
 from qratio.core import GaussianPacket
 from qratio.decoherence import (EnvironmentSpec, TimescaleReport, RELIABLE,
-                                RANDOM_MOTION, ORDERING_VIOLATED,
+                                RANDOM_MOTION, ORDERING_VIOLATED, MAX_STEPS,
                                 DensityMatrix, _apply_unitary,
                                 apply_damping, coherence, decohere_step,
-                                decohered_sg_scenario, pure_to_density,
-                                timescale_report, two_band_state)
+                                decohered_sg_scenario, propagate_density,
+                                pure_to_density, timescale_report,
+                                two_band_state)
 from qratio.errors import CoherenceUndefinedError, DomainError, StepSizeError
 from qratio.grid import (FreePotential, Grid, LinearPotential, WaveField,
                          half_kick, initialize_gaussian, kinetic_phase)
@@ -81,9 +82,7 @@ class TestDampingStep:
         f = split_state(grid, 0.6, 0.8)
         rho = pure_to_density(f)
         before = rho.position_density()
-        stepped = rho
-        for _ in range(20):
-            stepped = decohere_step(stepped, self.env, None, 1e-13)
+        stepped = propagate_density(rho, self.env, None, 1e-13, 20)
         assert np.max(np.abs(stepped.position_density() - before)) < 1e-12
 
     def test_scalar_exponential_decay(self, grid):
@@ -108,8 +107,7 @@ class TestDampingStep:
     def test_trace_and_hermiticity_preserved(self, grid):
         f = split_state(grid, 0.6, 0.8)
         rho = pure_to_density(f)
-        for _ in range(50):
-            rho = decohere_step(rho, self.env, FreePotential(), 2e-14)
+        rho = propagate_density(rho, self.env, FreePotential(), 2e-14, 50)
         assert abs(rho.trace() - 1.0) < 1e-9
         assert rho.hermiticity_defect() < 1e-10
 
@@ -117,17 +115,16 @@ class TestDampingStep:
         f = split_state(grid, 0.6, 0.8)
         rho = pure_to_density(f)
         purities = [rho.purity()]
-        for _ in range(100):
-            rho = decohere_step(rho, self.env, None, 5e-14)
-            purities.append(rho.purity())
+        propagate_density(rho, self.env, None, 5e-14, 100,
+                          observe=lambda state, step:
+                          purities.append(state.purity()))
         assert all(b <= a + 1e-12 for a, b in zip(purities, purities[1:]))
         assert purities[-1] < purities[0]
 
     def test_positivity_after_long_evolution(self, grid):
         f = split_state(grid, 0.6, 0.8)
         rho = pure_to_density(f)
-        for _ in range(150):
-            rho = decohere_step(rho, self.env, FreePotential(), 1.5e-14)
+        rho = propagate_density(rho, self.env, FreePotential(), 1.5e-14, 150)
         assert rho.smallest_eigenvalue() >= -1e-8
 
     def test_unitary_part_matches_pure_evolution(self, grid):
@@ -137,8 +134,7 @@ class TestDampingStep:
         f = split_state(grid, 0.6, 0.8, momentum=1e-26)
         rho = pure_to_density(f)
         dt = 2e-14
-        for _ in range(10):
-            rho = decohere_step(rho, weak, FreePotential(), dt)
+        rho = propagate_density(rho, weak, FreePotential(), dt, 10)
         evolved = propagate(f, FreePotential(), dt, 10)
         np.testing.assert_allclose(rho.position_density(), evolved.density(),
                                    atol=1e-9 * evolved.density().max())
@@ -174,6 +170,67 @@ class TestDampingStep:
         with pytest.raises(StepSizeError) as err:
             decohere_step(rho, self.env, FreePotential(), 1e-9)
         assert "suggest" in str(err.value)
+
+
+class TestPropagateDensity:
+    env = EnvironmentSpec(lambda_env=25e-9, rate_Lambda=1e12)
+
+    @pytest.mark.parametrize("potential", [FreePotential(),
+                                           LinearPotential(2e-13)])
+    def test_matches_single_steps(self, grid, potential):
+        rho = pure_to_density(split_state(grid, 0.6, 0.8, momentum=1e-26))
+        stepped = rho
+        for _ in range(20):
+            stepped = decohere_step(stepped, self.env, potential, 2e-14)
+        got = propagate_density(rho, self.env, potential, 2e-14, 20)
+        assert (np.max(np.abs(got.rho - stepped.rho))
+                <= 1e-12 * np.max(np.abs(stepped.rho)))
+        assert got.time == stepped.time
+
+    @pytest.mark.parametrize("potential", [None, FreePotential(),
+                                           LinearPotential(2e-13)])
+    def test_input_kept_and_output_hermitian(self, potential):
+        g = Grid.make(128, 1e-6)
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+        rho = DensityMatrix(g, a @ a.conj().T, ME)
+        before = rho.rho.copy()
+        out = propagate_density(rho, self.env, potential, 1e-14, 5,
+                                observe=lambda state, step: None)
+        assert np.array_equal(rho.rho, before) and rho.time == 0.0
+        assert out.hermiticity_defect() == 0.0
+
+    def test_observer_sees_every_step(self, grid):
+        rho = pure_to_density(split_state(grid, 0.6, 0.8))
+        seen = []
+        out = propagate_density(rho, self.env, FreePotential(), 2e-14, 7,
+                                observe=lambda state, step:
+                                seen.append((step, state.time)))
+        assert [step for step, _ in seen] == list(range(1, 8))
+        assert [t for _, t in seen] == pytest.approx(
+            [i * 2e-14 for i in range(1, 8)], rel=1e-12)
+        assert out.time == seen[-1][1]
+
+    def test_damping_alone_is_one_shot(self, grid):
+        rho = pure_to_density(split_state(grid, 0.6, 0.8))
+        once = apply_damping(rho, self.env, 40 * 5e-14)
+        got = propagate_density(rho, self.env, None, 5e-14, 40)
+        assert np.array_equal(got.rho, once.rho) and got.time == once.time
+        stepped = propagate_density(rho, self.env, None, 5e-14, 40,
+                                    observe=lambda state, step: None)
+        assert (np.max(np.abs(stepped.rho - once.rho))
+                <= 1e-12 * np.max(np.abs(once.rho)))
+
+    def test_spectral_band_enforced(self, grid):
+        rho = pure_to_density(split_state(grid, 0.6, 0.8))
+        with pytest.raises(StepSizeError) as err:
+            propagate_density(rho, self.env, FreePotential(), 1e-9, 10)
+        assert "suggest" in str(err.value)
+
+    def test_steps_at_least_one(self, grid):
+        rho = pure_to_density(split_state(grid, 0.6, 0.8))
+        with pytest.raises(DomainError):
+            propagate_density(rho, self.env, FreePotential(), 2e-14, 0)
 
 
 class TestCoherence:
@@ -273,11 +330,14 @@ class TestDecoheredBands:
         rho = pure_to_density(split_state(g, 0.6, 0.8, width, sep, p))
         x, dx = g.axis(0), g.spacings[0]
         weights = []
-        for _ in range(steps):
-            rho = _apply_unitary(rho, FreePotential(), duration / steps)
-            diag = rho.position_density()
+
+        def band_weights(state, step):
+            diag = state.position_density()
             weights.append((diag[x < 0.0].sum() * dx,
                             diag[x >= 0.0].sum() * dx))
+
+        propagate_density(rho, None, FreePotential(), duration / steps, steps,
+                          observe=band_weights)
         assert abs(weights[-1][0] - weights[-2][0]) > 1e-9
         assert rep.pure_intensities == pytest.approx(weights[-1], abs=1e-12)
 
@@ -304,6 +364,19 @@ def test_density_matrix_cap_checked_before_allocating():
     try:
         with pytest.raises(DomainError, match="cap"):
             pure_to_density(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_scenario_steps_cap_checked_before_allocating(grid):
+    env = EnvironmentSpec(60e-9, 2e13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="cap"):
+            decohered_sg_scenario(0.6, 0.8, env, grid, 25e-9, 250e-9, ME,
+                                  steps=MAX_STEPS + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -214,6 +214,19 @@ class TestStepSize:
             propagate(f0, FreePotential(), 2 * dt_max, 10)
         assert "suggest" in str(err.value)
 
+    def test_coupled_axes_phase_is_the_k0_row(self):
+        # the free-axis stepper builds its factor on the coupled axes only
+        grid = Grid.make((64, 128), (1e-6, 3e-6))
+        full = kinetic_phase(grid, ME, 1e-16)
+        assert np.array_equal(kinetic_phase(grid, ME, 1e-16, (1,)), full[0])
+        assert np.array_equal(kinetic_phase(grid, ME, 1e-16, (0,)), full[:, 0])
+        # the step-size check keeps the whole grid's ceiling
+        dt_max = (math.pi / 4) * HBAR / kinetic_ceiling(grid, ME)
+        for axes in (None, (0,), (1,)):
+            kinetic_phase(grid, ME, 0.999 * dt_max, axes)
+            with pytest.raises(StepSizeError):
+                kinetic_phase(grid, ME, dt_max, axes)
+
     def test_suggestion_is_stable(self):
         grid, f0 = electron_field()
         dt = suggest_dt(grid, LinearPotential(1e-20, 0), ME)

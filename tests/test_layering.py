@@ -76,3 +76,11 @@ def test_only_grid_steps(name):
     uses = sorted({n.lineno for n in ast.walk(MODULES[name])
                    if isinstance(n, ast.Name) and n.id == "_fft"})
     assert not uses, f"{name}.py uses _fft at lines {uses}"
+
+
+def test_one_density_matrix_loop():
+    # every density-matrix step runs in decoherence.propagate_density
+    calls = sorted(n.lineno for n in ast.walk(MODULES["decoherence"])
+                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "strang_step")
+    assert len(calls) == 1, f"decoherence.py calls strang_step at lines {calls}"
