@@ -177,7 +177,7 @@ SCHEMAS = {
         "lau": {
             "L1_talbot": ("float", False, 1.0),
             "L2_talbot": ("float", False, 1.0),
-            "source_slits": ("int", False, 16),
+            "source_slits": ("int>=2", False, 16),
             "source_open_fraction": ("float", False, 0.3),
             "scan_open_fraction": ("float", False, 0.3),
             "offsets": ("int>=1", False, 81),

@@ -27,6 +27,15 @@ from .spin import SpinCoherentState, distribution
 
 # ratio |B0| / max|b0*y| above which the decoupled equations are trusted
 MIN_FIELD_RATIO = 50.0
+# Strang steps per propagate call: [sg] steps, or the count derived from
+# the duration and the step ceiling
+MAX_STEPS = 200_000
+
+
+def _check_steps(steps):
+    if not 1 <= steps <= MAX_STEPS:
+        raise DomainError(f"steps must be >= 1 and within the cap {MAX_STEPS}, "
+                          f"got {steps}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +101,7 @@ def propagate_decoupled(spinor, config, dt, steps, z_axis=None,
     ``z_axis`` defaults to the last grid axis.  Components are never mixed;
     each conserves its own norm.
     """
+    _check_steps(steps)
     if z_axis is None:
         z_axis = spinor.up.grid.ndim - 1
     v_up, v_down = gradient_potentials(config, z_axis)
@@ -127,6 +137,7 @@ def propagate_coupled(spinor, config, dt, steps, record_populations_every=0,
     Returns (spinor, populations) where populations is a list of
     (t, P_up, P_down) samples of the total spin populations.
     """
+    _check_steps(steps)
     grid = spinor.up.grid
     if grid.ndim != 2:
         raise DomainError("coupled propagation needs a 2D (y, z) grid")

@@ -25,7 +25,7 @@ PARAXIAL_BOUND = 0.1
 TAPER_PERIODS = 2.0
 MIN_POINTS_PER_SLIT = 16
 MAX_CARPET_VALUES = 2 ** 24   # intensity values in one carpet: 128 MiB of float64
-MAX_SCAN_POINTS = 2 ** 16     # points of one scan: [lau] offsets, [sweep] count
+MAX_SCAN_POINTS = 2 ** 16     # scan points: [lau] offsets and sources, [sweep] count
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,13 @@ class LauScan:
 
 
 def _source_points(grating, points_per_slit):
-    """Positions of incoherent point emitters across the open slits."""
+    """Positions of incoherent point emitters across the open slits, once
+    their number is within MAX_SCAN_POINTS."""
+    count = grating.slit_count * points_per_slit
+    if count > MAX_SCAN_POINTS:
+        raise DomainError(f"{grating.slit_count} source slits x {points_per_slit} "
+                          f"points = {count} sources exceed the cap of "
+                          f"{MAX_SCAN_POINTS} scan points")
     d = grating.period
     n_half = (grating.slit_count - 1) // 2
     centers = np.arange(-(grating.slit_count // 2), n_half + 1) * d

@@ -29,6 +29,9 @@ from .grid import (FreePotential, Grid, SampledPotential, WaveField,
 MAX_STEPS = 200_000
 # Gauss-Hermite nodes of the energy-averaged oracle (32 and 64 agree to 1e-13)
 HERMITE_NODES = 32
+# transfer-matrix block: interfaces x energies built and reduced at a time
+BLOCK_SLICES = 256
+BLOCK_ENERGIES = 32
 
 # ---------------------------------------------------------------------------
 # barrier profiles
@@ -136,47 +139,95 @@ def wkb_transmission(barrier, energy, mass):
     return math.exp(-2.0 * integral)
 
 
+def _product(a, b):
+    """The 2x2 products a @ b of matrices held as (m11, m12, m21, m22)
+    arrays, written out entry by entry."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+
+
+def _tree_product(m):
+    """The ordered product m[0] @ m[1] @ ... of the matrices along axis 0,
+    multiplied pairwise in floor(log2(len)) rounds.  An unpaired last matrix
+    of a round is folded into the round's last product."""
+    while len(m[0]) > 1:
+        odd = len(m[0]) % 2
+        pairs = len(m[0]) - odd
+        p = _product(tuple(x[0:pairs:2] for x in m),
+                     tuple(x[1:pairs:2] for x in m))
+        if odd:
+            last = _product(tuple(x[-1:] for x in p), tuple(x[-1:] for x in m))
+            for x, y in zip(p, last):
+                x[-1:] = y
+        m = p
+    return tuple(x[0] for x in m)
+
+
 def _transfer_transmission(v_slices, edges, energy, mass):
-    """Transmission through piecewise-constant slices (vectorized over E)."""
+    """Transmission through piecewise-constant slices (vectorized over E).
+
+    In region j (left lead, the slices, right lead) psi is
+    A_j e^{ik_j (z - z_j)} + B_j e^{-ik_j (z - z_j)}, referred to the
+    region's own left edge z_j.  Continuity of psi and psi' at the right
+    edge of region j gives (A_j, B_j) = M_j (A_j+1, B_j+1) with
+
+        M_j = 1/2 [[(1 + r) / ph, (1 - r) / ph], [(1 - r) ph, (1 + r) ph]],
+
+    r = k_j+1 / k_j, ph = exp(i k_j d) and d the slice width.  With a pure
+    outgoing wave (1, 0) in the right lead, T = 1 / |M11|^2 of
+    M = M_0 M_1 ... M_n.  The left lead has no width; its ph has modulus one
+    (k_0 is real) and only turns the phase of M11.  Each factor is at most
+    O(exp(kappa d)), so no partial product can overflow where the
+    sequential recursion does not.  A k below k_floor (1e-12 of the largest
+    lead k, as where E equals a slice's V) is raised to it; r is then up to
+    1e12 and T carries a rounding error of about r eps ~ 1e-4 relative,
+    whatever the order of the products.
+
+    M is the associative scan of the transfer-matrix method (Ando and Itoh,
+    J. Appl. Phys. 61, 1497 (1987); Blelloch, CMU-CS-90-190 (1990)): the
+    factors are built and tree-reduced (:func:`_tree_product`) in blocks of
+    BLOCK_SLICES interfaces by BLOCK_ENERGIES energies, and the block
+    products multiplied in order, so the working set stays bounded
+    whatever the slice and energy counts.  d is the width over the slice
+    count: the differences of ``linspace`` edges would lose about 12 bits.
+    """
     energy = np.atleast_1d(np.asarray(energy, dtype=float))
-    k_out = np.sqrt(2.0 * mass * energy.astype(complex)) / HBAR
-    n_e = energy.size
-    # coefficients (A, B) of psi = A e^{ikz} + B e^{-ikz}, rightmost region:
-    # pure outgoing wave
-    coeff = np.zeros((n_e, 2), dtype=complex)
-    coeff[:, 0] = 1.0
-    k_right = k_out
-    k_floor = 1e-12 * float(np.max(np.abs(k_out)))
-    for i in range(len(v_slices) - 1, -1, -1):
-        k_left = np.sqrt(2.0 * mass * (energy - v_slices[i]).astype(complex)) / HBAR
-        k_left = np.where(np.abs(k_left) < k_floor, k_floor, k_left)
-        z = edges[i + 1]
-        # continuity of psi and psi' at z between slice i (left) and right side
-        el_p = np.exp(1j * k_left * z)
-        er_p = np.exp(1j * k_right * z)
-        psi = coeff[:, 0] * er_p + coeff[:, 1] / er_p
-        dpsi = 1j * k_right * (coeff[:, 0] * er_p - coeff[:, 1] / er_p)
-        a = 0.5 * (psi + dpsi / (1j * k_left)) / el_p
-        b = 0.5 * (psi - dpsi / (1j * k_left)) * el_p
-        coeff = np.stack([a, b], axis=1)
-        k_right = k_left
-        # leftmost interface comes next; k continues outward after loop
-    z0 = edges[0]
-    el_p = np.exp(1j * k_out * z0)
-    psi = coeff[:, 0] * np.exp(1j * k_right * z0) + coeff[:, 1] * np.exp(-1j * k_right * z0)
-    dpsi = 1j * k_right * (coeff[:, 0] * np.exp(1j * k_right * z0)
-                           - coeff[:, 1] * np.exp(-1j * k_right * z0))
-    a_in = 0.5 * (psi + dpsi / (1j * k_out)) / el_p
-    t_amp = 1.0 / a_in
-    return np.abs(t_amp) ** 2
+    n = len(v_slices)
+    d = (edges[-1] - edges[0]) / n
+    # V of every region, leads included: interface j joins regions j, j + 1
+    v = np.concatenate(([0.0], v_slices, [0.0]))
+    k_floor = 1e-12 * float(np.sqrt(2.0 * mass * energy.max()) / HBAR)
+    t = np.empty(energy.size)
+    for e0 in range(0, energy.size, BLOCK_ENERGIES):
+        e = energy[e0:e0 + BLOCK_ENERGIES]
+        total = None
+        for s in range(0, n + 1, BLOCK_SLICES):
+            vs = v[s:s + BLOCK_SLICES + 1, None]
+            k = np.sqrt(2.0 * mass * (e - vs).astype(complex)) / HBAR
+            k = np.where(np.abs(k) < k_floor, k_floor, k)
+            k_left = k[:-1]
+            half_r = 0.5 * k[1:] / k_left
+            plus, minus = 0.5 + half_r, 0.5 - half_r
+            ph = np.exp(1j * d * k_left)
+            block = _tree_product((plus / ph, minus / ph, minus * ph, plus * ph))
+            total = block if total is None else _product(total, block)
+        t[e0:e0 + BLOCK_ENERGIES] = 1.0 / np.abs(total[0]) ** 2
+    return t
 
 
 def exact_transmission(barrier, energy, mass, slices=8192, check=True):
     """Transfer-matrix transmission through the sliced barrier profile.
 
     The profile is approximated by ``slices`` piecewise-constant segments
-    (exact for rectangular barriers).  With ``check`` the slice count is
-    doubled and a change above 1e-8 raises :class:`ConvergenceError`.
+    (exact for rectangular barriers).  The 2x2 interface matrices use
+    slice-local phases and are multiplied as a pairwise tree, the
+    associative-scan form of the transfer-matrix method (Ando and Itoh
+    1987; Blelloch 1990), in blocks of BLOCK_SLICES slices by
+    BLOCK_ENERGIES energies (see :func:`_transfer_transmission`), so
+    memory does not grow with ``slices`` or the number of energies.  With ``check`` the slice count
+    is doubled and a change above 1e-8 raises :class:`ConvergenceError`.
     Accepts a scalar energy or an array; returns matching shape.
     """
     if mass <= 0.0:
@@ -307,6 +358,8 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
     mass = long_pkt.mass
     if grid is None:
         grid = default_scenario_grid(scenario)
+    # the 1D oracle's blocks come and go before the 2D run holds its arrays
+    oracle = energy_averaged_transmission(scenario)
 
     bar = scenario.barrier
     sup = bar.support
@@ -319,16 +372,19 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
     phi = two_band_state(xgrid, scenario.c1, scenario.c2, (p1, p2))
     rho = pure_to_density(phi)
     in_coh = coherence(rho, p1.center, p2.center)
+    # V(z) sampled once; every chunk's propagate call reads the same array
+    v_z = bar.value(zgrid.axis(0))
     if with_decoherence:
         if env is None:
             raise DomainError("decohered mode needs an EnvironmentSpec")
         # transverse density matrix, damped before arrival
         rho = apply_damping(rho, env, 5.0 / env.rate_Lambda)
         field = chi
-        potential = SampledPotential(lambda zm: bar.value(zm))
+        potential = SampledPotential(lambda zm: v_z)
     else:
         field = WaveField(grid, np.outer(chi.psi, phi.psi), mass)
-        potential = SampledPotential(lambda zm, xm: bar.value(zm))
+        v_zx = np.broadcast_to(v_z[:, None], grid.points)
+        potential = SampledPotential(lambda zm, xm: v_zx)
 
     # one step for both modes, so that their z runs are one run
     dt = 0.95 * (math.pi / 4.0) * HBAR / kinetic_ceiling(grid, mass)
@@ -389,7 +445,7 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
         transmitted_fraction=w_trans,
         reflected_fraction=w_ref,
         flux_sum=flux_sum,
-        oracle_transmission=energy_averaged_transmission(scenario),
+        oracle_transmission=oracle,
         transverse_coherence=coherence(rho_t, p1.center, p2.center),
         input_coherence=in_coh,
         band_weights=bands,

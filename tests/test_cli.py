@@ -312,8 +312,11 @@ def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, under):
     ("tunnel", "tunnel-sweep-rect", "count = 29", "count = 1000000000"),
     ("talbot", "lau-resonant", "offsets = 81", "offsets = 1000000000"),
     ("decohere", "decohere-split", "steps = 200", "steps = 1000000000"),
+    ("talbot", "lau-resonant", "source_slits = 16", "source_slits = 1000000000"),
+    ("sg", "sg-split", "steps = 256", "steps = 1000000000"),
+    ("sg", "sg-coupled-check", "duration = 5.4e-11 s", "duration = 1 s"),
 ], ids=["sg-grid", "talbot-carpet", "sweep-count", "lau-offsets",
-        "decohere-steps"])
+        "decohere-steps", "lau-source-slits", "sg-steps", "sg-coupled-duration"])
 def test_oversize_arrays_are_domain_errors(tmp_path, capsys, kind, preset, old,
                                            new):
     # each would allocate gigabytes (or loop a billion times) without the

@@ -205,6 +205,8 @@ SG = "[scenario]\nkind = sg\n[sg]\nmass = 1 kg\nb0 = 1 T/m\n"
     ("[scenario]\nkind = decohere\n[decohere]\nsteps = 0\n", "steps"),
     ("[scenario]\nkind = talbot\n[talbot]\nmode = lau\nwavelength = 1 nm\n"
      "[grating]\nperiod = 1 um\n[lau]\noffsets = -1\n", "offsets"),
+    ("[scenario]\nkind = talbot\n[talbot]\nmode = lau\nwavelength = 1 nm\n"
+     "[grating]\nperiod = 1 um\n[lau]\nsource_slits = 1\n", "source_slits"),
     # the [scenario] header
     ("[scenario]\nseed = 1\n", "kind"),
     ("[scenario]\nkind = ratio\nseed = x\n", "seed"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from qratio.constants import ELECTRON_MASS as ME, EV, HBAR
 from qratio.core import GaussianPacket
 from qratio.decoherence import EnvironmentSpec
 from qratio.errors import ConvergenceError, DomainError
-from qratio.tunneling import (GaussianBarrier, RectangularBarrier,
-                              TunnelScenario, default_scenario_grid,
+from qratio.tunneling import (HERMITE_NODES, GaussianBarrier,
+                              RectangularBarrier, TunnelScenario,
+                              default_scenario_grid,
                               energy_averaged_transmission,
                               exact_transmission, rectangular_transmission,
                               run_tunnel_scenario, turning_points,
@@ -101,6 +103,23 @@ class TestExact:
         with pytest.raises(DomainError):
             exact_transmission(BENCH, 1.0 * EV, ME, slices=256)
 
+    def test_memory_does_not_grow_with_energies(self):
+        # matrices are built in fixed blocks of slices x energies; built all
+        # at once, 4096 energies x 1025 interfaces would take 268 MB
+        def peak(count):
+            energies = np.linspace(0.5, 1.9, count) * EV
+            tracemalloc.start()
+            try:
+                exact_transmission(BENCH, energies, ME, slices=1024,
+                                   check=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(32), peak(4096)
+        assert many < 4 * 2 ** 20
+        assert many - few < 2 ** 18
+
 
 def make_scenario(width=36e-9, barrier=None, c1=None, c2=None):
     p0 = math.sqrt(2 * ME * 1.0 * EV)
@@ -185,3 +204,103 @@ class TestScenario:
         scen = make_scenario()
         with pytest.raises(DomainError):
             run_tunnel_scenario(scen, with_decoherence=True, env=None)
+
+
+def sequential_transmission(v_slices, edges, energy, mass):
+    """Reference: the slice-by-slice transfer-matrix loop with absolute-z
+    phases that the blocked tree product replaced."""
+    energy = np.atleast_1d(np.asarray(energy, dtype=float))
+    k_out = np.sqrt(2.0 * mass * energy.astype(complex)) / HBAR
+    coeff = np.zeros((energy.size, 2), dtype=complex)
+    coeff[:, 0] = 1.0
+    k_right = k_out
+    k_floor = 1e-12 * float(np.max(np.abs(k_out)))
+    for i in range(len(v_slices) - 1, -1, -1):
+        k_left = np.sqrt(2.0 * mass * (energy - v_slices[i]).astype(complex)) / HBAR
+        k_left = np.where(np.abs(k_left) < k_floor, k_floor, k_left)
+        z = edges[i + 1]
+        el_p = np.exp(1j * k_left * z)
+        er_p = np.exp(1j * k_right * z)
+        psi = coeff[:, 0] * er_p + coeff[:, 1] / er_p
+        dpsi = 1j * k_right * (coeff[:, 0] * er_p - coeff[:, 1] / er_p)
+        a = 0.5 * (psi + dpsi / (1j * k_left)) / el_p
+        b = 0.5 * (psi - dpsi / (1j * k_left)) * el_p
+        coeff = np.stack([a, b], axis=1)
+        k_right = k_left
+    z0 = edges[0]
+    el_p = np.exp(1j * k_out * z0)
+    psi = coeff[:, 0] * np.exp(1j * k_right * z0) + coeff[:, 1] * np.exp(-1j * k_right * z0)
+    dpsi = 1j * k_right * (coeff[:, 0] * np.exp(1j * k_right * z0)
+                           - coeff[:, 1] * np.exp(-1j * k_right * z0))
+    a_in = 0.5 * (psi + dpsi / (1j * k_out)) / el_p
+    return np.abs(1.0 / a_in) ** 2
+
+
+def sequential_reference(barrier, energy, slices):
+    lo, hi = barrier.support
+    edges = np.linspace(lo, hi, slices + 1)
+    v = barrier.value(0.5 * (edges[:-1] + edges[1:]))
+    return sequential_transmission(v, edges, energy, ME)
+
+
+def hermite_energies(scenario):
+    """The energies at which energy_averaged_transmission evaluates T."""
+    pkt = scenario.longitudinal
+    x, _ = np.polynomial.hermite.hermgauss(HERMITE_NODES)
+    p = pkt.momentum + pkt.momentum_scale * x / math.sqrt(2.0)
+    return p[p > 0.0] ** 2 / (2.0 * ME)
+
+
+# kappa L = 70 at E = 1 eV under 2 eV: T ~ 1e-60
+THICK = RectangularBarrier(2.0 * EV, 35.0 * HBAR / math.sqrt(2 * ME * EV))
+GAUSS = GaussianBarrier(1.2 * EV, 1.2e-9)   # the tunnel-pure barrier
+
+
+class TestAgainstSequential:
+    """The tree product against the sequential loop: the products run in
+    another order and with slice-local phases, so T agrees to rounding,
+    about n eps for n slices.  1101 slices leave a last block of 78
+    interfaces, whose tree has rounds of 39, 19 and 9 matrices, each with
+    an unpaired last one."""
+
+    @pytest.mark.parametrize("barrier,energy,slices", [
+        (GAUSS, hermite_energies(make_scenario()), 8192),
+        (BENCH, np.linspace(0.5, 1.9, 29) * EV, 8192),
+        (THICK, np.array([1.0 * EV]), 8192),
+        (BENCH, np.linspace(2.05, 10.0, 9) * EV, 8192),
+        (GAUSS, np.linspace(1.25, 5.0, 7) * EV, 1101),
+        (GAUSS, np.linspace(0.5, 1.1, 7) * EV, 1101),
+    ], ids=["tunnel-pure", "tunnel-sweep-rect", "thick", "over-rect",
+            "over-gauss-odd", "gauss-odd"])
+    def test_agrees_to_rounding(self, barrier, energy, slices):
+        ref = sequential_reference(barrier, energy, slices)
+        t = exact_transmission(barrier, energy, ME, slices=slices, check=False)
+        assert np.all(np.isfinite(t)) and np.all(t > 0.0)
+        assert np.max(np.abs(t / ref - 1.0)) <= 1e-11
+
+    def test_thick_barrier_closed_form(self):
+        t = exact_transmission(THICK, 1.0 * EV, ME, check=False)
+        closed = rectangular_transmission(1.0 * EV, 2.0 * EV,
+                                          2.0 * THICK.half_width, ME)
+        assert 1e-62 < closed < 1e-58
+        assert abs(t / closed - 1.0) <= 1e-9
+
+    def test_check_doubles_slices(self):
+        energy = np.linspace(0.5, 1.9, 5) * EV
+        ref = sequential_reference(BENCH, energy, 2 * 4096)
+        t = exact_transmission(BENCH, energy, ME, slices=4096, check=True)
+        assert np.max(np.abs(t / ref - 1.0)) <= 1e-11
+
+    def test_energy_on_a_slice_potential(self):
+        # E = V of a slice makes k = 0 there, raised to k_floor = 1e-12
+        # k_max: r = k / k_floor ~ 1e12 at its two interfaces, so any order
+        # of the products leaves about 1e12 eps ~ 1e-4 relative in T
+        lo, hi = GAUSS.support
+        edges = np.linspace(lo, hi, 1026)
+        v = GAUSS.value(0.5 * (edges[:-1] + edges[1:]))
+        energy = np.array([v[300], v[512], 1.0 * EV])
+        ref = sequential_transmission(v, edges, energy, ME)
+        t = exact_transmission(GAUSS, energy, ME, slices=1025, check=False)
+        assert np.all(np.isfinite(t))
+        assert np.max(np.abs(t[:2] / ref[:2] - 1.0)) <= 1e-3
+        assert abs(t[2] / ref[2] - 1.0) <= 1e-11
