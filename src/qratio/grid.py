@@ -139,6 +139,12 @@ class FreePotential:
         return 0.0
 
 
+def _on_grid(fn, grid):
+    """fn of the open (``np.ix_``) coordinate axes, broadcast to the grid."""
+    axes = np.ix_(*(grid.axis(i) for i in range(grid.ndim)))
+    return np.broadcast_to(fn(*axes), grid.points)
+
+
 class LinearPotential:
     """V = slope * x_axis (constant force -slope along the given axis)."""
 
@@ -147,25 +153,26 @@ class LinearPotential:
         self.axis = int(axis)
 
     def values(self, grid):
-        return self.slope * grid.meshes()[self.axis]
+        return _on_grid(lambda *x: self.slope * x[self.axis], grid)
 
     def gradient(self, grid, axis):
         return self.slope if axis == self.axis else 0.0
 
 
 class SampledPotential:
-    """V given by a callable of the mesh coordinates (and optional gradient)."""
+    """V given by a callable of the open (``np.ix_``) coordinate axes, whose
+    result is broadcast to the grid (and optional gradient callables)."""
 
     def __init__(self, fn, grad_fns=None):
         self.fn = fn
         self.grad_fns = grad_fns
 
     def values(self, grid):
-        return self.fn(*grid.meshes())
+        return _on_grid(self.fn, grid)
 
     def gradient(self, grid, axis):
         if self.grad_fns is not None:
-            return self.grad_fns[axis](*grid.meshes())
+            return _on_grid(self.grad_fns[axis], grid)
         v = np.asarray(self.values(grid), dtype=float)
         return np.gradient(v, grid.spacings[axis], axis=axis)
 
@@ -613,17 +620,13 @@ _MAGIC = b"QRARRAY1"
 
 def field_array_bytes(data, spacings, origins):
     """Serialized complex array in the documented little-endian layout."""
-    data = np.ascontiguousarray(data, dtype=np.complex128)
-    parts = [_MAGIC,
-             np.uint32(data.ndim).tobytes(),
-             np.asarray(data.shape, dtype="<u4").tobytes(),
-             np.asarray(spacings, dtype="<f8").tobytes(),
-             np.asarray(origins, dtype="<f8").tobytes()]
-    inter = np.empty(data.size * 2, dtype="<f8")
-    inter[0::2] = data.real.ravel()
-    inter[1::2] = data.imag.ravel()
-    parts.append(inter.tobytes())
-    return b"".join(parts)
+    data = np.asarray(data)
+    # "<c16" is the interleaved little-endian (re, im) float64 payload
+    return b"".join([_MAGIC,
+                     np.asarray((data.ndim,) + data.shape, dtype="<u4").tobytes(),
+                     np.asarray(spacings, dtype="<f8").tobytes(),
+                     np.asarray(origins, dtype="<f8").tobytes(),
+                     data.astype("<c16").tobytes()])
 
 
 def write_field_array(path, data, spacings, origins):
@@ -644,7 +647,7 @@ def read_field_array(path):
             # checked before reading, so a corrupt shape never sizes a buffer
             if n > size - fh.tell():
                 raise DomainError(f"{path}: truncated qratio array file")
-            return np.frombuffer(fh.read(n), dtype=dtype)
+            return np.frombuffer(bytearray(fh.read(n)), dtype=dtype)
 
         if fh.read(8) != _MAGIC:
             raise DomainError(f"{path}: not a qratio array file")
@@ -654,6 +657,5 @@ def read_field_array(path):
         shape = tuple(int(n) for n in take(4 * ndim, "<u4"))
         spacings = tuple(take(8 * ndim, "<f8"))
         origins = tuple(take(8 * ndim, "<f8"))
-        inter = take(16 * math.prod(shape), "<f8")
-    data = (inter[0::2] + 1j * inter[1::2]).reshape(shape)
+        data = take(16 * math.prod(shape), "<c16").reshape(shape)
     return data, spacings, origins

@@ -29,7 +29,7 @@ from .grid import (FreePotential, Grid, SampledPotential, WaveField,
 MAX_STEPS = 200_000
 # Gauss-Hermite nodes of the energy-averaged oracle (32 and 64 agree to 1e-13)
 HERMITE_NODES = 32
-# transfer-matrix block: interfaces x energies built and reduced at a time
+# transfer-matrix block: slices x energies built and reduced at a time
 BLOCK_SLICES = 256
 BLOCK_ENERGIES = 32
 
@@ -168,52 +168,45 @@ def _tree_product(m):
 def _transfer_transmission(v_slices, edges, energy, mass):
     """Transmission through piecewise-constant slices (vectorized over E).
 
-    In region j (left lead, the slices, right lead) psi is
-    A_j e^{ik_j (z - z_j)} + B_j e^{-ik_j (z - z_j)}, referred to the
-    region's own left edge z_j.  Continuity of psi and psi' at the right
-    edge of region j gives (A_j, B_j) = M_j (A_j+1, B_j+1) with
-
-        M_j = 1/2 [[(1 + r) / ph, (1 - r) / ph], [(1 - r) ph, (1 + r) ph]],
-
-    r = k_j+1 / k_j, ph = exp(i k_j d) and d the slice width.  With a pure
-    outgoing wave (1, 0) in the right lead, T = 1 / |M11|^2 of
-    M = M_0 M_1 ... M_n.  The left lead has no width; its ph has modulus one
-    (k_0 is real) and only turns the phase of M11.  Each factor is at most
-    O(exp(kappa d)), so no partial product can overflow where the
-    sequential recursion does not.  A k below k_floor (1e-12 of the largest
-    lead k, as where E equals a slice's V) is raised to it; r is then up to
-    1e12 and T carries a rounding error of about r eps ~ 1e-4 relative,
-    whatever the order of the products.
+    In a slice of potential V, psi'' = -q psi with q = 2m(E - V)/hbar^2, and
+    F = [[c, s], [-q s, c]] carries (psi, psi') across it: with kd = k d and
+    k = sqrt|q|, c = cos kd and s = sin(kd)/k for q > 0, c = cosh kd and
+    s = sinh(kd)/k for q < 0, and s = d at kd = 0, so E may equal a slice's
+    V.  With leads at V = 0 and wave number k0, T = 4 / ((M11 + M22)^2 +
+    (k0 M12 - M21 / k0)^2) of the product M of the F, whichever way round
+    (reversing the slices swaps M11 and M22); here the right-most slice
+    acts first: M = F_0 F_1 ... F_n-1.
 
     M is the associative scan of the transfer-matrix method (Ando and Itoh,
     J. Appl. Phys. 61, 1497 (1987); Blelloch, CMU-CS-90-190 (1990)): the
     factors are built and tree-reduced (:func:`_tree_product`) in blocks of
-    BLOCK_SLICES interfaces by BLOCK_ENERGIES energies, and the block
-    products multiplied in order, so the working set stays bounded
-    whatever the slice and energy counts.  d is the width over the slice
-    count: the differences of ``linspace`` edges would lose about 12 bits.
+    BLOCK_SLICES slices by BLOCK_ENERGIES energies, and the block products
+    multiplied in order, so the working set stays bounded whatever the
+    slice and energy counts.  d is the width over the slice count: the
+    differences of ``linspace`` edges would lose about 12 bits.
     """
     energy = np.atleast_1d(np.asarray(energy, dtype=float))
     n = len(v_slices)
     d = (edges[-1] - edges[0]) / n
-    # V of every region, leads included: interface j joins regions j, j + 1
-    v = np.concatenate(([0.0], v_slices, [0.0]))
-    k_floor = 1e-12 * float(np.sqrt(2.0 * mass * energy.max()) / HBAR)
     t = np.empty(energy.size)
     for e0 in range(0, energy.size, BLOCK_ENERGIES):
         e = energy[e0:e0 + BLOCK_ENERGIES]
         total = None
-        for s in range(0, n + 1, BLOCK_SLICES):
-            vs = v[s:s + BLOCK_SLICES + 1, None]
-            k = np.sqrt(2.0 * mass * (e - vs).astype(complex)) / HBAR
-            k = np.where(np.abs(k) < k_floor, k_floor, k)
-            k_left = k[:-1]
-            half_r = 0.5 * k[1:] / k_left
-            plus, minus = 0.5 + half_r, 0.5 - half_r
-            ph = np.exp(1j * d * k_left)
-            block = _tree_product((plus / ph, minus / ph, minus * ph, plus * ph))
+        for s0 in range(0, n, BLOCK_SLICES):
+            vs = v_slices[s0:s0 + BLOCK_SLICES, None]
+            q = (2.0 * mass / HBAR ** 2) * (e - vs)
+            k = np.sqrt(np.abs(q))
+            kd = k * d
+            osc = q > 0.0
+            c = np.where(osc, np.cos(kd), np.cosh(kd))
+            s = np.divide(np.where(osc, np.sin(kd), np.sinh(kd)), k,
+                          out=np.full(k.shape, d), where=kd > 0.0)
+            block = _tree_product((c, s, -q * s, c))
             total = block if total is None else _product(total, block)
-        t[e0:e0 + BLOCK_ENERGIES] = 1.0 / np.abs(total[0]) ** 2
+        m11, m12, m21, m22 = total
+        k0 = np.sqrt(2.0 * mass * e) / HBAR
+        t[e0:e0 + BLOCK_ENERGIES] = 4.0 / ((m11 + m22) ** 2
+                                           + (k0 * m12 - m21 / k0) ** 2)
     return t
 
 
@@ -221,13 +214,14 @@ def exact_transmission(barrier, energy, mass, slices=8192, check=True):
     """Transfer-matrix transmission through the sliced barrier profile.
 
     The profile is approximated by ``slices`` piecewise-constant segments
-    (exact for rectangular barriers).  The 2x2 interface matrices use
-    slice-local phases and are multiplied as a pairwise tree, the
+    (exact for rectangular barriers).  The real 2x2 slice matrices act on
+    (psi, psi'), exact at E = V too, and are multiplied as a pairwise tree, the
     associative-scan form of the transfer-matrix method (Ando and Itoh
     1987; Blelloch 1990), in blocks of BLOCK_SLICES slices by
     BLOCK_ENERGIES energies (see :func:`_transfer_transmission`), so
-    memory does not grow with ``slices`` or the number of energies.  With ``check`` the slice count
-    is doubled and a change above 1e-8 raises :class:`ConvergenceError`.
+    memory does not grow with ``slices`` or the number of energies.  With
+    ``check`` the slice count is doubled and a change above 1e-8 raises
+    :class:`ConvergenceError`.
     Accepts a scalar energy or an array; returns matching shape.
     """
     if mass <= 0.0:
@@ -372,19 +366,16 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
     phi = two_band_state(xgrid, scenario.c1, scenario.c2, (p1, p2))
     rho = pure_to_density(phi)
     in_coh = coherence(rho, p1.center, p2.center)
-    # V(z) sampled once; every chunk's propagate call reads the same array
-    v_z = bar.value(zgrid.axis(0))
     if with_decoherence:
         if env is None:
             raise DomainError("decohered mode needs an EnvironmentSpec")
         # transverse density matrix, damped before arrival
         rho = apply_damping(rho, env, 5.0 / env.rate_Lambda)
         field = chi
-        potential = SampledPotential(lambda zm: v_z)
+        potential = SampledPotential(bar.value)
     else:
         field = WaveField(grid, np.outer(chi.psi, phi.psi), mass)
-        v_zx = np.broadcast_to(v_z[:, None], grid.points)
-        potential = SampledPotential(lambda zm, xm: v_zx)
+        potential = SampledPotential(lambda z, x: bar.value(z))
 
     # one step for both modes, so that their z runs are one run
     dt = 0.95 * (math.pi / 4.0) * HBAR / kinetic_ceiling(grid, mass)

@@ -8,6 +8,7 @@ import pytest
 
 from qratio import runner
 from qratio.cli import main, preset_names
+from qratio.constants import ELECTRON_MASS, EV, HBAR
 from qratio.errors import DomainError
 from qratio.grid import read_field_array
 
@@ -358,6 +359,19 @@ def test_tunnel_inline_sweep(tmp_path):
     assert len(rows) == 9
     e, t_wkb, t_exact = map(float, rows[4].split(","))
     assert 0.0 < t_wkb <= 1.0 and 0.0 < t_exact <= 1.0
+
+
+def test_tunnel_inline_sweep_at_barrier_height(tmp_path):
+    # the last row has E = V0, where T = 1 / (1 + m V0 a^2 / 2 hbar^2)
+    code, out = run_cli(tmp_path, "tunnel", "--barrier", "rect:2eV:0.5nm",
+                        "--energy-sweep", "1eV:2eV:2")
+    assert code == 0
+    rows = (out / "transmission.csv").read_text().splitlines()
+    e, _, t_exact = map(float, rows[-1].split(","))
+    assert e == 2.0
+    v0, a = 2.0 * EV, 0.5e-9
+    closed = 1.0 / (1.0 + ELECTRON_MASS * v0 * a ** 2 / (2.0 * HBAR ** 2))
+    assert abs(t_exact / closed - 1.0) <= 1e-12
 
 
 def test_unknown_preset_fails_with_error_json(tmp_path, capsys):

@@ -99,6 +99,14 @@ class TestExact:
         t4 = exact_transmission(bar, 1.0 * EV, ME, slices=8192, check=False)
         assert abs(t2 - t4) < abs(t1 - t4)
 
+    @pytest.mark.parametrize("check", [False, True])
+    def test_energy_at_barrier_height_closed_form(self, check):
+        # E = V0: psi is linear inside, so T = 1 / (1 + m V0 a^2 / 2 hbar^2)
+        v0, a = 2.0 * EV, 0.5e-9
+        closed = 1.0 / (1.0 + ME * v0 * a ** 2 / (2.0 * HBAR ** 2))
+        t = exact_transmission(BENCH, v0, ME, check=check)
+        assert abs(t / closed - 1.0) <= 1e-12
+
     def test_minimum_slices(self):
         with pytest.raises(DomainError):
             exact_transmission(BENCH, 1.0 * EV, ME, slices=256)
@@ -207,8 +215,9 @@ class TestScenario:
 
 
 def sequential_transmission(v_slices, edges, energy, mass):
-    """Reference: the slice-by-slice transfer-matrix loop with absolute-z
-    phases that the blocked tree product replaced."""
+    """Reference: the slice-by-slice transfer-matrix loop over complex
+    amplitudes with absolute-z phases, its wave numbers floored at 1e-12 of
+    the largest lead k, that the blocked tree product replaced."""
     energy = np.atleast_1d(np.asarray(energy, dtype=float))
     k_out = np.sqrt(2.0 * mass * energy.astype(complex)) / HBAR
     coeff = np.zeros((energy.size, 2), dtype=complex)
@@ -257,11 +266,12 @@ GAUSS = GaussianBarrier(1.2 * EV, 1.2e-9)   # the tunnel-pure barrier
 
 
 class TestAgainstSequential:
-    """The tree product against the sequential loop: the products run in
-    another order and with slice-local phases, so T agrees to rounding,
-    about n eps for n slices.  1101 slices leave a last block of 78
-    interfaces, whose tree has rounds of 39, 19 and 9 matrices, each with
-    an unpaired last one."""
+    """The real (psi, psi') tree product against the sequential loop in
+    complex amplitudes with absolute-z phases: the two take other bases and
+    run their products in another order, so T agrees to rounding, about
+    n eps for n slices.  1101 slices leave a last block of 77 slices,
+    whose tree has rounds of 77, 19 and 9 matrices, each with an unpaired
+    last one."""
 
     @pytest.mark.parametrize("barrier,energy,slices", [
         (GAUSS, hermite_energies(make_scenario()), 8192),
@@ -292,9 +302,11 @@ class TestAgainstSequential:
         assert np.max(np.abs(t / ref - 1.0)) <= 1e-11
 
     def test_energy_on_a_slice_potential(self):
-        # E = V of a slice makes k = 0 there, raised to k_floor = 1e-12
-        # k_max: r = k / k_floor ~ 1e12 at its two interfaces, so any order
-        # of the products leaves about 1e12 eps ~ 1e-4 relative in T
+        # E = V of a slice makes k = 0 there; the reference loop raises it
+        # to its k_floor = 1e-12 k_max, so k_left / k_right ~ 1e12 at that
+        # slice's two interfaces and the reference carries about
+        # 1e12 eps ~ 1e-4 relative error in T.  The (psi, psi') form needs
+        # no floor: its factor is [[1, d], [0, 1]] there.
         lo, hi = GAUSS.support
         edges = np.linspace(lo, hi, 1026)
         v = GAUSS.value(0.5 * (edges[:-1] + edges[1:]))
