@@ -69,8 +69,10 @@ class DensityMatrix:
         return float(np.real(np.trace(self.rho)) * self.grid.spacings[0])
 
     def purity(self):
+        # sum |rho|^2 as one pass over the real and imaginary parts
         dx = self.grid.spacings[0]
-        return float(np.sum(np.abs(self.rho) ** 2) * dx * dx)
+        v = np.ascontiguousarray(self.rho, dtype=complex).view(np.float64).ravel()
+        return float(np.einsum("i,i->", v, v) * dx * dx)
 
     def hermiticity_defect(self):
         return float(np.max(np.abs(self.rho - self.rho.conj().T)))

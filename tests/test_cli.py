@@ -374,6 +374,35 @@ def test_tunnel_inline_sweep_at_barrier_height(tmp_path):
     assert abs(t_exact / closed - 1.0) <= 1e-12
 
 
+GAUSS_SWEEP = ("[scenario]\nkind = tunnel\n[tunnel]\nmode = sweep\n"
+               "mass = 9.1093837015e-31 kg\n[barrier]\nshape = gaussian\n"
+               "height = 1.2 eV\nsigma = 1.2 nm\n[sweep]\n"
+               "energy_min = 1e-9 eV\nenergy_max = 1 eV\ncount = 3\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_tunnel_sweep_below_a_truncated_profile(tmp_path):
+    # at 1e-9 eV the 6-sigma cut-offs of the Gaussian are still above E
+    cfg = tmp_path / "gauss.cfg"
+    cfg.write_text(GAUSS_SWEEP)
+    code, out = run_cli(tmp_path, "tunnel", "--config", str(cfg))
+    assert code == 0
+    rows = (out / "transmission.csv").read_text().splitlines()
+    e, t_wkb, t_exact = map(float, rows[1].split(","))
+    assert e == 1e-9
+    assert 0.0 < t_exact < t_wkb < 1e-20
+
+
+@pytest.mark.filterwarnings("error")
+def test_tunnel_sweep_opaque_barrier_is_a_domain_error(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "tunnel", "--barrier", "rect:100eV:1um",
+                        "--energy-sweep", "0.5eV:1eV:2")
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError" and "opaque" in err["message"]
+    assert not out.exists()
+
+
 def test_unknown_preset_fails_with_error_json(tmp_path, capsys):
     code = main(["ratio", "--preset", "nonexistent",
                  "--out", str(tmp_path / "x")])

@@ -2,6 +2,9 @@
 and no chain of package-internal imports leads back to where it started."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,15 @@ def test_one_density_matrix_loop():
                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                    and n.func.id == "strang_step")
     assert len(calls) == 1, f"decoherence.py calls strang_step at lines {calls}"
+
+
+def test_cli_imports_no_scipy_integrate_or_optimize():
+    # a fresh interpreter: this session's own imports would hide a regression
+    code = ("import sys, qratio.cli; print(sorted(m for m in sys.modules if "
+            "m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.strip() == "[]"

@@ -21,6 +21,18 @@ from qratio.tunneling import (HERMITE_NODES, GaussianBarrier,
 BENCH = RectangularBarrier(2.0 * EV, 0.25e-9)
 T_WKB_CLOSED = 0.005957125459676652
 T_EXACT_CLOSED = 0.0235471199188269
+GAUSS = GaussianBarrier(1.2 * EV, 1.2e-9)   # the tunnel-pure barrier
+# WKB transmission through GAUSS, (E in eV, T): the integral
+# 2 Int_0^z0 sqrt(2m(V0 exp(-z^2 / 2 sigma^2) - E)) / hbar dz with
+# z0 = sigma sqrt(2 ln(V0/E)) (or the 6-sigma cut-off, at 1e-9 eV), by
+# mpmath quad at 30 digits (45 digits agree to 1e-29); 1.19 eV is within 1%
+# of the top
+GAUSS_WKB = [
+    (1e-9, 1.8375956083980092755e-21),
+    (0.2, 1.0628163422743668321e-14),
+    (0.6, 4.9424834258645534418e-8),
+    (1.19, 0.77900932968927103894),
+]
 
 
 class TestTurningPoints:
@@ -36,6 +48,17 @@ class TestTurningPoints:
 
     def test_above_barrier_signals_no_forbidden_region(self):
         assert turning_points(BENCH, 3.0 * EV) is None
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.25, 0.5, 0.8])
+    def test_gaussian_closed_form(self, fraction):
+        z1, z2 = turning_points(GAUSS, fraction * GAUSS.height)
+        expected = GAUSS.sigma * math.sqrt(2.0 * math.log(1.0 / fraction))
+        assert abs(z2 / expected - 1.0) <= 1e-11
+        assert abs(z1 / -expected - 1.0) <= 1e-11
+
+    def test_truncated_profile_turns_at_its_edges(self):
+        # below V0 exp(-18), V > E at both cut-offs of the 6-sigma support
+        assert turning_points(GAUSS, 1e-9 * EV) == GAUSS.support
 
 
 class TestWkb:
@@ -53,6 +76,17 @@ class TestWkb:
         t1 = wkb_transmission(BENCH, 1.0 * EV, ME)
         t2 = wkb_transmission(wide, 1.0 * EV, ME)
         assert t2 == pytest.approx(t1 ** 2, rel=1e-8)
+
+    def test_rectangular_is_kappa_times_width(self):
+        for e in np.linspace(0.5, 1.9, 29) * EV:
+            kappa = math.sqrt(2.0 * ME * (BENCH.height - e)) / HBAR
+            closed = math.exp(-2.0 * kappa * 2.0 * BENCH.half_width)
+            assert abs(wkb_transmission(BENCH, e, ME) / closed - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("energy_ev,reference", GAUSS_WKB)
+    def test_gaussian_against_high_precision(self, energy_ev, reference):
+        t = wkb_transmission(GAUSS, energy_ev * EV, ME)
+        assert abs(t / reference - 1.0) <= 1e-12
 
     def test_bounded_and_monotone(self):
         heights = [1.5, 2.0, 3.0, 5.0]
@@ -106,6 +140,14 @@ class TestExact:
         closed = 1.0 / (1.0 + ME * v0 * a ** 2 / (2.0 * HBAR ** 2))
         t = exact_transmission(BENCH, v0, ME, check=check)
         assert abs(t / closed - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_opaque_barrier_is_a_domain_error(self, check):
+        # kappa L ~ 5e4: the factors' product overflows
+        opaque = RectangularBarrier(100.0 * EV, 0.5e-6)
+        with pytest.raises(DomainError, match="opaque"):
+            exact_transmission(opaque, np.array([0.5, 1.0]) * EV, ME,
+                               check=check)
 
     def test_minimum_slices(self):
         with pytest.raises(DomainError):
@@ -262,7 +304,6 @@ def hermite_energies(scenario):
 
 # kappa L = 70 at E = 1 eV under 2 eV: T ~ 1e-60
 THICK = RectangularBarrier(2.0 * EV, 35.0 * HBAR / math.sqrt(2 * ME * EV))
-GAUSS = GaussianBarrier(1.2 * EV, 1.2e-9)   # the tunnel-pure barrier
 
 
 class TestAgainstSequential:
