@@ -115,8 +115,16 @@ def _parse_sweep(text):
     return lo, hi, n
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`ConfigError`, so that they too end in the
+    JSON diagnostic; the subcommand parsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{message} (see {self.prog} --help)")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qratio",
         description="Quantum-ratio toolkit: wave packets, spin coherent "
                     "states, Stern-Gerlach, tunneling, Talbot-Lau, decoherence")
@@ -136,8 +144,6 @@ def build_parser():
         p.add_argument("--config", help="scenario config file")
         p.add_argument("--preset", help="bundled or $%s preset name" % PRESET_ENV)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="FFT worker threads (default 1)")
         if kind == "ratio":
             p.add_argument("--Rq", help="quantum range, e.g. '0.2 mm'")
             p.add_argument("--L0", help="body size, e.g. '1.44 angstrom'")
@@ -182,17 +188,18 @@ def _config_text(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    # the subcommand is set before its own arguments are parsed, so that a
+    # usage error within them names its scenario
+    args = argparse.Namespace(command=None)
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        build_parser().parse_args(argv, args)
         text, label = _config_text(args)
         cfg = parse_config(text)
         if cfg.kind != args.command:
             raise ConfigError(f"config kind '{cfg.kind}' does not match "
                               f"subcommand '{args.command}'")
         outdir = args.out or cfg.out or os.path.join("runs", label)
-        manifest = run(cfg, outdir, threads=args.threads)
+        run(cfg, outdir)
     except QRatioError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc),
                    "scenario": args.command}, sys.stderr, sort_keys=True)

@@ -191,7 +191,7 @@ SCHEMAS = {
             "momentum": ("momentum", False, 0.0),
             "c1": ("float", False, _C1),
             "c2": ("float", False, None),
-            "duration_rate": ("float", False, 5.0),
+            "duration_rate": ("float>0", False, 5.0),
             "steps": ("int>=1", False, 200),
         },
         "environment": {
@@ -205,7 +205,7 @@ SCHEMAS = {
         "timescales": {
             "transit_length": ("length", False, None),
             "transit_speed": ("speed", False, None),
-            "tau_diss": ("time", False, math.inf),
+            "tau_diss": ("time>0", False, math.inf),
         },
     },
 }

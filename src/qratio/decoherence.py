@@ -119,8 +119,7 @@ def apply_damping(rho, env, duration):
     return propagate_density(rho, env, None, duration, 1)
 
 
-def propagate_density(rho, env, potential, dt, steps, observe=None,
-                      workers=1):
+def propagate_density(rho, env, potential, dt, steps, observe=None):
     """Evolve ``steps`` Trotter steps of size ``dt``: a Strang step of both
     indices (the Liouville form, kinetic factor K(k) K*(k'); K is even in
     k, so U^H = F K* F^-1), then elementwise damping.  ``env=None`` leaves
@@ -143,7 +142,7 @@ def propagate_density(rho, env, potential, dt, steps, observe=None,
     kernel = None if env is None else damping_kernel(state.grid, env, dt)
     for step in range(1, steps + 1):
         if kin is not None:
-            state.rho = strang_step(state.rho, kin, kick, workers)
+            state.rho = strang_step(state.rho, kin, kick)
         if kernel is not None:
             state.rho *= kernel
         state.time += dt
@@ -156,14 +155,14 @@ def propagate_density(rho, env, potential, dt, steps, observe=None,
     return state
 
 
-def _apply_unitary(rho, potential, dt, workers=1):
+def _apply_unitary(rho, potential, dt):
     """rho' = U rho U^H with U one Strang step."""
-    return propagate_density(rho, None, potential, dt, 1, workers=workers)
+    return propagate_density(rho, None, potential, dt, 1)
 
 
-def decohere_step(rho, env, potential, dt, workers=1):
+def decohere_step(rho, env, potential, dt):
     """One Trotter step of :func:`propagate_density`."""
-    return propagate_density(rho, env, potential, dt, 1, workers=workers)
+    return propagate_density(rho, env, potential, dt, 1)
 
 
 def coherence(rho, x1, x2):
@@ -261,7 +260,7 @@ def two_band_state(grid, c1, c2, packets):
 
 
 def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
-                          momentum=0.0, duration=None, steps=200, workers=1):
+                          momentum=0.0, duration=None, steps=200):
     """Two deflected bands c1|left> + c2|right> under localization.
 
     The packets fly apart with -/+ ``momentum`` while the environment damps
@@ -305,11 +304,11 @@ def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
     # the initial matrix is built twice rather than held through the loop
     record(pure_to_density(field), 0)
     rho = propagate_density(pure_to_density(field), env, free, dt, steps,
-                            observe=record, workers=workers)
+                            observe=record)
 
     # the damping leaves the diagonal alone and diag(U rho U^H) = |U psi|^2,
     # so the undamped reference needs only the wave function
-    pure = propagate(field, free, dt, steps, workers=workers)
+    pure = propagate(field, free, dt, steps)
 
     return BandIntensityReport(
         intensities=band_weights(rho.position_density()),

@@ -364,20 +364,26 @@ def half_kick(v, dt):
     return np.exp(v * (-0.5j * dt / HBAR))
 
 
-def strang_step(psi, kin, kick=None, workers=1):
+def strang_step(psi, kin, kick=None):
     """Half kick, kinetic phase ``kin`` in Fourier space, half kick.
 
     Transforms run over the trailing ``kin.ndim`` axes, so leading axes may
     stack components.  ``kick`` (None for V = 0) returns the kicked field
     and may work in place.
+
+    The transforms run on one thread.  On 2 shared vCPUs two threads slowed
+    2 x 64 x 64 spinors from 2.58 to 4.54 s, and sped 512^2 density matrices
+    up only while the second vCPU was free: decohere-split took 1.70 s with
+    no time stolen by the host and 2.1-2.6 s with 2-3 s stolen, against
+    2.36-2.61 s on one thread.
     """
     if kick is not None:
         psi = kick(psi)
     # axes= costs time on every call, so only stacked fields pass it
     axes = {} if psi.ndim == kin.ndim else {"axes": tuple(range(-kin.ndim, 0))}
-    phi = _fft.fftn(psi, workers=workers, **axes)
+    phi = _fft.fftn(psi, **axes)
     phi *= kin
-    psi = _fft.ifftn(phi, overwrite_x=True, workers=workers, **axes)
+    psi = _fft.ifftn(phi, overwrite_x=True, **axes)
     return psi if kick is None else kick(psi)
 
 
@@ -497,7 +503,7 @@ def _free_margin_masses(grid, free, u, b, mass, dt, steps):
     return masses()
 
 
-def _observer(grid, free, order, mass, half, u, workers):
+def _observer(grid, free, order, mass, half, u):
     """observe(psi, tau): the held field in grid order, after what it has
     not had: the trailing half kick ``half`` (None for V = 0) and, with a
     free axis, the exact free evolution exp(-i hbar k_f^2 tau / 2m) of its
@@ -512,14 +518,14 @@ def _observer(grid, free, order, mass, half, u, workers):
 
     def observe(psi, tau):
         # V varies along the coupled axes only, so ``half`` is an array
-        phi = _fft.fftn(u, axes=(0,), workers=workers)
+        phi = _fft.fftn(u, axes=(0,))
         phi *= np.exp(tau * phase)
-        u_tau = _fft.ifftn(phi, axes=(0,), overwrite_x=True, workers=workers)
+        u_tau = _fft.ifftn(phi, axes=(0,), overwrite_x=True)
         return (u_tau @ (psi * half)).transpose(inverse)
     return observe
 
 
-def propagate(field, potential, dt, steps, record_every=0, workers=1):
+def propagate(field, potential, dt, steps, record_every=0):
     """Evolve ``steps`` Strang steps of size ``dt`` (negative dt runs backward).
 
     Returns a new WaveField.  If ``record_every`` > 0, observables are
@@ -562,7 +568,7 @@ def propagate(field, potential, dt, steps, record_every=0, workers=1):
         psi = u.conj().T @ field.psi.transpose(order)
     check = boundary_monitor(grid, free)
     free_masses = _free_margin_masses(grid, free, u, psi, field.mass, dt, steps)
-    observe = _observer(grid, free, order, field.mass, half, u, workers)
+    observe = _observer(grid, free, order, field.mass, half, u)
 
     out = WaveField(grid, field.psi, field.mass, field.time, field.norm_drift)
     trace = ObservableTrace() if record_every else None
@@ -572,7 +578,7 @@ def propagate(field, potential, dt, steps, record_every=0, workers=1):
     for step, free_mass in zip(range(1, steps + 1), free_masses):
         if half is not None:
             psi *= half if step == 1 else full
-        psi = strang_step(psi, kin, workers=workers)
+        psi = strang_step(psi, kin)
         out.time += dt
         check(psi, out.time, step, free_mass)
         if record_every and step % record_every == 0 and step < steps:

@@ -93,7 +93,7 @@ def _svg_bands(m_values, weights, width=640, height=360):
 # per-kind runners: each returns (summary, files, drift)
 
 
-def _run_ratio(cfg, threads):
+def _run_ratio(cfg):
     p = cfg.section("ratio")
     if p["experiment"] is not None:
         rec = experiment_lookup(p["experiment"])
@@ -110,7 +110,7 @@ def _run_ratio(cfg, threads):
     return summary, {}, {}
 
 
-def _run_diffuse(cfg, threads):
+def _run_diffuse(cfg):
     rows = []
     for case in cfg.params["case"]:
         t2 = doubling_time(case["mass"], case["width"])
@@ -122,7 +122,7 @@ def _run_diffuse(cfg, threads):
     return summary, files, {}
 
 
-def _run_spin_dist(cfg, threads):
+def _run_spin_dist(cfg):
     p = cfg.section("spin")
     state = SpinCoherentState.from_j(p["j"], p["theta"], p["phi"])
     if p["mode"] == "approx":
@@ -165,7 +165,7 @@ def _trace_rows(trace):
     return rows
 
 
-def _run_sg(cfg, threads):
+def _run_sg(cfg):
     p = cfg.section("sg")
     mode = p["mode"]
     b_bias = p["B0"] if p["B0"] is not None else 0.0
@@ -199,7 +199,7 @@ def _run_sg(cfg, threads):
         dt = p["duration"] / steps
         rec = p["record_every"] or max(1, steps // 32)
         out = sg.propagate_decoupled(spinor, config, dt, steps, z_axis=1,
-                                     record_every=rec, workers=threads)
+                                     record_every=rec)
         slope = BOHR_MAGNETON * p["b0"]
         t_end = out.up.time
         tr_u, tr_d = out.up.trace, out.down.trace
@@ -230,10 +230,9 @@ def _run_sg(cfg, threads):
         config.check_bias(y_max)
         steps = int(math.ceil(p["duration"] / sg.max_coupled_dt(config)))
         dt = p["duration"] / steps
-        coup, pops = sg.propagate_coupled(spinor, config, dt, steps,
-                                          workers=threads)
+        coup, pops = sg.propagate_coupled(spinor, config, dt, steps)
         decp = sg.propagate_decoupled(spinor, config, p["duration"] / steps_d,
-                                      steps_d, z_axis=1, workers=threads)
+                                      steps_d, z_axis=1)
         nu_c, nd_c = coup.densities()
         nu_d, nd_d = decp.densities()
         l1 = float((np.abs(nu_c - nu_d).sum() + np.abs(nd_c - nd_d).sum())
@@ -272,7 +271,7 @@ def _barrier_from(cfg):
     return tn.GaussianBarrier(b["height"], b["sigma"])
 
 
-def _run_tunnel(cfg, threads):
+def _run_tunnel(cfg):
     p = cfg.section("tunnel")
     barrier = _barrier_from(cfg)
     mass = p["mass"]
@@ -307,7 +306,7 @@ def _run_tunnel(cfg, threads):
         e = cfg.section("environment")
         env = dec.EnvironmentSpec(e["wavelength"], e["rate"])
     rep = tn.run_tunnel_scenario(scen, grid=grid, with_decoherence=decohered,
-                                 env=env, workers=threads)
+                                 env=env)
     prof_rows = list(zip(rep.transverse_positions, rep.transverse_profile))
     files = {"transverse_profile.csv": _csv_bytes(("x_m", "density"), prof_rows)}
     if rep.final_density is not None:
@@ -331,7 +330,7 @@ def _run_tunnel(cfg, threads):
     return summary, files, {"norm_drift": rep.norm_drift}
 
 
-def _run_talbot(cfg, threads):
+def _run_talbot(cfg):
     p = cfg.section("talbot")
     g = cfg.section("grating")
     grating = tb.GratingSpec(g["period"], g["open_fraction"], g["slits"])
@@ -381,7 +380,7 @@ def _run_talbot(cfg, threads):
     return summary, files, {}
 
 
-def _run_decohere(cfg, threads):
+def _run_decohere(cfg):
     p = cfg.section("decohere")
     ts = cfg.section("timescales")
     if (ts["transit_length"] is None) != (ts["transit_speed"] is None):
@@ -395,8 +394,7 @@ def _run_decohere(cfg, threads):
     duration = p["duration_rate"] / env.rate_Lambda
     report = dec.decohered_sg_scenario(
         c1, c2, env, grid, p["width"], p["separation"], p["mass"],
-        momentum=p["momentum"], duration=duration, steps=p["steps"],
-        workers=threads)
+        momentum=p["momentum"], duration=duration, steps=p["steps"])
     rho = report.final_rho
     files = {
         "coherence.csv": _csv_bytes(("t_s", "coherence"),
@@ -439,10 +437,10 @@ _RUNNERS = {
 }
 
 
-def run(cfg, outdir, threads=1):
+def run(cfg, outdir):
     """Execute a validated config, write outputs + manifest into ``outdir``."""
     started = time.time()
-    summary, files, drift = _RUNNERS[cfg.kind](cfg, threads)
+    summary, files, drift = _RUNNERS[cfg.kind](cfg)
     files = dict(files)
     files["summary.json"] = _json_bytes(summary)
     try:

@@ -95,7 +95,7 @@ def gradient_potentials(config, axis):
 
 
 def propagate_decoupled(spinor, config, dt, steps, z_axis=None,
-                        record_every=0, workers=1):
+                        record_every=0):
     """Evolve both components under their decoupled linear potentials.
 
     ``z_axis`` defaults to the last grid axis.  Components are never mixed;
@@ -105,10 +105,8 @@ def propagate_decoupled(spinor, config, dt, steps, z_axis=None,
     if z_axis is None:
         z_axis = spinor.up.grid.ndim - 1
     v_up, v_down = gradient_potentials(config, z_axis)
-    up = propagate(spinor.up, v_up, dt, steps, record_every=record_every,
-                   workers=workers)
-    down = propagate(spinor.down, v_down, dt, steps, record_every=record_every,
-                     workers=workers)
+    up = propagate(spinor.up, v_up, dt, steps, record_every=record_every)
+    down = propagate(spinor.down, v_down, dt, steps, record_every=record_every)
     return SpinorField(up, down, spinor.c_up, spinor.c_down)
 
 
@@ -125,8 +123,7 @@ def max_coupled_dt(config):
     return HBAR / (2.0 * BOHR_MAGNETON * abs(config.field_B0)) / 10.0
 
 
-def propagate_coupled(spinor, config, dt, steps, record_populations_every=0,
-                      workers=1):
+def propagate_coupled(spinor, config, dt, steps, record_populations_every=0):
     """Full two-component evolution on a 2D (y, z) grid.
 
     The potential is the exact 2x2 spin coupling -mu_B (sigma . B) with
@@ -174,7 +171,7 @@ def propagate_coupled(spinor, config, dt, steps, record_populations_every=0,
     t = spinor.up.time
     for step in range(1, steps + 1):
         psi = (half if step == 1 else full)(psi)
-        psi = strang_step(psi, kin, workers=workers)
+        psi = strang_step(psi, kin)
         t += dt
         check(psi, t, step)
         if record_populations_every and step % record_populations_every == 0:

@@ -370,8 +370,7 @@ def energy_averaged_transmission(scenario):
     return float(np.dot(w, t) / w.sum())
 
 
-def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
-                        workers=1):
+def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None):
     """Propagate the scenario through the barrier and report what crossed.
 
     Pure mode evolves the 2D (z, x) product of chi(z) and the transverse
@@ -426,7 +425,7 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
     barrier_win = (zax >= sup[0]) & (zax <= sup[1])
     dens_axes = tuple(range(1, field.grid.ndim))
     while steps_done < MAX_STEPS:
-        field = propagate(field, potential, dt, chunk, workers=workers)
+        field = propagate(field, potential, dt, chunk)
         steps_done += chunk
         dens_z = field.density().sum(axis=dens_axes) * field.grid.cell_volume
         w_trans = float(dens_z[zsel].sum())
@@ -459,7 +458,7 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None,
         # stepped at the ceiling since Strang splitting is exact for V = 0
         ref_steps = int(math.ceil(measure_time / ceiling_dt(xgrid, mass)))
         n_free = propagate(phi, FreePotential(), measure_time / ref_steps,
-                           ref_steps, workers=workers).density()
+                           ref_steps).density()
         n_free /= n_free.sum() * dx
         n_out = rho_t.position_density() / w_trans
         fact_err = float(np.sqrt(np.sum((n_out - n_free) ** 2) * dx)

@@ -159,7 +159,7 @@ def test_sg_coupled_check_records_both_step_counts(tmp_path):
 
 def test_non_finite_output_is_a_domain_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(runner._RUNNERS, "diffuse",
-                        lambda cfg, threads: ({"doubling_time_s": math.nan}, {}, {}))
+                        lambda cfg: ({"doubling_time_s": math.nan}, {}, {}))
     code, out = run_cli(tmp_path, "diffuse", "--preset", "table1")
     assert code == 1
     err = json.loads(capsys.readouterr().err)
@@ -210,8 +210,12 @@ def test_degenerate_sizes_rejected(tmp_path, capsys, kind, preset, old, new,
     ("sg", "sg-split", "steps = 256", "steps = 256\nrecord_every = -5",
      "record_every"),
     ("decohere", "decohere-split", "points = 512", "points = 512 7", "points"),
+    ("decohere", "decohere-split", "duration_rate = 5.0", "duration_rate = -1",
+     "duration_rate"),
+    ("decohere", "decohere-split", "transit_speed = 1e6 m/s",
+     "transit_speed = 1e6 m/s\ntau_diss = -1 s", "tau_diss"),
 ], ids=["zero-energy", "negative-energy", "negative-record-every",
-        "decohere-two-points"])
+        "decohere-two-points", "negative-duration-rate", "negative-tau-diss"])
 def test_schema_bounds_rejected(tmp_path, capsys, kind, preset, old, new, key):
     cfg = preset_copy(tmp_path, preset, (old, new))
     code, out = run_cli(tmp_path, kind, "--config", cfg)
@@ -265,13 +269,37 @@ def test_tunnel_decohered_validates_transverse_packets(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", ["0", "-100"])
+@pytest.mark.parametrize("threads", ["0", "-100", "2"])
 def test_threads_below_one_rejected(tmp_path, capsys, threads):
     code, out = run_cli(tmp_path, "ratio", "--preset", "Ag", "--threads", threads)
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "--threads" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,scenario,words", [
+    (["ratio", "--preset", "Ag", "--bogus", "2"], "ratio", "--bogus"),
+    (["ratio", "--preset"], "ratio", "--preset"),
+    ([], None, "required: command"),
+], ids=["unknown-flag", "flag-without-value", "no-subcommand"])
+def test_usage_errors_end_in_the_json_diagnostic(tmp_path, capsys, monkeypatch,
+                                                 argv, scenario, words):
+    monkeypatch.chdir(tmp_path)         # where the default runs/ would go
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError" and err["scenario"] == scenario
+    assert words in err["message"] and not captured.out
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_still_print_text(capsys, flag):
+    with pytest.raises(SystemExit) as done:
+        main([flag])
+    assert done.value.code == 0
+    assert "qratio" in capsys.readouterr().out
 
 
 def _unreadable_config(tmp_path, case):

@@ -10,13 +10,15 @@ from qratio.constants import HBAR
 from qratio.core import GaussianPacket, packet_width_at
 from qratio.errors import (BoundaryError, DomainError, ResolutionError,
                            StepSizeError)
+from qratio.decoherence import propagate_density, pure_to_density
 from qratio.grid import (BOUNDARY_TOLERANCE, MAX_POINTS, FreePotential, Grid,
                          LinearPotential, SampledPotential, WaveField,
-                         boundary_monitor, ehrenfest_residual, half_kick,
-                         initialize_gaussian, kinetic_ceiling, kinetic_phase,
-                         observables, propagate, read_field_array,
-                         snapshot_with_force, strang_step, suggest_dt,
-                         write_field_array)
+                         boundary_monitor, ceiling_dt, ehrenfest_residual,
+                         half_kick, initialize_gaussian, kinetic_ceiling,
+                         kinetic_phase, observables, propagate,
+                         read_field_array, snapshot_with_force, strang_step,
+                         suggest_dt, write_field_array)
+from qratio.stern_gerlach import SGFieldConfig, SpinorField, propagate_coupled
 
 ME = 9.1093837015e-31
 
@@ -445,10 +447,11 @@ class TestFreeAxes:
 
 
 class _CountingFFT:
-    """Stands in for grid._fft and logs every transform it is asked for."""
+    """Stands in for grid._fft and logs every transform it is asked for,
+    and the shape and thread count of those that name their workers."""
 
     def __init__(self, real):
-        self.real, self.calls = real, []
+        self.real, self.calls, self.threaded = real, [], []
 
     def __getattr__(self, name):
         fn = getattr(self.real, name)
@@ -457,6 +460,8 @@ class _CountingFFT:
 
         def logged(x, *args, **kwargs):
             self.calls.append((np.shape(x), kwargs.get("axes", kwargs.get("axis"))))
+            if "workers" in kwargs:
+                self.threaded.append((np.shape(x), kwargs["workers"]))
             return fn(x, *args, **kwargs)
         return logged
 
@@ -485,6 +490,44 @@ def test_steps_transform_only_the_coupled_axis(monkeypatch, record_every):
     assert len(setup) == 3
     assert len(proxy.calls) == (len(per_step) + len(free_axis) + len(snapshots)
                                 + len(setup))
+
+
+def density_step():
+    g = Grid.make(512, 1e-6)
+    rho = pure_to_density(initialize_gaussian(g, GaussianPacket(0.0, 5e-8, 0.0, ME)))
+    propagate_density(rho, None, FreePotential(), ceiling_dt(g, ME), 1)
+
+
+def spinor_step():
+    g = Grid.make((64, 64), (1e-6, 1e-6))
+    pk = GaussianPacket(0.0, 1.25e-7, 0.0, ME)
+    c = 1.0 / math.sqrt(2.0)
+    spinor = SpinorField(initialize_gaussian(g, (pk, pk)),
+                         initialize_gaussian(g, (pk, pk)), c, c)
+    config = SGFieldConfig(200 * 5e-7, 1.0, 1e-9, 1.0)
+    propagate_coupled(spinor, config, ceiling_dt(g, ME), 1)
+
+
+def free_axis_step():
+    g = Grid.make((2048, 64), (2e-6, 1e-6))
+    f0 = initialize_gaussian(g, (GaussianPacket(-3e-7, 1e-7, 3e-26, ME),
+                                 GaussianPacket(1e-7, 8e-8, 1e-26, ME)))
+    propagate(f0, BARRIER, suggest_dt(g, BARRIER, ME), 1)
+
+
+@pytest.mark.parametrize("step,shape", [
+    (density_step, (512, 512)),
+    (spinor_step, (2, 64, 64)),
+    (free_axis_step, (1, 2048)),
+], ids=["density-512", "spinor-2x64x64", "free-axis-row-2048"])
+def test_every_transform_runs_on_one_thread(monkeypatch, step, shape):
+    proxy = _CountingFFT(grid_module._fft)
+    monkeypatch.setattr(grid_module, "_fft", proxy)
+    step()
+    # the forward and inverse transform of the one Strang step, on the
+    # default single worker
+    assert [s for s, _ in proxy.calls].count(shape) == 2
+    assert proxy.threaded == []
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,21 @@ def test_one_density_matrix_loop():
     assert len(calls) == 1, f"decoherence.py calls strang_step at lines {calls}"
 
 
+def test_no_thread_count_parameters():
+    # every transform runs on scipy.fft's default single worker
+    params = sorted(f"{name}.py:{fn.lineno}"
+                    for name, tree in MODULES.items() for fn in ast.walk(tree)
+                    if isinstance(fn, FUNCTIONS)
+                    for a in ast.walk(fn.args) if isinstance(a, ast.arg)
+                    and a.arg in ("workers", "threads"))
+    assert not params, f"thread-count parameters at {params}"
+    passing = sorted(f"{name}.py:{call.lineno}"
+                     for name, tree in MODULES.items() for call in ast.walk(tree)
+                     if isinstance(call, ast.Call)
+                     and any(k.arg == "workers" for k in call.keywords))
+    assert not passing, f"workers= passed at {passing}"
+
+
 def test_cli_imports_no_scipy_integrate_or_optimize():
     # a fresh interpreter: this session's own imports would hide a regression
     code = ("import sys, qratio.cli; print(sorted(m for m in sys.modules if "

@@ -44,12 +44,11 @@ def desk_config(grid, width, ratio=200.0, transit_fraction=0.4):
     return SGFieldConfig(ratio * b0 * y_max, b0, duration, 1.0), duration
 
 
-def run_pair(grid, spinor, config, duration, workers=1):
+def run_pair(grid, spinor, config, duration):
     steps = int(math.ceil(duration / max_coupled_dt(config)))
     dt = duration / steps
-    coupled, pops = propagate_coupled(spinor, config, dt, steps, workers=workers)
-    decoupled = propagate_decoupled(spinor, config, dt, steps, z_axis=1,
-                                    workers=workers)
+    coupled, pops = propagate_coupled(spinor, config, dt, steps)
+    decoupled = propagate_decoupled(spinor, config, dt, steps, z_axis=1)
     nu_c, nd_c = coupled.densities()
     nu_d, nd_d = decoupled.densities()
     l1 = float((np.abs(nu_c - nu_d).sum() + np.abs(nd_c - nd_d).sum())
