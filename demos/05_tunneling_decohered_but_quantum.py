@@ -40,7 +40,7 @@ scen = TunnelScenario(
     c1=c, c2=c, barrier=gauss)
 grid = default_scenario_grid(scen, points_z=2048, points_x=64)
 
-print("\npure beam (takes ~20 s on two cores)...")
+print("\npure beam...")
 pure = run_tunnel_scenario(scen, grid=grid)
 print(f"  transmitted fraction {pure.transmitted_fraction:.4e} "
       f"(energy-averaged stationary value {pure.oracle_transmission:.4e})")

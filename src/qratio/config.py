@@ -130,7 +130,7 @@ SCHEMAS = {
     "tunnel": {
         "tunnel": {
             "mode": ("choice:sweep|pure|decohered", True, None),
-            "mass": ("mass", True, None),
+            "mass": ("mass>0", True, None),
         },
         "barrier": {
             "shape": ("choice:rectangular|gaussian", True, None),

@@ -26,8 +26,9 @@ from scipy import fft as _fft  # noqa: F401  kept: bench/tracer.py proxies it
 from .constants import HBAR
 from .core import GaussianPacket
 from .errors import CoherenceUndefinedError, DomainError
-from .grid import (FreePotential, Grid, WaveField, half_kick,
-                   initialize_gaussian, kinetic_phase, propagate, strang_step)
+from .grid import (FreePotential, Grid, WaveField, boundary_monitor,
+                   half_kick, initialize_gaussian, kinetic_phase, propagate,
+                   strang_step)
 
 MAX_STEPS = 100_000     # Trotter steps per scenario run, and history samples
 
@@ -153,6 +154,15 @@ def propagate_density(rho, env, potential, dt, steps, observe=None):
     state.rho += state.rho.conj().T
     state.rho *= 0.5
     return state
+
+
+def diagonal_monitor(grid):
+    """observe(state, step) for :func:`propagate_density`: the
+    :func:`~qratio.grid.boundary_monitor` check of rho's diagonal."""
+    check = boundary_monitor(grid)
+    # the check sums |psi|^2; diagonal rounding near -1e-20 counts as 0
+    return lambda state, step: check(
+        np.sqrt(np.maximum(state.position_density(), 0.0)), state.time, step)
 
 
 def _apply_unitary(rho, potential, dt):
@@ -292,8 +302,10 @@ def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
                 float(diag[x >= 0.0].sum() * dx))
 
     times, cohs, purs = [], [], []
+    watch = diagonal_monitor(grid)
 
     def record(state, step):
+        watch(state, step)
         drift = momentum * state.time / mass
         times.append(state.time)
         # an empty band has nothing to decohere against

@@ -143,9 +143,14 @@ def _run_spin_dist(cfg):
     return summary, files, {}
 
 
-def _amplitudes(c1, c2):
-    """Two-band amplitudes; an absent ``c2`` normalizes the pair."""
-    return c1, c2 if c2 is not None else math.sqrt(max(1.0 - c1 ** 2, 0.0))
+def _amplitudes(cfg, section, k1, k2):
+    """Two-band amplitudes in [-1, 1] (checked before squaring); an absent
+    ``k2`` normalizes the pair."""
+    c1, c2 = (cfg.section(section)[k] for k in (k1, k2))
+    for key, c in ((k1, c1), (k2, c2)):
+        if c is not None and not abs(c) <= 1.0:
+            raise ConfigError(f"[{section}] '{key}' = {c:g} must lie in [-1, 1]")
+    return c1, c2 if c2 is not None else math.sqrt(1.0 - c1 ** 2)
 
 
 def _sg_grid(cfg):
@@ -188,7 +193,7 @@ def _run_sg(cfg):
         raise DomainError(f"[sg] {mode} needs a nonzero gradient 'b0'")
     grid = _sg_grid(cfg)
     pkt = GaussianPacket(0.0, p["width"], 0.0, p["mass"])
-    c_up, c_down = _amplitudes(p["c_up"], p["c_down"])
+    c_up, c_down = _amplitudes(cfg, "sg", "c_up", "c_down")
     up = initialize_gaussian(grid, (pkt, pkt))
     down = initialize_gaussian(grid, (pkt, pkt))
     spinor = sg.SpinorField(up, down, c_up, c_down)
@@ -290,7 +295,7 @@ def _run_tunnel(cfg):
     p0 = math.sqrt(2.0 * mass * beam["energy"])
     a = beam["width"]
     start = beam["start"] if beam["start"] is not None else -3.5 * a
-    c1, c2 = _amplitudes(beam["c1"], beam["c2"])
+    c1, c2 = _amplitudes(cfg, "beam", "c1", "c2")
     sep = beam["separation"]
     w = beam["transverse_width"]
     scen = tn.TunnelScenario(
@@ -300,19 +305,16 @@ def _run_tunnel(cfg):
         c1=c1, c2=c2, barrier=barrier)
     points = cfg.section("grid")["points"]
     grid = tn.default_scenario_grid(scen, points_z=points[0], points_x=points[1])
-    env = None
     decohered = p["mode"] == "decohered"
-    if decohered:
-        e = cfg.section("environment")
-        env = dec.EnvironmentSpec(e["wavelength"], e["rate"])
+    e = cfg.section("environment")
+    env = dec.EnvironmentSpec(e["wavelength"], e["rate"]) if decohered else None
     rep = tn.run_tunnel_scenario(scen, grid=grid, with_decoherence=decohered,
                                  env=env)
     prof_rows = list(zip(rep.transverse_positions, rep.transverse_profile))
     files = {"transverse_profile.csv": _csv_bytes(("x_m", "density"), prof_rows)}
     if rep.final_density is not None:
         files["density.bin"] = field_array_bytes(
-            rep.final_density.astype(complex), rep.density_grid.spacings,
-            rep.density_grid.origins)
+            rep.final_density.astype(complex), grid.spacings, grid.origins)
         files["density.pgm"] = _pgm_bytes(np.sqrt(rep.final_density))
     summary = {
         "mode": p["mode"],
@@ -390,7 +392,7 @@ def _run_decohere(cfg):
     env = dec.EnvironmentSpec(e["wavelength"], e["rate"])
     gsec = cfg.section("grid")
     grid = Grid.make(gsec["points"], gsec["extent"])
-    c1, c2 = _amplitudes(p["c1"], p["c2"])
+    c1, c2 = _amplitudes(cfg, "decohere", "c1", "c2")
     duration = p["duration_rate"] / env.rate_Lambda
     report = dec.decohered_sg_scenario(
         c1, c2, env, grid, p["width"], p["separation"], p["mass"],

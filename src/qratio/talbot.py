@@ -26,6 +26,8 @@ TAPER_PERIODS = 2.0
 MIN_POINTS_PER_SLIT = 16
 MAX_CARPET_VALUES = 2 ** 24   # intensity values in one carpet: 128 MiB of float64
 MAX_SCAN_POINTS = 2 ** 16     # scan points: [lau] offsets and sources, [sweep] count
+PAD_FACTOR = 2.0              # transverse grid width over the grating width
+POINTS_PER_SLIT = 8           # incoherent point emitters per source slit
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ def _check_paraxial(period, wavelength):
             f">= {PARAXIAL_BOUND}")
 
 
-def _carpet_grid(grating, pad_factor=2.0, rows=1):
+def _carpet_grid(grating, rows=1):
     """Transverse grid: spacing an exact divisor of d/2, power-of-two points.
 
     Raises DomainError, before anything is allocated, when ``rows`` rows of
@@ -101,7 +103,7 @@ def _carpet_grid(grating, pad_factor=2.0, rows=1):
     dx_target = min(grating.open_fraction * d / MIN_POINTS_PER_SLIT, d / 2.0)
     per_period = 2 ** math.ceil(math.log2(d / dx_target))
     dx = d / per_period
-    width = pad_factor * grating.slit_count * d
+    width = PAD_FACTOR * grating.slit_count * d
     n = 2 ** math.ceil(math.log2(width / dx))
     if rows * n > MAX_CARPET_VALUES:
         raise DomainError(f"a carpet of {rows} x {n} values exceeds the cap of "
@@ -132,7 +134,7 @@ class Carpet:
         return talbot_length(self.grating.period, self.wavelength)
 
 
-def propagate_carpet(grating, wavelength, z_max, z_steps, pad_factor=2.0):
+def propagate_carpet(grating, wavelength, z_max, z_steps):
     """Fresnel carpet I(x, z) for z in [0, z_max] in ``z_steps`` steps.
 
     The masked unit plane wave is normalized so the mean intensity over the
@@ -141,7 +143,7 @@ def propagate_carpet(grating, wavelength, z_max, z_steps, pad_factor=2.0):
     _check_paraxial(grating.period, wavelength)
     if z_max <= 0.0 or z_steps < 1:
         raise DomainError("need z_max > 0 and z_steps >= 1")
-    x, dx = _carpet_grid(grating, pad_factor, rows=z_steps + 1)
+    x, dx = _carpet_grid(grating, rows=z_steps + 1)
     u0 = grating.mask(x)
     power = float(np.mean(np.abs(u0) ** 2))
     if power == 0.0:
@@ -223,23 +225,23 @@ class LauScan:
         return (hi - lo) / (hi + lo)
 
 
-def _source_points(grating, points_per_slit):
+def _source_points(grating):
     """Positions of incoherent point emitters across the open slits, once
     their number is within MAX_SCAN_POINTS."""
-    count = grating.slit_count * points_per_slit
+    count = grating.slit_count * POINTS_PER_SLIT
     if count > MAX_SCAN_POINTS:
-        raise DomainError(f"{grating.slit_count} source slits x {points_per_slit} "
+        raise DomainError(f"{grating.slit_count} source slits x {POINTS_PER_SLIT} "
                           f"points = {count} sources exceed the cap of "
                           f"{MAX_SCAN_POINTS} scan points")
     d = grating.period
     n_half = (grating.slit_count - 1) // 2
     centers = np.arange(-(grating.slit_count // 2), n_half + 1) * d
-    sub = (np.arange(points_per_slit) + 0.5) / points_per_slit - 0.5
+    sub = (np.arange(POINTS_PER_SLIT) + 0.5) / POINTS_PER_SLIT - 0.5
     sub = sub * grating.open_fraction * d
     return (centers[:, None] + sub[None, :]).ravel()
 
 
-def lau_scan(config, offsets, points_per_slit=8, pad_factor=2.0, rng=None):
+def lau_scan(config, offsets, rng=None):
     """Scanned total flux through G3 for each vertical offset.
 
     Each source point on G1 illuminates G2 with a paraxial spherical wave;
@@ -250,13 +252,13 @@ def lau_scan(config, offsets, points_per_slit=8, pad_factor=2.0, rng=None):
     """
     offsets = np.asarray(offsets, dtype=float)
     g2 = config.diffraction_grating
-    x, dx = _carpet_grid(g2, pad_factor)
+    x, dx = _carpet_grid(g2)
     nu = _fft.fftfreq(x.size, dx)
     kernel = np.exp(-1j * math.pi * config.wavelength * config.distance_L2 * nu ** 2)
     k = 2.0 * math.pi / config.wavelength
     mask2 = g2.mask(x)
 
-    sources = _source_points(config.source_grating, points_per_slit)
+    sources = _source_points(config.source_grating)
     total = np.zeros(x.size)
     for x_s in sources:
         u = np.exp(1j * k * (x - x_s) ** 2 / (2.0 * config.distance_L1)) * mask2

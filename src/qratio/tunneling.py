@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR
+from .constants import EV, HBAR
 from .core import GaussianPacket
-from .decoherence import (DensityMatrix, apply_damping, coherence,
-                          pure_to_density, two_band_state)
+from .decoherence import (apply_damping, coherence, diagonal_monitor,
+                          propagate_density, pure_to_density, two_band_state)
 from .errors import ConvergenceError, DomainError
-from .grid import (FreePotential, Grid, SampledPotential, WaveField,
-                   ceiling_dt, initialize_gaussian, kinetic_ceiling, propagate)
+from .grid import (FreePotential, Grid, SampledPotential, ceiling_dt,
+                   initialize_gaussian, kinetic_ceiling, propagate)
 
 # safety limit on Strang steps before the transmitted lobe must have cleared
 MAX_STEPS = 200_000
@@ -348,7 +348,6 @@ class TunnelReport:
     transverse_positions: np.ndarray
     transverse_profile: np.ndarray
     final_density: np.ndarray = None   # 2D |psi|^2 heatmap (pure mode)
-    density_grid: object = None
 
 
 def energy_averaged_transmission(scenario):
@@ -373,26 +372,35 @@ def energy_averaged_transmission(scenario):
 def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None):
     """Propagate the scenario through the barrier and report what crossed.
 
-    Pure mode evolves the 2D (z, x) product of chi(z) and the transverse
-    state phi(x).  Decohered mode pre-damps the transverse density matrix
-    (environment acting before the barrier) and factorizes it against the
-    1D longitudinal propagation, since the barrier is independent of x;
-    ``env`` must then be an :class:`~qratio.decoherence.EnvironmentSpec`.
-    Both modes step chi(z) alike and read the transmitted state through a
-    transverse density matrix.
+    V(z) does not depend on x: chi(z) steps through it on the z axis alone,
+    at the kinetic ceiling of the 2D ``grid``, while one transverse density
+    matrix, |phi><phi| of the split state phi(x), spreads freely for as
+    long, its diagonal's margin watched every step.  Decohered mode damps
+    it first (the environment acting before the barrier; ``env`` is then an
+    :class:`~qratio.decoherence.EnvironmentSpec`).  The transmitted state
+    is w_trans times that matrix.  Pure mode also steps phi, for the
+    factorization error and the |chi|^2 |phi|^2 heatmap.
 
     The transmitted window is z > a + 4 * (longitudinal width); the run
     measures once the transmitted lobe's mean position passes it.
     """
     long_pkt = scenario.longitudinal
     mass = long_pkt.mass
+    if with_decoherence and env is None:
+        raise DomainError("decohered mode needs an EnvironmentSpec")
     if grid is None:
         grid = default_scenario_grid(scenario)
-    # the 1D oracle's blocks come and go before the 2D run holds its arrays
+    dt = 0.95 * (math.pi / 4.0) * HBAR / kinetic_ceiling(grid, mass)
+    v0 = long_pkt.momentum / mass
+    if not MAX_STEPS * v0 * dt >= 0.5 * long_pkt.width:    # v0 dt may be 0
+        raise ConvergenceError(
+            f"beam energy {scenario.energy / EV:.3e} eV too low: half a "
+            f"packet width takes over {MAX_STEPS} steps of {dt:.3e} s")
+    chunk = max(8, int(round(0.5 * long_pkt.width / (v0 * dt))))
+    # the 1D oracle's blocks come and go before the runs hold their arrays
     oracle = energy_averaged_transmission(scenario)
 
-    bar = scenario.barrier
-    sup = bar.support
+    sup = scenario.barrier.support
     z_threshold = sup[1] + 4.0 * long_pkt.width
 
     p1, p2 = scenario.transverse
@@ -403,87 +411,61 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None):
     rho = pure_to_density(phi)
     in_coh = coherence(rho, p1.center, p2.center)
     if with_decoherence:
-        if env is None:
-            raise DomainError("decohered mode needs an EnvironmentSpec")
-        # transverse density matrix, damped before arrival
         rho = apply_damping(rho, env, 5.0 / env.rate_Lambda)
-        field = chi
-        potential = SampledPotential(bar.value)
-    else:
-        field = WaveField(grid, np.outer(chi.psi, phi.psi), mass)
-        potential = SampledPotential(lambda z, x: bar.value(z))
+        rho.time = 0.0      # the flight starts once the damping is done
 
-    # one step for both modes, so that their z runs are one run
-    dt = 0.95 * (math.pi / 4.0) * HBAR / kinetic_ceiling(grid, mass)
-
-    v0 = long_pkt.momentum / mass
-    chunk = max(8, int(round(0.5 * long_pkt.width / (v0 * dt))))
-    steps_done = 0
-    measure_time = None
+    potential = SampledPotential(scenario.barrier.value)
     zax = zgrid.axis(0)
     zsel = zax > z_threshold
     barrier_win = (zax >= sup[0]) & (zax <= sup[1])
-    dens_axes = tuple(range(1, field.grid.ndim))
-    while steps_done < MAX_STEPS:
-        field = propagate(field, potential, dt, chunk)
-        steps_done += chunk
-        dens_z = field.density().sum(axis=dens_axes) * field.grid.cell_volume
+    for _ in range(MAX_STEPS // chunk):
+        chi = propagate(chi, potential, dt, chunk)
+        dens_z = chi.density() * zgrid.cell_volume
         w_trans = float(dens_z[zsel].sum())
         if w_trans > 1e-12:
             z_mean = float((dens_z[zsel] * zax[zsel]).sum() / w_trans)
             remnant = float(dens_z[barrier_win].sum())
             if z_mean > z_threshold + long_pkt.width and remnant < 1e-7:
-                measure_time = field.time
                 break
-    if measure_time is None:
+    else:
         raise ConvergenceError("transmitted lobe never cleared the barrier "
                                f"window in {MAX_STEPS} steps; enlarge the grid")
 
     w_ref = float(dens_z[zax < sup[0] - 4.0 * long_pkt.width].sum())
     flux_sum = float(dens_z[zax > sup[1]].sum() + dens_z[zax < sup[0]].sum())
+    steps_x = int(math.ceil(chi.time / ceiling_dt(xgrid, mass)))
+    tau = chi.time / steps_x
+    rho_x = propagate_density(rho, None, FreePotential(), tau, steps_x,
+                              observe=diagonal_monitor(xgrid))
+    n_x = rho_x.position_density()
     xax = xgrid.axis(0)
     dx = xgrid.spacings[0]
     fact_err, final_density = math.nan, None
-    if with_decoherence:
-        rho_t = DensityMatrix(xgrid, w_trans * rho.rho, mass)
-    else:
-        final_density = field.density()
-        # reduced transverse density matrix over the transmitted window
-        block = field.psi[zsel]
-        rho_t = DensityMatrix(
-            xgrid, (block.T @ block.conj()) * zgrid.spacings[0], mass)
-        # with an x-independent barrier the evolution stays a product of the
-        # barrier-scattered chi(z, t) and the freely spreading phi(x, t);
-        # compare the transmitted profile against that free reference,
-        # stepped at the ceiling since Strang splitting is exact for V = 0
-        ref_steps = int(math.ceil(measure_time / ceiling_dt(xgrid, mass)))
-        n_free = propagate(phi, FreePotential(), measure_time / ref_steps,
-                           ref_steps).density()
+    if not with_decoherence:
+        n_free = propagate(phi, FreePotential(), tau, steps_x).density()
+        # the heatmap takes |phi|^2, whose entries are never negative
+        final_density = np.outer(chi.density(), n_free)
         n_free /= n_free.sum() * dx
-        n_out = rho_t.position_density() / w_trans
-        fact_err = float(np.sqrt(np.sum((n_out - n_free) ** 2) * dx)
-                         / np.sqrt(np.sum(n_free ** 2) * dx))
-    profile = rho_t.position_density()
+        fact_err = float(np.linalg.norm(n_x - n_free) / np.linalg.norm(n_free))
     half = 0.5 * (p1.center + p2.center)
-    bands = (float(profile[xax < half].sum() * dx) / w_trans,
-             float(profile[xax >= half].sum() * dx) / w_trans)
+    bands = (float(n_x[xax < half].sum() * dx),
+             float(n_x[xax >= half].sum() * dx))
 
     return TunnelReport(
         transmitted_fraction=w_trans,
         reflected_fraction=w_ref,
         flux_sum=flux_sum,
         oracle_transmission=oracle,
-        transverse_coherence=coherence(rho_t, p1.center, p2.center),
+        transverse_coherence=coherence(rho_x, p1.center, p2.center),
         input_coherence=in_coh,
         band_weights=bands,
         factorization_error=fact_err,
-        norm_drift=field.norm_drift,
+        norm_drift=max(chi.norm_drift, abs(rho_x.trace() - 1.0)),
         tunneling_regime=scenario.tunneling_regime,
-        measure_time=measure_time,
+        measure_time=chi.time,
         transverse_positions=np.asarray(xax),
-        transverse_profile=profile,
+        transverse_profile=w_trans * n_x,
         final_density=final_density,
-        density_grid=None if final_density is None else field.grid,
     )
 
 

@@ -214,14 +214,49 @@ def test_degenerate_sizes_rejected(tmp_path, capsys, kind, preset, old, new,
      "duration_rate"),
     ("decohere", "decohere-split", "transit_speed = 1e6 m/s",
      "transit_speed = 1e6 m/s\ntau_diss = -1 s", "tau_diss"),
+    ("tunnel", "tunnel-pure", "mass = 9.1093837015e-31 kg", "mass = -1 kg",
+     "mass"),
 ], ids=["zero-energy", "negative-energy", "negative-record-every",
-        "decohere-two-points", "negative-duration-rate", "negative-tau-diss"])
+        "decohere-two-points", "negative-duration-rate", "negative-tau-diss",
+        "negative-tunnel-mass"])
 def test_schema_bounds_rejected(tmp_path, capsys, kind, preset, old, new, key):
     cfg = preset_copy(tmp_path, preset, (old, new))
     code, out = run_cli(tmp_path, kind, "--config", cfg)
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and f"'{key}'" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("energy", ["1e-300 eV", "1e-6 eV"],
+                         ids=["underflow", "first-chunk-over-cap"])
+def test_slow_beam_is_a_convergence_error(tmp_path, capsys, energy):
+    cfg = preset_copy(tmp_path, "tunnel-pure",
+                      ("energy = 1 eV", f"energy = {energy}"))
+    code, out = run_cli(tmp_path, "tunnel", "--config", cfg)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConvergenceError"
+    assert "beam energy" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,preset,section,old,key", [
+    ("decohere", "decohere-split", "[decohere]", None, "c1"),
+    ("sg", "sg-split", "[sg]", None, "c_up"),
+    ("tunnel", "tunnel-decohered", "[beam]", "c1 = 0.6\n", "c1"),
+], ids=["decohere", "sg", "tunnel"])
+def test_amplitude_beyond_one_is_a_config_error(tmp_path, capsys, kind,
+                                                preset, section, old, key):
+    edits = [(section, f"{section}\n{key} = 1e300")]
+    if old is not None:
+        edits.append((old, ""))
+    cfg = preset_copy(tmp_path, preset, *edits)
+    code, out = run_cli(tmp_path, kind, "--config", cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert f"{section} '{key}'" in err["message"]
     assert not out.exists()
 
 

@@ -14,7 +14,9 @@ from qratio.decoherence import (EnvironmentSpec, TimescaleReport, RELIABLE,
                                 decohered_sg_scenario, propagate_density,
                                 pure_to_density, timescale_report,
                                 two_band_state)
-from qratio.errors import CoherenceUndefinedError, DomainError, StepSizeError
+from qratio import decoherence
+from qratio.errors import (BoundaryError, CoherenceUndefinedError, DomainError,
+                           StepSizeError)
 from qratio.grid import (FreePotential, Grid, LinearPotential, WaveField,
                          half_kick, initialize_gaussian, kinetic_phase)
 
@@ -349,6 +351,18 @@ class TestDecoheredBands:
     def test_non_finite_amplitudes_rejected(self, grid, c1, c2):
         with pytest.raises(DomainError):
             decohered_sg_scenario(c1, c2, self.env, grid, 25e-9, 250e-9, ME)
+
+    def test_density_matrix_run_watches_its_margin(self, grid, monkeypatch):
+        # the bands fly 330 nm out, into the outer 5% of the 1 um grid; the
+        # density-matrix run itself must stop, before the wave-function
+        # reference is stepped
+        def reference(*args, **kwargs):
+            raise AssertionError("the density-matrix run went unchecked")
+
+        monkeypatch.setattr(decoherence, "propagate", reference)
+        with pytest.raises(BoundaryError, match="margin"):
+            decohered_sg_scenario(0.6, 0.8, self.env, grid, 25e-9, 250e-9, ME,
+                                  momentum=3e-26, duration=1e-11, steps=1000)
 
 
 def test_density_matrix_grid_cap():

@@ -7,7 +7,8 @@ import pytest
 from qratio.constants import ELECTRON_MASS as ME, EV, HBAR
 from qratio.core import GaussianPacket
 from qratio.decoherence import EnvironmentSpec
-from qratio.errors import ConvergenceError, DomainError
+from qratio.errors import BoundaryError, ConvergenceError, DomainError
+from qratio.grid import Grid
 from qratio.tunneling import (HERMITE_NODES, GaussianBarrier,
                               RectangularBarrier, TunnelScenario,
                               default_scenario_grid,
@@ -171,15 +172,16 @@ class TestExact:
         assert many - few < 2 ** 18
 
 
-def make_scenario(width=36e-9, barrier=None, c1=None, c2=None):
+def make_scenario(width=36e-9, barrier=None, c1=None, c2=None,
+                  transverse_width=36e-9):
     p0 = math.sqrt(2 * ME * 1.0 * EV)
     barrier = barrier or GaussianBarrier(1.2 * EV, 1.2e-9)
     c1 = 1 / math.sqrt(2) if c1 is None else c1
     c2 = 1 / math.sqrt(2) if c2 is None else c2
     return TunnelScenario(
         longitudinal=GaussianPacket(-3.5 * width, width, p0, ME),
-        transverse=(GaussianPacket(-75e-9, 36e-9, 0.0, ME),
-                    GaussianPacket(+75e-9, 36e-9, 0.0, ME)),
+        transverse=(GaussianPacket(-75e-9, transverse_width, 0.0, ME),
+                    GaussianPacket(+75e-9, transverse_width, 0.0, ME)),
         c1=c1, c2=c2, barrier=barrier)
 
 
@@ -254,6 +256,42 @@ class TestScenario:
         scen = make_scenario()
         with pytest.raises(DomainError):
             run_tunnel_scenario(scen, with_decoherence=True, env=None)
+
+    def test_decohered_band_spreads_wider_than_pure(self):
+        # localization widens each packet's momentum spread (Joos and Zeh
+        # 1985), so over the flight the decohered band outgrows the pure
+        # one: by 2.4%, 18.55 nm against 18.11 nm rms
+        scen = make_scenario()
+        grid = default_scenario_grid(scen, points_z=2048, points_x=64)
+        env = EnvironmentSpec(50e-9, 1e9)
+
+        def right_band_rms(rep):
+            x, n = rep.transverse_positions, rep.transverse_profile
+            x, n = x[x >= 0.0], n[x >= 0.0]
+            mean = np.sum(x * n) / np.sum(n)
+            return math.sqrt(np.sum((x - mean) ** 2 * n) / np.sum(n))
+
+        pure = run_tunnel_scenario(scen, grid=grid)
+        deco = run_tunnel_scenario(scen, grid=grid, with_decoherence=True,
+                                   env=env)
+        assert right_band_rms(deco) > 1.02 * right_band_rms(pure)
+
+    @pytest.mark.parametrize("decohered", [False, True])
+    def test_transverse_grid_too_narrow_for_the_flight(self, decohered):
+        # 8 nm packets spread to about twice their width during the flight,
+        # out of the default transverse range (separation + 10 widths)
+        scen = make_scenario(transverse_width=8e-9)
+        env = EnvironmentSpec(50e-9, 1e9) if decohered else None
+        narrow = default_scenario_grid(scen, points_z=2048, points_x=128)
+        with pytest.raises(BoundaryError):
+            run_tunnel_scenario(scen, grid=narrow, with_decoherence=decohered,
+                                env=env)
+        wide = Grid.make((2048, 256), (narrow.extents[0], 2 * narrow.extents[1]),
+                         centers=(narrow.origins[0] + 0.5 * narrow.extents[0],
+                                  0.0))
+        rep = run_tunnel_scenario(scen, grid=wide, with_decoherence=decohered,
+                                  env=env)
+        assert rep.band_weights == pytest.approx((0.5, 0.5), abs=1e-9)
 
 
 def sequential_transmission(v_slices, edges, energy, mass):
