@@ -26,11 +26,11 @@ chi(z) phi(x) has r = 1.
 
 Boundaries are periodic; there are no absorbing layers.  Runs must be sized
 so that no appreciable probability reaches the grid edge, and a margin
-monitor checks every step of every wave-function run, spinors included, and
-aborts with :class:`BoundaryError` before wraparound contaminates results.
-It reads the held field: a kick, a per-point phase or 2x2 spin unitary,
-keeps the summed margin mass.  With a free axis the margin mass is the sum
-of two exact parts: the coupled axes' margin, read off the stepped rows b
+monitor checks every step of every wave-function run (and every chunk end
+of a coupled spinor run, see :mod:`qratio.stern_gerlach`) and aborts with
+:class:`BoundaryError` before wraparound contaminates results.  It reads
+the held field: a kick, a per-point phase, keeps the summed margin mass.
+With a free axis the margin mass is the sum of two exact parts: the coupled axes' margin, read off the stepped rows b
 (u has orthonormal columns, so b's margin mass is the field's, and a
 unitary on the free axis keeps it), and the free axis's margin, from the
 field's reduced density matrix u (b b^+) u^+ on that axis.  The sum is never
@@ -336,8 +336,10 @@ def suggest_dt(grid, potential, mass):
 
 def ceiling_dt(grid, mass):
     """Suggested step at the spectral band: 0.7 of the pi/4 hbar / ceiling
-    bound that :func:`kinetic_phase` enforces."""
-    return 0.7 * math.pi / 4.0 * HBAR / kinetic_ceiling(grid, mass)
+    bound that :func:`kinetic_phase` enforces (inf for a mass so large that
+    the ceiling underflows to 0)."""
+    ceiling = kinetic_ceiling(grid, mass)
+    return 0.7 * math.pi / 4.0 * HBAR / ceiling if ceiling > 0.0 else math.inf
 
 
 def kinetic_phase(grid, mass, dt, axes=None):
@@ -379,12 +381,19 @@ def strang_step(psi, kin, kick=None):
     """
     if kick is not None:
         psi = kick(psi)
-    # axes= costs time on every call, so only stacked fields pass it
-    axes = {} if psi.ndim == kin.ndim else {"axes": tuple(range(-kin.ndim, 0))}
-    phi = _fft.fftn(psi, **axes)
-    phi *= kin
-    psi = _fft.ifftn(phi, overwrite_x=True, **axes)
+    psi = fourier_multiply(psi, kin)
     return psi if kick is None else kick(psi)
+
+
+def fourier_multiply(psi, factor):
+    """ifftn(fftn(psi) * factor) over the trailing ``factor.ndim`` axes: the
+    one transform pair of every engine's step, on one thread (see
+    :func:`strang_step`).  Leading axes of ``psi`` may stack components."""
+    # axes= costs time on every call, so only stacked fields pass it
+    axes = {} if psi.ndim == factor.ndim else {"axes": tuple(range(-factor.ndim, 0))}
+    phi = _fft.fftn(psi, **axes)
+    phi *= factor
+    return _fft.ifftn(phi, overwrite_x=True, **axes)
 
 
 def _margin_width(n):

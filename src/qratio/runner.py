@@ -199,6 +199,10 @@ def _run_sg(cfg):
     spinor = sg.SpinorField(up, down, c_up, c_down)
 
     if mode == "decoupled":
+        # the momentum check divides by the kick mu_B b0 duration
+        if BOHR_MAGNETON * p["b0"] * p["duration"] == 0.0:
+            raise DomainError(f"[sg] gradient 'b0' = {p['b0']:g} T/m gives a "
+                              "momentum kick that underflows to 0")
         config = sg.SGFieldConfig(b_bias, p["b0"], p["duration"], 1.0)
         steps = p["steps"]
         dt = p["duration"] / steps
@@ -226,16 +230,26 @@ def _run_sg(cfg):
     y_max = grid.extents[0] / 2.0
     ratios = p["bias_ratios"] or (abs(p["B0"]) / (p["b0"] * y_max),)
     # Strang splitting is exact up to a global phase for a linear
-    # potential, so the decoupled reference runs at the spectral ceiling
-    steps_d = int(math.ceil(p["duration"] / ceiling_dt(grid, p["mass"])))
+    # potential, so the decoupled reference runs at the spectral ceiling;
+    # counts are compared as floats, which may be inf, before int()
+    steps_d = p["duration"] / ceiling_dt(grid, p["mass"])
+    if not steps_d <= sg.MAX_STEPS:
+        raise DomainError(f"[sg] 'duration' = {p['duration']:g} s takes over "
+                          f"{sg.MAX_STEPS} decoupled steps, the cap")
+    steps_d = max(1, math.ceil(steps_d))
     results = []
     drift = {}
     for r in ratios:
         config = sg.SGFieldConfig(r * p["b0"] * y_max, p["b0"], p["duration"], 1.0)
         config.check_bias(y_max)
-        steps = int(math.ceil(p["duration"] / sg.max_coupled_dt(config)))
-        dt = p["duration"] / steps
-        coup, pops = sg.propagate_coupled(spinor, config, dt, steps)
+        # each Chebyshev expansion applies H more than alpha times
+        alpha = sg.coupled_alpha(spinor, config, p["duration"])
+        if not alpha <= sg.MAX_APPLICATIONS:
+            raise DomainError(f"[sg] 'duration' = {p['duration']:g} s takes over "
+                              f"{sg.MAX_APPLICATIONS} H-applications, the cap")
+        chunks = max(1, math.ceil(alpha / sg.MAX_CHUNK_ALPHA))
+        coup, _, applications = sg.propagate_coupled(
+            spinor, config, p["duration"] / chunks, chunks)
         decp = sg.propagate_decoupled(spinor, config, p["duration"] / steps_d,
                                       steps_d, z_axis=1)
         nu_c, nd_c = coup.densities()
@@ -244,7 +258,7 @@ def _run_sg(cfg):
                    * grid.cell_volume)
         transfer = abs(abs(coup.c_up) ** 2 - abs(spinor.c_up) ** 2)
         results.append({"bias_ratio": r, "B0_T": config.field_B0,
-                        "steps": steps, "decoupled_steps": steps_d,
+                        "steps": applications, "decoupled_steps": steps_d,
                         "l1_density_deviation": l1,
                         "population_transfer": transfer})
         drift[f"norm_drift_ratio_{r:g}"] = coup.up.norm_drift

@@ -7,6 +7,9 @@ independent scalar equations with potentials -/+ mu_B*b0*z (the constant
 e^{+/- i mu_B B0 t/hbar} phase is removed analytically and never
 time-stepped).  ``propagate_coupled`` keeps the full 2x2 coupling,
 including the fast precession, and is used to validate that approximation.
+Its Hamiltonian is time-independent with an exactly bounded spectrum, so
+it is propagated by a Chebyshev expansion of exp(-i H t / hbar), exact to
+rounding, rather than by time steps that must resolve the precession.
 
 Large-spin beams are handled analytically: a spin-j coherent state splits
 into bands at deflections proportional to m with binomial weights |c_k|^2,
@@ -18,18 +21,28 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as _fft  # noqa: F401  kept: bench/tracer.py proxies it
+from scipy.special import jv
 
 from .constants import BOHR_MAGNETON, HBAR
-from .errors import DomainError, StepSizeError
-from .grid import (LinearPotential, WaveField, boundary_monitor, kinetic_phase,
-                   propagate, strang_step)
+from .errors import DomainError
+from .grid import (LinearPotential, WaveField, boundary_monitor,
+                   fourier_multiply, kinetic_ceiling, propagate)
 from .spin import SpinCoherentState, distribution
 
 # ratio |B0| / max|b0*y| above which the decoupled equations are trusted
 MIN_FIELD_RATIO = 50.0
-# Strang steps per propagate call: [sg] steps, or the count derived from
-# the duration and the step ceiling
+# Strang steps per decoupled propagate call: [sg] steps, or the count
+# derived from the duration and the step ceiling
 MAX_STEPS = 200_000
+# H-applications per coupled propagate call, about as many FFT pairs as
+# MAX_STEPS Strang steps take
+MAX_APPLICATIONS = 200_000
+# the largest alpha = dE dt / 2 hbar of one Chebyshev expansion: a coupled
+# run is cut into the fewest chunks within it, since the recurrence's
+# rounding grows with the number of terms
+MAX_CHUNK_ALPHA = 100.0
+# Chebyshev terms are kept down to |J_k(alpha)| at this floor
+CHEBYSHEV_FLOOR = 1e-17
 
 
 def _check_steps(steps):
@@ -118,68 +131,121 @@ def precession_frequency(field_B0):
     return 2.0 * BOHR_MAGNETON * field_B0 / HBAR
 
 
-def max_coupled_dt(config):
-    """Step ceiling resolving the precession: (hbar / 2 mu_B B0) / 10."""
-    return HBAR / (2.0 * BOHR_MAGNETON * abs(config.field_B0)) / 10.0
+def _field(grid, config):
+    """B_y = -b0 y and B_z = B0 + b0 z on the (y, z) mesh."""
+    ym, zm = grid.meshes()
+    return -config.gradient_b0 * ym, config.field_B0 + config.gradient_b0 * zm
+
+
+def _spectrum(grid, mass, b_y, b_z):
+    """(E_min, E_max): H's eigenvalues lie in [-mu_B |B|max, kinetic
+    ceiling + mu_B |B|max], since -mu_B sigma.B has eigenvalues
+    -/+ mu_B |B| at each point."""
+    zeeman = BOHR_MAGNETON * float(np.max(np.hypot(b_y, b_z)))
+    return -zeeman, kinetic_ceiling(grid, mass) + zeeman
+
+
+def coupled_alpha(spinor, config, t):
+    """alpha = (E_max - E_min) t / 2 hbar of a coupled run of length t: one
+    Chebyshev expansion over t applies H a little more than alpha times."""
+    b_y, b_z = _field(spinor.up.grid, config)
+    e_min, e_max = _spectrum(spinor.up.grid, spinor.up.mass, b_y, b_z)
+    return (e_max - e_min) * t / (2.0 * HBAR)
+
+
+def chebyshev_coefficients(alpha):
+    """a_k = (2 - delta_k0) (-i)^k J_k(alpha), which expand
+    exp(-i alpha x) = sum_k a_k T_k(x) on [-1, 1], up to the last k >= 1
+    with |J_k(alpha)| >= CHEBYSHEV_FLOOR.  J_k(alpha) falls off faster
+    than exponentially once k > |alpha|, and is far below the floor by
+    k = 2 |alpha| + 64."""
+    j = jv(np.arange(int(2.0 * abs(alpha)) + 64), alpha)
+    # at least T_0 and T_1, even for alpha = 0
+    j = j[:max(2, np.flatnonzero(np.abs(j) >= CHEBYSHEV_FLOOR)[-1] + 1)]
+    a = (-1j) ** np.arange(len(j)) * j
+    a[1:] *= 2.0
+    return a
 
 
 def propagate_coupled(spinor, config, dt, steps, record_populations_every=0):
-    """Full two-component evolution on a 2D (y, z) grid.
+    """Full two-component evolution on a 2D (y, z) grid, in ``steps``
+    chunks of length ``dt``.
 
-    The potential is the exact 2x2 spin coupling -mu_B (sigma . B) with
-    B = (0, -b0 y, B0 + b0 z), exponentiated in closed form per grid point,
-    so each kick is exactly unitary.  The time step must resolve the
-    precession period (see :func:`max_coupled_dt`).
+    H = hbar^2 k^2 / 2m - mu_B sigma.B with B = (0, -b0 y, B0 + b0 z) is
+    time-independent and its spectrum lies in [E_min, E_max] (see
+    :func:`coupled_alpha`), so each chunk applies the Chebyshev expansion
+    exp(-i H dt / hbar) = exp(-i E_c dt / hbar) sum_k a_k T_k(H_n), with
+    E_c the centre of that interval, H_n = (H - E_c) / (dE / 2) and
+    a_k from :func:`chebyshev_coefficients` at alpha = dE dt / 2 hbar
+    (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).  It is exact up
+    to the truncation at |J_k| < CHEBYSHEV_FLOOR and rounding, for any dt;
+    each H-application is one FFT pair and a pointwise 2x2 product.  The
+    total count of H-applications is capped at MAX_APPLICATIONS, checked
+    before the loop.  The margin monitor and the population samples
+    (every ``record_populations_every`` chunks) run at chunk ends.
 
-    Returns (spinor, populations) where populations is a list of
-    (t, P_up, P_down) samples of the total spin populations.
+    Returns (spinor, populations, applications): populations is a list of
+    (t, P_up, P_down) samples of the total spin populations, and
+    applications the number of H-applications.
     """
-    _check_steps(steps)
     grid = spinor.up.grid
     if grid.ndim != 2:
         raise DomainError("coupled propagation needs a 2D (y, z) grid")
     y = grid.axis(0)
-    y_max = max(abs(y[0]), abs(y[-1]))
-    config.check_bias(y_max)
-    if abs(dt) > max_coupled_dt(config) * (1.0 + 1e-12):
-        raise StepSizeError(
-            f"|dt| = {abs(dt):.3e} s does not resolve the precession; "
-            f"need <= {max_coupled_dt(config):.3e} s")
-    kin = kinetic_phase(grid, spinor.up.mass, dt)
+    config.check_bias(max(abs(y[0]), abs(y[-1])))
+    if steps < 1:
+        raise DomainError(f"steps must be >= 1, got {steps}")
+    b_y, b_z = _field(grid, config)
+    e_min, e_max = _spectrum(grid, spinor.up.mass, b_y, b_z)
+    half_width = 0.5 * (e_max - e_min)
+    alpha = half_width * dt / HBAR
+    # every expansion applies H more than |alpha| times; that bound is
+    # compared as a float first, so an infinite alpha sizes no array
+    applications = math.inf
+    if steps * abs(alpha) <= MAX_APPLICATIONS:
+        coeffs = chebyshev_coefficients(alpha)
+        applications = steps * (len(coeffs) - 1)
+    if applications > MAX_APPLICATIONS:
+        raise DomainError(
+            f"{steps} chunks of {abs(dt):.3e} s take over {MAX_APPLICATIONS} "
+            f"H-applications, the cap; shorten the run")
+    coeffs = coeffs * np.exp(-1j * (e_min + half_width) * dt / HBAR)
 
-    ym, zm = grid.meshes()
-    b_y = -config.gradient_b0 * ym
-    b_z = config.field_B0 + config.gradient_b0 * zm
-    b_mag = np.sqrt(b_y ** 2 + b_z ** 2)
+    # 2 H_n = 2 (H - E_c) / (dE / 2): the kinetic part and the shift act in
+    # Fourier space, -mu_B sigma.B pointwise as diag * p + off * p[::-1]
+    kin = (HBAR ** 2 / spinor.up.mass * grid.k2()
+           - 2.0 * (e_min + half_width)) / half_width
+    s = 2.0 * BOHR_MAGNETON / half_width
+    diag = np.array([-s * b_z, s * b_z])
+    off = np.array([1j * s * b_y, -1j * s * b_y])
 
-    def spin_kick(angle):
-        """exp(+i (angle / |B|) sigma.B) on the stacked (up, down) field."""
-        cos_a, sin_over_b = np.cos(angle), np.sin(angle) / b_mag
-        diag = np.array([cos_a + 1j * sin_over_b * b_z, cos_a - 1j * sin_over_b * b_z])
-        off = np.array([sin_over_b * b_y, -sin_over_b * b_y])   # i * (-i b_y) = +b_y
-        return lambda p: diag * p + off * p[::-1]
-
-    # half kick of exp(+i dt mu_B (sigma.B) / 2 hbar); the held field lacks
-    # its trailing half kick, so each step applies one full kick
-    angle = 0.5 * dt * BOHR_MAGNETON * b_mag / HBAR
-    half, full = spin_kick(angle), spin_kick(2.0 * angle)
+    def twice_h_norm(p):
+        out = fourier_multiply(p, kin)
+        out += diag * p
+        out += off * p[::-1]
+        return out
 
     psi = np.array([spinor.c_up * spinor.up.psi, spinor.c_down * spinor.down.psi])
     check = boundary_monitor(grid)
     dv = grid.cell_volume
     populations = []
     t = spinor.up.time
-    for step in range(1, steps + 1):
-        psi = (half if step == 1 else full)(psi)
-        psi = strang_step(psi, kin)
+    for chunk in range(1, steps + 1):
+        # T_0 = 1, T_1 = H_n, T_k+1 = 2 H_n T_k - T_k-1
+        prev, cur = psi, 0.5 * twice_h_norm(psi)
+        psi = coeffs[0] * prev + coeffs[1] * cur
+        for a in coeffs[2:]:
+            nxt = twice_h_norm(cur)
+            nxt -= prev
+            prev, cur = cur, nxt
+            psi += a * cur
         t += dt
-        check(psi, t, step)
-        if record_populations_every and step % record_populations_every == 0:
-            u, d = half(psi)
-            populations.append((t, float(np.sum(np.abs(u) ** 2) * dv),
-                                float(np.sum(np.abs(d) ** 2) * dv)))
+        check(psi, t, chunk)
+        if record_populations_every and chunk % record_populations_every == 0:
+            p_up, p_down = np.sum(np.abs(psi) ** 2, axis=(1, 2)) * dv
+            populations.append((t, float(p_up), float(p_down)))
 
-    psi_u, psi_d = half(psi)
+    psi_u, psi_d = psi
     p_up = float(np.sum(np.abs(psi_u) ** 2) * dv)
     p_down = float(np.sum(np.abs(psi_d) ** 2) * dv)
     total = math.sqrt(p_up + p_down)   # unitary up to rounding; drift recorded
@@ -191,7 +257,7 @@ def propagate_coupled(spinor, config, dt, steps, record_populations_every=0):
     down = WaveField(grid, psi_d / (total * (c_down if c_down > 0 else 1.0)),
                      spinor.down.mass, t, norm_drift=drift)
     out = SpinorField(up, down, c_up, c_down)
-    return out, populations
+    return out, populations, applications
 
 
 def band_deflection(force, mass, transit_time, drift_time):

@@ -150,11 +150,47 @@ def test_sg_coupled_check_records_both_step_counts(tmp_path):
     code, out = run_cli(tmp_path, "sg", "--config", cfg)
     assert code == 0
     (res,) = load_summary(out)["results"]
-    assert res["steps"] > 10 * res["decoupled_steps"] > 0
+    # one Chebyshev expansion of alpha = 62.7 (108 H-applications), and the
+    # decoupled reference at the spectral ceiling
+    assert (res["steps"], res["decoupled_steps"]) == (108, 46)
     drift = json.loads((out / "manifest.json").read_text())["drift"]
     assert set(drift) == {"norm_drift_ratio_200",
                           "norm_drift_decoupled_up_ratio_200",
                           "norm_drift_decoupled_down_ratio_200"}
+
+
+@pytest.mark.parametrize("old,new,words", [
+    ("duration = 5.4e-11 s", "duration = 1e300 s", ["'duration'", "cap"]),
+    ("duration = 5.4e-11 s", "duration = 2e-8 s",
+     ["'duration'", "H-applications", "cap"]),
+], ids=["infinite-decoupled-steps", "coupled-applications"])
+def test_sg_coupled_check_duration_caps(tmp_path, capsys, old, new, words):
+    # counts are compared as floats before they become ints: 1e300 s makes
+    # an infinite step count, and 2e-8 s passes the decoupled cap but not
+    # the cap on H-applications
+    cfg = preset_copy(tmp_path, "sg-coupled-check", (old, new))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert all(w in err["message"] for w in words), err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("b0 = 1.05e6 T/m", "b0 = 1e-300 T/m"),
+    ("mass = 9.1093837015e-31 kg", "mass = 1e300 kg"),
+], ids=["tiny-gradient", "huge-mass"])
+def test_sg_coupled_check_extreme_values_run(tmp_path, old, new):
+    # neither divides by the precession nor by the kinetic ceiling, which
+    # underflows to 0 for the huge mass
+    cfg = preset_copy(tmp_path, "sg-coupled-check", (old, new),
+                      ("duration = 5.4e-11 s", "duration = 5.4e-12 s"))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 0
+    (res,) = load_summary(out)["results"]
+    assert res["steps"] > 0 and res["decoupled_steps"] >= 1
+    assert 0.0 <= res["l1_density_deviation"] < 0.01
 
 
 def test_non_finite_output_is_a_domain_error(tmp_path, capsys, monkeypatch):
@@ -261,13 +297,17 @@ def test_amplitude_beyond_one_is_a_config_error(tmp_path, capsys, kind,
 
 
 def test_sg_decoupled_zero_gradient_is_a_domain_error(tmp_path, capsys):
-    cfg = preset_copy(tmp_path, "sg-split", ("points = 256 256", "points = 64 64"),
-                      ("b0 = 5e8 T/m", "b0 = 0 T/m"))
-    code, out = run_cli(tmp_path, "sg", "--config", cfg)
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "DomainError" and "'b0'" in err["message"]
-    assert not out.exists()
+    # at 1e-300 T/m the momentum kick mu_B b0 t, which the momentum check
+    # divides by, underflows to 0
+    for b0 in ("0 T/m", "1e-300 T/m"):
+        cfg = preset_copy(tmp_path, "sg-split",
+                          ("points = 256 256", "points = 64 64"),
+                          ("b0 = 5e8 T/m", f"b0 = {b0}"))
+        code, out = run_cli(tmp_path, "sg", "--config", cfg)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError" and "'b0'" in err["message"]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("kind,preset,old,new,words", [

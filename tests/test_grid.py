@@ -496,6 +496,7 @@ def density_step():
     g = Grid.make(512, 1e-6)
     rho = pure_to_density(initialize_gaussian(g, GaussianPacket(0.0, 5e-8, 0.0, ME)))
     propagate_density(rho, None, FreePotential(), ceiling_dt(g, ME), 1)
+    return 1        # transform pairs: one Strang step
 
 
 def spinor_step():
@@ -505,7 +506,7 @@ def spinor_step():
     spinor = SpinorField(initialize_gaussian(g, (pk, pk)),
                          initialize_gaussian(g, (pk, pk)), c, c)
     config = SGFieldConfig(200 * 5e-7, 1.0, 1e-9, 1.0)
-    propagate_coupled(spinor, config, ceiling_dt(g, ME), 1)
+    return propagate_coupled(spinor, config, ceiling_dt(g, ME), 1)[2]   # H-applications
 
 
 def free_axis_step():
@@ -513,6 +514,7 @@ def free_axis_step():
     f0 = initialize_gaussian(g, (GaussianPacket(-3e-7, 1e-7, 3e-26, ME),
                                  GaussianPacket(1e-7, 8e-8, 1e-26, ME)))
     propagate(f0, BARRIER, suggest_dt(g, BARRIER, ME), 1)
+    return 1
 
 
 @pytest.mark.parametrize("step,shape", [
@@ -523,10 +525,11 @@ def free_axis_step():
 def test_every_transform_runs_on_one_thread(monkeypatch, step, shape):
     proxy = _CountingFFT(grid_module._fft)
     monkeypatch.setattr(grid_module, "_fft", proxy)
-    step()
-    # the forward and inverse transform of the one Strang step, on the
-    # default single worker
-    assert [s for s, _ in proxy.calls].count(shape) == 2
+    pairs = step()
+    # the forward and inverse transform of the one Strang step, or of each
+    # H-application of the coupled spinor's expansion, on the default
+    # single worker
+    assert [s for s, _ in proxy.calls].count(shape) == 2 * pairs
     assert proxy.threaded == []
 
 

@@ -6,15 +6,17 @@ import pytest
 from qratio.catalog import catalog_lookup
 from qratio.constants import BOHR_MAGNETON as MUB, HBAR
 from qratio.core import Classification, GaussianPacket, quantum_ratio
-from qratio.errors import BoundaryError, DomainError, StepSizeError
-from qratio.grid import (FreePotential, Grid, boundary_monitor, ceiling_dt,
-                         initialize_gaussian, kinetic_phase, observables,
-                         propagate, strang_step)
+from qratio.errors import BoundaryError, DomainError
+from qratio.grid import (FreePotential, Grid, ceiling_dt, initialize_gaussian,
+                         kinetic_phase, observables, propagate, strang_step)
 from qratio.spin import SpinCoherentState, distribution
-from qratio.stern_gerlach import (SGFieldConfig, SpinorField, band_separation,
+from qratio import stern_gerlach
+from qratio.stern_gerlach import (MAX_APPLICATIONS, MAX_CHUNK_ALPHA,
+                                  SGFieldConfig, SpinorField, band_separation,
+                                  chebyshev_coefficients, coupled_alpha,
                                   gradient_potentials, large_spin_bands,
-                                  max_coupled_dt, precession_frequency,
-                                  propagate_coupled, propagate_decoupled)
+                                  precession_frequency, propagate_coupled,
+                                  propagate_decoupled)
 
 ME = 9.1093837015e-31
 
@@ -44,16 +46,57 @@ def desk_config(grid, width, ratio=200.0, transit_fraction=0.4):
     return SGFieldConfig(ratio * b0 * y_max, b0, duration, 1.0), duration
 
 
+def precession_dt(config):
+    """A tenth of a radian of Larmor precession: hbar / (2 mu_B B0) / 10."""
+    return HBAR / (2.0 * MUB * abs(config.field_B0)) / 10.0
+
+
+def run_coupled(spinor, config, duration, record_populations_every=0):
+    """propagate_coupled over ``duration`` in the fewest chunks of
+    alpha <= MAX_CHUNK_ALPHA, as the coupled-check runner picks them."""
+    chunks = max(1, math.ceil(coupled_alpha(spinor, config, duration)
+                              / MAX_CHUNK_ALPHA))
+    return propagate_coupled(spinor, config, duration / chunks, chunks,
+                             record_populations_every)
+
+
+def stacked(spinor):
+    """The (up, down) field with the spin amplitudes folded in."""
+    return np.array([spinor.c_up * spinor.up.psi, spinor.c_down * spinor.down.psi])
+
+
+def density_gap(grid, a, b):
+    """L1 distance of the spin-resolved densities of two stacked fields."""
+    return float(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2).sum() * grid.cell_volume)
+
+
+def strang_coupled(spinor, config, dt, steps):
+    """The split-operator reference, O(dt^2): a half spin kick
+    exp(+i dt mu_B sigma.B / 2 hbar), the kinetic step and another half
+    kick per step.  Returns the stacked (up, down) field."""
+    grid = spinor.up.grid
+    ym, zm = grid.meshes()
+    b_y = -config.gradient_b0 * ym
+    b_z = config.field_B0 + config.gradient_b0 * zm
+    b_mag = np.hypot(b_y, b_z)
+    angle = 0.5 * dt * MUB * b_mag / HBAR
+    c, s = np.cos(angle), np.sin(angle) / b_mag
+    u = np.array([[c + 1j * s * b_z, s * b_y], [-s * b_y, c - 1j * s * b_z]])
+    kin = kinetic_phase(grid, spinor.up.mass, dt)
+    psi = stacked(spinor)
+    for _ in range(steps):
+        psi = strang_step(psi, kin, lambda p: np.einsum("ij...,j...->i...", u, p))
+    return psi
+
+
 def run_pair(grid, spinor, config, duration):
-    steps = int(math.ceil(duration / max_coupled_dt(config)))
-    dt = duration / steps
-    coupled, pops = propagate_coupled(spinor, config, dt, steps)
-    decoupled = propagate_decoupled(spinor, config, dt, steps, z_axis=1)
-    nu_c, nd_c = coupled.densities()
-    nu_d, nd_d = decoupled.densities()
-    l1 = float((np.abs(nu_c - nu_d).sum() + np.abs(nd_c - nd_d).sum())
-               * grid.cell_volume)
-    return coupled, decoupled, l1
+    coupled, _, _ = run_coupled(spinor, config, duration)
+    # the decoupled reference runs at the spectral ceiling, as in the runner
+    steps = int(math.ceil(duration / ceiling_dt(grid, ME)))
+    decoupled = propagate_decoupled(spinor, config, duration / steps, steps,
+                                    z_axis=1)
+    return coupled, decoupled, density_gap(grid, stacked(coupled),
+                                           stacked(decoupled))
 
 
 class TestDecoupled:
@@ -109,7 +152,7 @@ class TestDecoupled:
         grid, sp = spinor_2d()
         config, duration = desk_config(grid, 8 * grid.spacings[0])
         duration /= 8
-        fine = int(math.ceil(duration / max_coupled_dt(config)))
+        fine = int(math.ceil(duration / precession_dt(config)))
         coarse = int(math.ceil(duration / ceiling_dt(grid, ME)))
         assert coarse * 10 < fine
         a = propagate_decoupled(sp, config, duration / fine, fine, z_axis=1)
@@ -127,9 +170,8 @@ class TestCoupled:
     def test_zero_gradient_keeps_populations(self):
         grid, sp = spinor_2d()
         config = SGFieldConfig(5.0, 0.0, 1e-12, 1.0)
-        steps = int(math.ceil(4e-13 / max_coupled_dt(config)))
-        out, pops = propagate_coupled(sp, config, 4e-13 / steps, steps,
-                                      record_populations_every=max(1, steps // 8))
+        out, pops, _ = run_coupled(sp, config, 4e-13, record_populations_every=1)
+        assert pops
         for _, p_up, p_down in pops:
             assert abs(p_up - 0.5) < 1e-10
             assert abs(p_down - 0.5) < 1e-10
@@ -149,36 +191,60 @@ class TestCoupled:
         _, _, l1_lo = run_pair(grid, sp, cfg_lo, duration)
         assert l1_lo > l1_hi
 
-    def test_one_kick_per_step_matches_two_half_kicks(self):
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 7.5, 100.0, -40.0])
+    def test_coefficients_expand_the_exponential(self, alpha):
+        # exp(-i alpha x) = sum_k a_k T_k(x) on [-1, 1]
+        x = np.linspace(-1.0, 1.0, 201)
+        a = chebyshev_coefficients(alpha)
+        err = np.abs(np.polynomial.chebyshev.chebval(x, a) - np.exp(-1j * alpha * x))
+        assert np.max(err) < 1e-13
+        assert len(a) >= 2 and len(a) > abs(alpha)
+
+    def test_strang_reference_converges_at_second_order(self):
+        # halving the Strang step divides its gap to the Chebyshev result
+        # by about 4; the steps are coarser than the precession resolution
+        # so that the gap stays far above rounding
         grid, sp = spinor_2d()
         config, duration = desk_config(grid, 8 * grid.spacings[0])
-        dt, steps, every = max_coupled_dt(config), 400, 100
-        out, pops = propagate_coupled(sp, config, dt, steps,
-                                      record_populations_every=every)
+        duration /= 4
+        exact = stacked(run_coupled(sp, config, duration)[0])
+        steps = int(math.ceil(duration / (4 * precession_dt(config))))
+        gaps = [density_gap(grid, strang_coupled(sp, config, duration / n, n),
+                            exact) for n in (steps, 2 * steps, 4 * steps)]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.5 < coarse / fine < 4.5, gaps
 
-        # the unfused loop: half kick, kinetic step, half kick
-        ym, zm = grid.meshes()
-        b_y = -config.gradient_b0 * ym
-        b_z = config.field_B0 + config.gradient_b0 * zm
-        b_mag = np.hypot(b_y, b_z)
-        angle = 0.5 * dt * MUB * b_mag / HBAR
-        c, s = np.cos(angle), np.sin(angle) / b_mag
-        u = np.array([[c + 1j * s * b_z, s * b_y], [-s * b_y, c - 1j * s * b_z]])
-        kin = kinetic_phase(grid, ME, dt)
-        check = boundary_monitor(grid)
-        psi = np.array([sp.c_up * sp.up.psi, sp.c_down * sp.down.psi])
-        dv = grid.cell_volume
-        for step in range(1, steps + 1):
-            psi = strang_step(psi, kin, lambda p: np.einsum("ij...,j...->i...", u, p))
-            check(psi, step * dt, step)
-            if step % every == 0:
-                p_up, p_down = (np.abs(psi) ** 2).sum(axis=(1, 2)) * dv
-                ref = (step * dt, p_up, p_down)
-                assert pops[step // every - 1] == pytest.approx(ref, rel=1e-12)
-        assert len(pops) == steps // every
-        scale = np.max(np.abs(psi))
-        assert np.max(np.abs(out.c_up * out.up.psi - psi[0])) < 1e-12 * scale
-        assert np.max(np.abs(out.c_down * out.down.psi - psi[1])) < 1e-12 * scale
+    @pytest.mark.parametrize("ratio", [200.0, 1600.0])
+    def test_norm_drift(self, ratio):
+        grid, sp = spinor_2d()
+        config, duration = desk_config(grid, 8 * grid.spacings[0], ratio=ratio)
+        out, _, applications = run_coupled(sp, config, duration)
+        assert out.up.norm_drift <= 1e-12
+        assert abs(out.c_up ** 2 + out.c_down ** 2 - 1.0) < 1e-15
+        assert applications > coupled_alpha(sp, config, duration)
+
+    def test_any_chunk_length_gives_the_same_state(self):
+        # there is no step rule: one expansion over the whole run and one
+        # per chunk agree to rounding
+        grid, sp = spinor_2d()
+        config, duration = desk_config(grid, 8 * grid.spacings[0])
+        duration /= 10
+        one, _, n_one = propagate_coupled(sp, config, duration, 1)
+        many, _, n_many = propagate_coupled(sp, config, duration / 8, 8)
+        assert n_one < n_many
+        scale = np.max(np.abs(stacked(one)))
+        assert np.max(np.abs(stacked(one) - stacked(many))) < 1e-12 * scale
+
+    def test_populations_sampled_at_chunk_ends(self):
+        grid, sp = spinor_2d()
+        config, duration = desk_config(grid, 8 * grid.spacings[0])
+        out, pops, _ = propagate_coupled(sp, config, duration / 6, 6,
+                                         record_populations_every=2)
+        assert [t for t, _, _ in pops] == pytest.approx(
+            [duration / 3, 2 * duration / 3, duration], rel=1e-12)
+        t, p_up, p_down = pops[-1]
+        assert (p_up, p_down) == pytest.approx((out.c_up ** 2, out.c_down ** 2),
+                                               rel=1e-12)
 
     def test_requires_2d(self):
         grid, sp = spinor_1d()
@@ -193,14 +259,16 @@ class TestCoupled:
             propagate_coupled(sp, config, 1e-18, 1)
         assert "B0" in str(err.value)
 
-    def test_spectral_band_enforced(self):
-        # a bias weak enough that the precession bound is not the limit
+    @pytest.mark.parametrize("dt", [1.0, 1e300, math.inf])
+    def test_application_cap_checked_before_the_loop(self, monkeypatch, dt):
+        def no_transform(*args):
+            raise AssertionError("H applied before the cap check")
+        monkeypatch.setattr(stern_gerlach, "fourier_multiply", no_transform)
         grid, sp = spinor_2d()
-        config = SGFieldConfig(1.0, 1e3, 1e-12, 1.0)
-        dt = max_coupled_dt(config)
-        with pytest.raises(StepSizeError) as err:
+        config, _ = desk_config(grid, 8 * grid.spacings[0])
+        with pytest.raises(DomainError) as err:
             propagate_coupled(sp, config, dt, 1)
-        assert "suggest" in str(err.value)
+        assert "cap" in str(err.value) and str(MAX_APPLICATIONS) in str(err.value)
 
     def test_packet_reaching_the_margin_is_an_error(self):
         # a packet moving along z; without the monitor it wraps around
@@ -212,15 +280,12 @@ class TestCoupled:
         sp = SpinorField(initialize_gaussian(grid, (at_rest, moving)),
                          initialize_gaussian(grid, (at_rest, moving)), c, c)
         config = SGFieldConfig(5.0, 0.0, 1e-12, 1.0)
+        duration = 2000 * precession_dt(config)
+        chunks = math.ceil(coupled_alpha(sp, config, duration) / MAX_CHUNK_ALPHA)
         with pytest.raises(BoundaryError) as err:
-            propagate_coupled(sp, config, max_coupled_dt(config), 2000)
-        assert "margin" in str(err.value)
-
-    def test_precession_resolution_enforced(self):
-        grid, sp = spinor_2d()
-        config = SGFieldConfig(1e4, 1e6, 1e-12, 1.0)
-        with pytest.raises(StepSizeError):
-            propagate_coupled(sp, config, 10 * max_coupled_dt(config), 1)
+            propagate_coupled(sp, config, duration / chunks, chunks)
+        # the monitor reads the field at the first chunk end
+        assert "margin" in str(err.value) and "(step 1)" in str(err.value)
 
 
 class TestPrecession:
