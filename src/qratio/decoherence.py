@@ -13,10 +13,15 @@ products) and leaves the diagonal strictly untouched.  Damping drives a
 split packet into a position mixture - "either here or there" - which is
 decohered but still fully quantum mechanical.
 
-One loop, :func:`propagate_density`, steps every density matrix: a Strang
-step of both indices, then the damping kernel, both built once per call.
+A density matrix is held as one real matrix R = Re rho + Im rho: rho is
+Hermitian, so Re rho is symmetric and Im rho antisymmetric, and R carries
+both.  One loop, :func:`propagate_density`, steps every density matrix:
+a Strang step of both indices (:func:`~qratio.grid.liouville_step`, real
+transforms of half the spectrum), then the damping kernel, both built once
+per call.  Every state it holds is Hermitian exactly, by construction.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -26,9 +31,9 @@ from scipy import fft as _fft  # noqa: F401  kept: bench/tracer.py proxies it
 from .constants import HBAR
 from .core import GaussianPacket
 from .errors import CoherenceUndefinedError, DomainError
-from .grid import (FreePotential, Grid, WaveField, boundary_monitor,
-                   half_kick, initialize_gaussian, kinetic_phase, propagate,
-                   strang_step)
+from .grid import (FreePotential, WaveField, boundary_monitor, half_kick,
+                   initialize_gaussian, liouville_phase, liouville_step,
+                   propagate)
 
 MAX_STEPS = 100_000     # Trotter steps per scenario run, and history samples
 
@@ -50,33 +55,49 @@ class EnvironmentSpec:
         return self.rate_Lambda * (-np.expm1(-(d / self.lambda_env) ** 2))
 
 
-@dataclass
 class DensityMatrix:
-    """rho(x, x') on a 1D grid with continuum normalization Tr = Int rho dx."""
+    """rho(x, x') on a 1D grid with continuum normalization Tr = Int rho dx.
 
-    grid: Grid
-    rho: np.ndarray
-    mass: float
-    time: float = 0.0
+    The constructor takes a complex matrix and keeps its Hermitian part as
+    ``packed``, R = Re rho + Im rho; ``rho`` unpacks it on demand.  The
+    observables read R: Re rho is its diagonal, and |rho_ij|^2 =
+    (R_ij^2 + R_ji^2) / 2.
+    """
 
     MAX_POINTS = 1024   # N^2 storage; scenarios are sized to fit
 
-    def __post_init__(self):
-        n = _matrix_points(self.grid)
-        if self.rho.shape != (n, n):
+    def __init__(self, grid, rho, mass, time=0.0):
+        n = _matrix_points(grid)
+        if np.shape(rho) != (n, n):
             raise DomainError("rho shape must match the grid")
+        self.grid, self.mass, self.time = grid, mass, time
+        # R = Re H + Im H of H = (rho + rho^H) / 2
+        re, im = np.real(rho), np.imag(rho)
+        self.packed = re + im
+        self.packed += (re - im).T
+        self.packed *= 0.5
+
+    @property
+    def rho(self):
+        r = self.packed
+        out = np.empty(r.shape, dtype=complex)
+        np.add(r, r.T, out=out.real)
+        np.subtract(r, r.T, out=out.imag)
+        out *= 0.5
+        return out
 
     def trace(self):
-        return float(np.real(np.trace(self.rho)) * self.grid.spacings[0])
+        return float(np.trace(self.packed) * self.grid.spacings[0])
 
     def purity(self):
-        # sum |rho|^2 as one pass over the real and imaginary parts
+        # sum |rho|^2 = sum R^2: the cross terms of Re rho and Im rho cancel
         dx = self.grid.spacings[0]
-        v = np.ascontiguousarray(self.rho, dtype=complex).view(np.float64).ravel()
+        v = self.packed.ravel()
         return float(np.einsum("i,i->", v, v) * dx * dx)
 
     def hermiticity_defect(self):
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
+        rho = self.rho
+        return float(np.max(np.abs(rho - rho.conj().T)))
 
     def smallest_eigenvalue(self):
         """Least eigenvalue of the trace-normalized operator (on demand)."""
@@ -84,10 +105,12 @@ class DensityMatrix:
         return float(w[0])
 
     def position_density(self):
-        return np.real(np.diagonal(self.rho)).copy()
+        return np.diagonal(self.packed).copy()
 
     def copy(self):
-        return DensityMatrix(self.grid, self.rho.copy(), self.mass, self.time)
+        out = copy.copy(self)
+        out.packed = self.packed.copy()
+        return out
 
 
 def _matrix_points(grid):
@@ -123,10 +146,12 @@ def apply_damping(rho, env, duration):
 def propagate_density(rho, env, potential, dt, steps, observe=None):
     """Evolve ``steps`` Trotter steps of size ``dt``: a Strang step of both
     indices (the Liouville form, kinetic factor K(k) K*(k'); K is even in
-    k, so U^H = F K* F^-1), then elementwise damping.  ``env=None`` leaves
-    out the damping, ``potential=None`` the Hamiltonian.  ``observe(state,
-    step)`` sees steps 1 .. ``steps``, Hermitian to rounding; only the
-    returned matrix is re-symmetrized.  ``rho`` is not changed.
+    k, so U^H = F K* F^-1), then elementwise damping, both on the packed
+    R = Re rho + Im rho.  A half kick w_ij = h_i h_j* takes R to
+    Re w o R + Im w o R^T, and the real, symmetric damping kernel D to
+    D o R.  ``env=None`` leaves out the damping, ``potential=None`` the
+    Hamiltonian.  ``observe(state, step)`` sees steps 1 .. ``steps``; every
+    state is Hermitian exactly.  ``rho`` is not changed.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
@@ -136,23 +161,20 @@ def propagate_density(rho, env, potential, dt, steps, observe=None):
     del rho     # a caller that let go of the input frees it here
     kin = kick = None
     if potential is not None:
-        k = kinetic_phase(state.grid, state.mass, dt)
-        kin = k[:, None] * k.conj()[None, :]
+        kin = liouville_phase(state.grid, state.mass, dt)
         half = half_kick(potential.values(state.grid), dt)
-        kick = None if half is None else (lambda m: half[:, None] * m * half.conj()[None, :])
+        if half is not None:
+            w = np.outer(half, half.conj())
+            kick = lambda r: w.real * r + w.imag * r.T
     kernel = None if env is None else damping_kernel(state.grid, env, dt)
     for step in range(1, steps + 1):
         if kin is not None:
-            state.rho = strang_step(state.rho, kin, kick)
+            state.packed = liouville_step(state.packed, kin, kick)
         if kernel is not None:
-            state.rho *= kernel
+            state.packed *= kernel
         state.time += dt
         if observe is not None:
             observe(state, step)
-    del kin, kernel
-    # rounding leaves an O(eps) asymmetry; m + m^H is Hermitian exactly
-    state.rho += state.rho.conj().T
-    state.rho *= 0.5
     return state
 
 
@@ -180,12 +202,13 @@ def coherence(rho, x1, x2):
     x = rho.grid.axis(0)
     i1 = int(np.argmin(np.abs(x - x1)))
     i2 = int(np.argmin(np.abs(x - x2)))
-    d1 = float(np.real(rho.rho[i1, i1]))
-    d2 = float(np.real(rho.rho[i2, i2]))
+    r = rho.packed
+    d1, d2 = float(r[i1, i1]), float(r[i2, i2])
     if d1 <= 0.0 or d2 <= 0.0:
         raise CoherenceUndefinedError(
             f"vanishing diagonal density at x = {x[i1]:.3e} or {x[i2]:.3e}")
-    return float(abs(rho.rho[i1, i2]) / math.sqrt(d1 * d2))
+    # |rho_12| = sqrt((R_12^2 + R_21^2) / 2)
+    return math.hypot(r[i1, i2], r[i2, i1]) / math.sqrt(2.0 * d1 * d2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ potential, a full kinetic step applied in Fourier space, and another half
 kick.  Both sub-steps are exactly unitary for real potentials, so the norm
 is conserved to rounding and forward/backward evolution inverts exactly.
 
-:func:`strang_step` is the one step of every engine: spinor components
-are stacked on a leading axis, and a density matrix rho(x, x') steps as one
-2D field with kinetic factor K(k) K*(k') (the Liouville form).
+:func:`strang_step` is the one step of every wave-function engine:
+spinor components are stacked on a leading axis.  A density matrix
+rho(x, x') is Hermitian, so it is held as one real matrix
+R = Re rho + Im rho, and :func:`liouville_step` steps it with real
+transforms of half its spectrum (the Liouville form, kinetic factor
+K(k) K*(k')).
 
 A stepping loop holds its field before the trailing half kick, which joins
 the next step's leading one into one full kick; it is applied only where
@@ -373,11 +376,8 @@ def strang_step(psi, kin, kick=None):
     stack components.  ``kick`` (None for V = 0) returns the kicked field
     and may work in place.
 
-    The transforms run on one thread.  On 2 shared vCPUs two threads slowed
-    2 x 64 x 64 spinors from 2.58 to 4.54 s, and sped 512^2 density matrices
-    up only while the second vCPU was free: decohere-split took 1.70 s with
-    no time stolen by the host and 2.1-2.6 s with 2-3 s stolen, against
-    2.36-2.61 s on one thread.
+    The transforms run on one thread: on 2 shared vCPUs two threads slowed
+    2 x 64 x 64 spinors from 2.58 to 4.54 s.
     """
     if kick is not None:
         psi = kick(psi)
@@ -394,6 +394,56 @@ def fourier_multiply(psi, factor):
     phi = _fft.fftn(psi, **axes)
     phi *= factor
     return _fft.ifftn(phi, overwrite_x=True, **axes)
+
+
+@dataclass(frozen=True)
+class LiouvillePhase:
+    """The kinetic factor kappa(p, q) = K(p) K*(q) of a density-matrix step
+    on the half spectrum q <= n/2 of ``rfftn``, as its real and imaginary
+    parts, and the buffer :func:`liouville_step` gathers R^T's spectrum
+    into (one per stepping loop: a fresh one per step costs more than the
+    gather)."""
+
+    cos: np.ndarray
+    sin: np.ndarray
+    scratch: np.ndarray
+
+
+def liouville_phase(grid, mass, dt):
+    """The :class:`LiouvillePhase` of one step ``dt`` on the 1D ``grid``;
+    :func:`kinetic_phase` checks the step size."""
+    k = kinetic_phase(grid, mass, dt)
+    kappa = k[:, None] * k[:grid.points[0] // 2 + 1].conj()
+    return LiouvillePhase(kappa.real.copy(), kappa.imag.copy(),
+                          np.empty_like(kappa))
+
+
+def liouville_step(r, kin, kick=None):
+    """One Strang step of a density matrix held as R = Re rho + Im rho.
+
+    rho is Hermitian, so Re rho is symmetric and Im rho antisymmetric, and
+    rho = (R + R^T)/2 + i (R - R^T)/2.  With kappa = c + i s (``kin``, a
+    :class:`LiouvillePhase`) the step rho -> F^-1 (kappa o F rho) takes R's
+    spectrum f = rfftn(R) to c o f + s o t exactly, where t(p, q) = f(q, p)
+    is the spectrum of R^T, so one real transform pair of half the spectrum
+    does the work of a complex one.  ``kick`` (None for V = 0) returns the
+    kicked R.
+    """
+    if kick is not None:
+        r = kick(r)
+    h = r.shape[0] // 2
+    f = _fft.rfftn(r)
+    # t(p, q) = f(q, p) is stored as it is for p <= n/2, and follows from
+    # f's symmetry f(q, p) = conj f(-q, n - p) for the rows p > n/2
+    t = kin.scratch
+    t[:h + 1] = f[:h + 1, :h + 1].T
+    np.conjugate(f[0, h - 1:0:-1], out=t[h + 1:, 0])
+    np.conjugate(f[:h - 1:-1, h - 1:0:-1].T, out=t[h + 1:, 1:])
+    f *= kin.cos
+    t *= kin.sin
+    f += t
+    r = _fft.irfftn(f, s=r.shape, overwrite_x=True)
+    return r if kick is None else kick(r)
 
 
 def _margin_width(n):

@@ -411,16 +411,18 @@ def _run_decohere(cfg):
     report = dec.decohered_sg_scenario(
         c1, c2, env, grid, p["width"], p["separation"], p["mass"],
         momentum=p["momentum"], duration=duration, steps=p["steps"])
-    rho = report.final_rho
+    # unpacked once for both files; the packed matrix goes before encoding
+    rho = report.final_rho.rho
+    report.final_rho = None
     files = {
         "coherence.csv": _csv_bytes(("t_s", "coherence"),
                                     list(zip(report.times, report.coherence_history))),
         "purity.csv": _csv_bytes(("t_s", "purity"),
                                  list(zip(report.times, report.purity_history))),
-        "rho.bin": field_array_bytes(rho.rho,
+        "rho.bin": field_array_bytes(rho,
                                      (grid.spacings[0], grid.spacings[0]),
                                      (grid.origins[0], grid.origins[0])),
-        "rho.pgm": _pgm_bytes(np.abs(rho.rho)),
+        "rho.pgm": _pgm_bytes(np.abs(rho)),
     }
     summary = {
         "band_intensities": list(report.intensities),

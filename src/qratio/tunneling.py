@@ -390,7 +390,11 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None):
         raise DomainError("decohered mode needs an EnvironmentSpec")
     if grid is None:
         grid = default_scenario_grid(scenario)
-    dt = 0.95 * (math.pi / 4.0) * HBAR / kinetic_ceiling(grid, mass)
+    ceiling = kinetic_ceiling(grid, mass)
+    if ceiling <= 0.0:
+        raise DomainError(f"mass {mass:.3e} kg too large: the grid's kinetic "
+                          "ceiling underflows to 0, leaving no time step")
+    dt = 0.95 * (math.pi / 4.0) * HBAR / ceiling
     v0 = long_pkt.momentum / mass
     if not MAX_STEPS * v0 * dt >= 0.5 * long_pkt.width:    # v0 dt may be 0
         raise ConvergenceError(

@@ -264,6 +264,19 @@ def test_schema_bounds_rejected(tmp_path, capsys, kind, preset, old, new, key):
     assert not out.exists()
 
 
+def test_tunnel_huge_mass_is_a_domain_error(tmp_path, capsys):
+    # the kinetic ceiling hbar^2 k_max^2 / 2m underflows to 0, which set
+    # the time step by division
+    cfg = preset_copy(tmp_path, "tunnel-pure",
+                      ("mass = 9.1093837015e-31 kg", "mass = 1e300 kg"))
+    code, out = run_cli(tmp_path, "tunnel", "--config", cfg)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert "mass 1.000e+300 kg" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("energy", ["1e-300 eV", "1e-6 eV"],
                          ids=["underflow", "first-chunk-over-cap"])
 def test_slow_beam_is_a_convergence_error(tmp_path, capsys, energy):

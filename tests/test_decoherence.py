@@ -10,7 +10,8 @@ from qratio.core import GaussianPacket
 from qratio.decoherence import (EnvironmentSpec, TimescaleReport, RELIABLE,
                                 RANDOM_MOTION, ORDERING_VIOLATED, MAX_STEPS,
                                 DensityMatrix, _apply_unitary,
-                                apply_damping, coherence, decohere_step,
+                                apply_damping, coherence, damping_kernel,
+                                decohere_step,
                                 decohered_sg_scenario, propagate_density,
                                 pure_to_density, timescale_report,
                                 two_band_state)
@@ -18,7 +19,8 @@ from qratio import decoherence
 from qratio.errors import (BoundaryError, CoherenceUndefinedError, DomainError,
                            StepSizeError)
 from qratio.grid import (FreePotential, Grid, LinearPotential, WaveField,
-                         half_kick, initialize_gaussian, kinetic_phase)
+                         ceiling_dt, half_kick, initialize_gaussian,
+                         kinetic_phase)
 
 
 def split_state(grid, c1, c2, width=25e-9, separation=250e-9, momentum=0.0):
@@ -233,6 +235,92 @@ class TestPropagateDensity:
         rho = pure_to_density(split_state(grid, 0.6, 0.8))
         with pytest.raises(DomainError):
             propagate_density(rho, self.env, FreePotential(), 2e-14, 0)
+
+
+def random_hermitian(n, seed):
+    """A positive Hermitian matrix of full rank, trace-normalized on a 1 um
+    grid of n points."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = a @ a.conj().T
+    h = 0.5 * (h + h.conj().T)
+    return h / (np.trace(h).real * 1e-6 / n)
+
+
+class TestPackedForm:
+    """R = Re rho + Im rho, stepped with real transforms, against the
+    complex Liouville form."""
+
+    env = EnvironmentSpec(lambda_env=25e-9, rate_Lambda=1e14)
+
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("potential", [FreePotential(),
+                                           LinearPotential(2e-13)])
+    def test_step_matches_complex_liouville(self, n, potential):
+        g = Grid.make(n, 1e-6)
+        dt = 0.5 * ceiling_dt(g, ME)
+        kin = kinetic_phase(g, ME, dt)
+        half = half_kick(potential.values(g), dt)
+        kernel = damping_kernel(g, self.env, dt)
+
+        def columns(mat):
+            if half is not None:
+                mat = half[:, None] * mat
+            mat = fft.ifft(kin[:, None] * fft.fft(mat, axis=0), axis=0)
+            return mat if half is None else half[:, None] * mat
+
+        rho = DensityMatrix(g, random_hermitian(n, n), ME)
+        expected = rho.rho
+        for _ in range(3):
+            expected = kernel * columns(columns(expected).conj().T)
+        got = propagate_density(rho, self.env, potential, dt, 3)
+        assert half is None or np.ptp(np.abs(np.angle(half))) > 0.1
+        assert np.min(kernel) < 0.9
+        assert (np.max(np.abs(got.rho - expected))
+                <= 1e-13 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_pack_then_unpack(self, n):
+        g = Grid.make(n, 1e-6)
+        rho = random_hermitian(n, 7)
+        back = DensityMatrix(g, rho, ME).rho
+        assert np.array_equal(back, back.conj().T)
+        assert np.array_equal(np.diagonal(back), np.diagonal(rho))
+        # R_ij = a + b and R_ji = a - b round once each, so a and b come
+        # back to within one rounding of |rho_ij|, not always exactly
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(back - rho) <= eps * np.abs(rho))
+        # with Re rho or Im rho zero there is nothing to round
+        for part in (rho.real, 1j * rho.imag + np.diag(np.diagonal(rho.real))):
+            assert np.array_equal(DensityMatrix(g, part, ME).rho, part)
+
+    def test_observer_sees_exactly_hermitian_states(self):
+        g = Grid.make(128, 1e-6)
+        rho = DensityMatrix(g, random_hermitian(128, 3), ME)
+        defects = []
+        propagate_density(rho, self.env, LinearPotential(2e-13), 1e-14, 6,
+                          observe=lambda state, step:
+                          defects.append(state.hermiticity_defect()))
+        assert defects == [0.0] * 6
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_observables_match_complex_form(self, n):
+        g = Grid.make(n, 1e-6)
+        dx = g.spacings[0]
+        state = propagate_density(DensityMatrix(g, random_hermitian(n, 11), ME),
+                                  self.env, FreePotential(),
+                                  0.5 * ceiling_dt(g, ME), 2)
+        rho = state.rho
+        assert state.purity() == pytest.approx(
+            np.sum(np.abs(rho) ** 2) * dx * dx, rel=1e-14)
+        assert state.trace() == pytest.approx(
+            np.real(np.trace(rho)) * dx, rel=1e-14)
+        assert np.array_equal(state.position_density(), np.real(np.diagonal(rho)))
+        x = g.axis(0)
+        i1, i2 = n // 4, 3 * n // 4
+        d1, d2 = rho[i1, i1].real, rho[i2, i2].real
+        assert coherence(state, x[i1], x[i2]) == pytest.approx(
+            abs(rho[i1, i2]) / math.sqrt(d1 * d2), rel=1e-14)
 
 
 class TestCoherence:

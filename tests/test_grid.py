@@ -448,18 +448,23 @@ class TestFreeAxes:
 
 class _CountingFFT:
     """Stands in for grid._fft and logs every transform it is asked for,
+    complex or real (by input shape and axes, and by name and input shape),
     and the shape and thread count of those that name their workers."""
 
+    TRANSFORMS = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn",
+                  "irfftn")
+
     def __init__(self, real):
-        self.real, self.calls, self.threaded = real, [], []
+        self.real, self.calls, self.named, self.threaded = real, [], [], []
 
     def __getattr__(self, name):
         fn = getattr(self.real, name)
-        if name not in ("fft", "ifft", "fftn", "ifftn"):
+        if name not in self.TRANSFORMS:
             return fn
 
         def logged(x, *args, **kwargs):
             self.calls.append((np.shape(x), kwargs.get("axes", kwargs.get("axis"))))
+            self.named.append((name, np.shape(x)))
             if "workers" in kwargs:
                 self.threaded.append((np.shape(x), kwargs["workers"]))
             return fn(x, *args, **kwargs)
@@ -496,7 +501,7 @@ def density_step():
     g = Grid.make(512, 1e-6)
     rho = pure_to_density(initialize_gaussian(g, GaussianPacket(0.0, 5e-8, 0.0, ME)))
     propagate_density(rho, None, FreePotential(), ceiling_dt(g, ME), 1)
-    return 1        # transform pairs: one Strang step
+    return 1        # transform pairs: one Liouville step
 
 
 def spinor_step():
@@ -517,19 +522,21 @@ def free_axis_step():
     return 1
 
 
-@pytest.mark.parametrize("step,shape", [
-    (density_step, (512, 512)),
-    (spinor_step, (2, 64, 64)),
-    (free_axis_step, (1, 2048)),
+@pytest.mark.parametrize("step,pair", [
+    # a density matrix's real R and the half spectrum n x (n/2 + 1) of it
+    (density_step, (("rfftn", (512, 512)), ("irfftn", (512, 257)))),
+    (spinor_step, (("fftn", (2, 64, 64)), ("ifftn", (2, 64, 64)))),
+    (free_axis_step, (("fftn", (1, 2048)), ("ifftn", (1, 2048)))),
 ], ids=["density-512", "spinor-2x64x64", "free-axis-row-2048"])
-def test_every_transform_runs_on_one_thread(monkeypatch, step, shape):
+def test_every_transform_runs_on_one_thread(monkeypatch, step, pair):
     proxy = _CountingFFT(grid_module._fft)
     monkeypatch.setattr(grid_module, "_fft", proxy)
     pairs = step()
     # the forward and inverse transform of the one Strang step, or of each
     # H-application of the coupled spinor's expansion, on the default
     # single worker
-    assert [s for s, _ in proxy.calls].count(shape) == 2 * pairs
+    for call in pair:
+        assert proxy.named.count(call) == pairs
     assert proxy.threaded == []
 
 

@@ -82,11 +82,17 @@ def test_only_grid_steps(name):
 
 
 def test_one_density_matrix_loop():
-    # every density-matrix step runs in decoherence.propagate_density
-    calls = sorted(n.lineno for n in ast.walk(MODULES["decoherence"])
-                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-                   and n.func.id == "strang_step")
-    assert len(calls) == 1, f"decoherence.py calls strang_step at lines {calls}"
+    # every density-matrix step runs in decoherence.propagate_density, as
+    # the one packed step of grid, and no complex n^2 path steps beside it
+    calls = {name: sorted(n.lineno for n in ast.walk(MODULES["decoherence"])
+                          if isinstance(n, ast.Call)
+                          and isinstance(n.func, ast.Name)
+                          and n.func.id == name)
+             for name in ("liouville_step", "strang_step")}
+    assert len(calls["liouville_step"]) == 1, (
+        f"decoherence.py calls liouville_step at lines {calls['liouville_step']}")
+    assert not calls["strang_step"], (
+        f"decoherence.py calls strang_step at lines {calls['strang_step']}")
 
 
 def test_no_thread_count_parameters():
