@@ -17,15 +17,11 @@ the next step's leading one into one full kick; it is applied only where
 the field is observed (records, population samples, the return).
 
 On a grid axis along which V is constant, the kinetic factor commutes with
-every other factor of the step, so :func:`propagate` steps only the coupled
-axes and applies the exact free evolution exp(-i hbar k_f^2 t / 2m) where
-the field is observed.  Every step then acts alike on each free-axis row of
-the free-axis-major field psi, so it steps a basis of their span instead:
-psi = u b, with u an orthonormal basis of psi's column space (pivoted
-Gram-Schmidt, to rounding) and b = u^+ psi, whose r rows span psi's rows.
-The Strang loop steps b; the free evolution acts on the small u at
-observations, where the field is rebuilt as u_t b.  A product field
-chi(z) phi(x) has r = 1.
+every other factor of the step, so a product field psi = u b, with u a
+unit vector on the free axis and b on the coupled one, stays a product:
+:func:`propagate` steps only b, and reads u exactly as
+u_t = F^-1 exp(-i hbar k_f^2 t / 2m) F u where it is needed.  Any other
+field steps every axis.
 
 Boundaries are periodic; there are no absorbing layers.  Runs must be sized
 so that no appreciable probability reaches the grid edge, and a margin
@@ -33,14 +29,12 @@ monitor checks every step of every wave-function run (and every chunk end
 of a coupled spinor run, see :mod:`qratio.stern_gerlach`) and aborts with
 :class:`BoundaryError` before wraparound contaminates results.  It reads
 the held field: a kick, a per-point phase, keeps the summed margin mass.
-With a free axis the margin mass is the sum of two exact parts: the coupled axes' margin, read off the stepped rows b
-(u has orthonormal columns, so b's margin mass is the field's, and a
-unitary on the free axis keeps it), and the free axis's margin, from the
-field's reduced density matrix u (b b^+) u^+ on that axis.  The sum is never
-below the mass in the union of the margins.
+For a product field u b the margin mass is the sum of two exact parts: the
+coupled axis's margin, read off the stepped b (u is a unit vector), and the
+free axis's, the margin mass of u_t times |b|^2.  The sum is never below
+the mass in the union of the margins.
 """
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -57,9 +51,6 @@ MAX_POINTS = 2 ** 22      # points per grid, all axes: 64 MiB per complex field
 SUPPORT_WIDTHS = 3.0      # packet support = center +/- 3 widths (|psi|^2 < 2e-8)
 BOUNDARY_MARGIN = 0.05    # outer fraction of each axis watched by the monitor
 BOUNDARY_TOLERANCE = 1e-6
-# a free-axis field's row basis is complete once the mass outside it is at
-# most (max(n_free, n_coupled) * ROW_BASIS_EPS)^2 of the total
-ROW_BASIS_EPS = np.finfo(float).eps
 
 
 def _is_pow2(n):
@@ -453,10 +444,9 @@ def _margin_width(n):
 def boundary_monitor(grid, free=()):
     """check(psi, t, step, free_mass=0.0) -> the margin mass, raising
     :class:`BoundaryError` once the probability in the outer margin of any
-    axis reaches the tolerance.  Leading axes of ``psi`` stack components
-    or the rows of a free axis's orthonormal basis; their edge masses add.
-    The grid axes named in ``free`` are not read: ``free_mass`` is their
-    margin mass."""
+    axis reaches the tolerance.  Leading axes of ``psi`` stack components,
+    whose edge masses add, or stand for a free axis.  The grid axes named
+    in ``free`` are not read: ``free_mass`` is their margin mass."""
     coupled = [grid.points[a] for a in range(grid.ndim) if a not in free]
     # the two outer slabs of each trailing axis, cut to the interior of the
     # axes before it, so that a corner counts once
@@ -497,91 +487,21 @@ def _free_axes(grid, v):
     return () if len(free) == grid.ndim else free
 
 
-def _free_phase(grid, free, mass):
-    """-hbar k_f^2 / 2m on the free axis, shaped to lead a held field."""
-    return (grid.kaxis(free[0]) ** 2 * (-0.5 * HBAR / mass))[:, None]
-
-
-def _row_basis(psi):
-    """u, an orthonormal basis of the column space of the free-axis-major
-    field ``psi`` (n_free x n_coupled), as n_free x r columns.
-
-    Pivoted Gram-Schmidt: each pass takes the column with the most mass
-    left, orthogonalises it against u once more (so that u stays
-    orthonormal to rounding), and projects it out of every column in place.
-    It stops once the mass left is at most (max(n_free, n_coupled) eps)^2 of
-    the total, so a product field takes one pass.  ``psi`` is overwritten.
-    """
+def _product_split(psi):
+    """(u, b) with ``psi`` = u b for the free-axis-major field ``psi``
+    (n_free x n_coupled): u, n_free x 1, is its unit column with the most
+    mass and b = u^+ psi.  None unless the mass psi - u b leaves is at most
+    (max(n_free, n_coupled) eps)^2 of the total, that is unless ``psi`` is
+    a product to rounding."""
     n, m = psi.shape
-    left = np.sum(np.abs(psi) ** 2, axis=0)
-    floor = (max(n, m) * ROW_BASIS_EPS) ** 2 * left.sum()
-    basis = np.empty((min(n, m), n), dtype=complex)   # u^T, filled row by row
-    r = 0
-    while r < len(basis) and left.sum() > floor:
-        q = psi[:, int(np.argmax(left))].copy()
-        q -= basis[:r].T @ (basis[:r].conj() @ q)
-        q /= np.linalg.norm(q)
-        basis[r] = q
-        psi -= np.outer(q, q.conj() @ psi)
-        left = np.sum(np.abs(psi) ** 2, axis=0)
-        r += 1
-    return np.ascontiguousarray(basis[:r].T)
-
-
-def _free_margin_masses(grid, free, u, b, mass, dt, steps):
-    """Iterator over the free axis's outer-margin mass after steps 1, 2, ...
-
-    Nothing but the free kinetic factor acts on the free axis, so the
-    density matrix rho = u (b b^+) u^+ of the held field u b, reduced to
-    that axis, stays what it is.  After time tau the margin holds
-    sum_{i in edge} [U rho U^+]_ii with U = F^-1 diag(e) F and
-    e_k = exp(-i hbar k^2 tau / 2m), which is e^T (R o Q) e* with
-    R = F rho F^+ and Q_kk' = sum_{i in edge} (F^-1)_ik (F^-1)*_ik'.  That
-    is exact and costs n^2 per step, evaluated 64 steps at a time.
-    """
-    if not free:
-        return itertools.repeat(0.0)
-    n = grid.points[free[0]]
-    rho = (u @ (b @ b.conj().T) @ u.conj().T) * grid.cell_volume
-    w = _margin_width(n)
-    in_edge = np.zeros(n)
-    in_edge[:w] = in_edge[n - w:] = 1.0
-    # R = n ifft(fft(rho, axis 0), axis 1) and
-    # Q_kk' = ifft(edge indicator)[(k - k') mod n] / n: the factors n cancel
-    g = _fft.ifft(in_edge)
-    k = np.arange(n)
-    m = (_fft.ifft(_fft.fft(rho, axis=0), axis=1, overwrite_x=True)
-         * g[np.subtract.outer(k, k) % n])
-    phase = 1j * _free_phase(grid, free, mass)[:, 0]
-
-    def masses():
-        for first in range(1, steps + 1, 64):
-            taus = dt * np.arange(first, min(first + 64, steps + 1))
-            e = np.exp(np.multiply.outer(taus, phase))
-            yield from ((e @ m) * e.conj()).sum(axis=1).real.tolist()
-    return masses()
-
-
-def _observer(grid, free, order, mass, half, u):
-    """observe(psi, tau): the held field in grid order, after what it has
-    not had: the trailing half kick ``half`` (None for V = 0) and, with a
-    free axis, the exact free evolution exp(-i hbar k_f^2 tau / 2m) of its
-    basis ``u``.  The held field is ``psi`` itself, or u psi with a free
-    axis; ``psi`` is not changed."""
-    if not free:
-        if half is None:
-            return lambda psi, tau: psi
-        return lambda psi, tau: psi * half
-    phase = 1j * _free_phase(grid, free, mass)
-    inverse = tuple(int(a) for a in np.argsort(order))
-
-    def observe(psi, tau):
-        # V varies along the coupled axes only, so ``half`` is an array
-        phi = _fft.fftn(u, axes=(0,))
-        phi *= np.exp(tau * phase)
-        u_tau = _fft.ifftn(phi, axes=(0,), overwrite_x=True)
-        return (u_tau @ (psi * half)).transpose(inverse)
-    return observe
+    mass = np.sum(np.abs(psi) ** 2, axis=0)
+    u = psi[:, [int(np.argmax(mass))]]
+    u = u / np.linalg.norm(u)
+    b = u.conj().T @ psi
+    rest = psi - u @ b
+    if np.vdot(rest, rest).real > (max(n, m) * np.finfo(float).eps) ** 2 * mass.sum():
+        return None
+    return u, b
 
 
 def propagate(field, potential, dt, steps, record_every=0):
@@ -592,59 +512,74 @@ def propagate(field, potential, dt, steps, record_every=0):
     state, into an :class:`ObservableTrace` held as the ``.trace`` attribute
     of the returned field (None otherwise).
 
-    Axes along which V is constant are free: their kinetic factor commutes with
-    every other factor of the step, so only the coupled axes are stepped
-    and the free evolution is applied exactly where the field is observed
-    (records and the return).  Every step acts alike on each row of the
-    free-axis-major field, so only the r rows b = u^+ psi of an orthonormal
-    basis u of its column space are stepped (r = 1 for a product field),
-    and the field is rebuilt as u_t b where it is observed.  The margin
-    check is exact all the same: b's coupled-axis margin mass is the
-    field's, and the free axis's comes from u (b b^+) u^+.  Each step
-    applies one full kick; the last step's trailing half kick is applied
-    where the field is observed too.
+    An axis along which V is constant is free: its kinetic factor commutes
+    with every other factor of the step.  A field that is a product u b of
+    a unit vector u on the free axis and b on the coupled one (see
+    :func:`_product_split`) is split once, only b is stepped, and u is
+    read exactly at each step as u_t = F^-1 exp(-i hbar k_f^2 t / 2m) F u:
+    the free axis's margin mass is u_t's times |b|^2, and the field is
+    u_t b where it is observed (records and the return).  Any other field
+    steps every axis.  Each step applies one full kick; the last step's
+    trailing half kick is applied where the field is observed too.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
     grid = field.grid
     v = potential.values(grid)
     free = _free_axes(grid, v)
-    # the held field is free-axis-major, the coupled axes contiguous
+    # a grid with a free axis has two; the split field is free-axis-major
+    flip = free == (1,)
+    split = _product_split(field.psi.T if flip else field.psi) if free else None
+    if split is None:
+        free, psi = (), field.psi.copy()
+    else:
+        u, psi = split
+        v = (v.T if flip else v)[:1]
+        fu = _fft.fft(u, axis=0)
+        phase = 1j * (grid.kaxis(free[0]) ** 2 * (-0.5 * HBAR / field.mass))[:, None]
+        w = _margin_width(len(u))
+        edge = np.r_[:w, len(u) - w:len(u)]
+        # |b|^2 dv, which the unitary steps keep
+        b2 = float(np.vdot(psi, psi).real) * grid.cell_volume
     coupled = tuple(a for a in range(grid.ndim) if a not in free)
-    order = free + coupled
     kin = kinetic_phase(grid, field.mass, dt, coupled)
-    if free:
-        v = v.transpose(order)[tuple(slice(1) for _ in free)]
     # the held field lacks its trailing half kick, which joins the next
     # step's leading one into one full kick
     half, full = half_kick(v, dt), half_kick(v, 2.0 * dt)
-
-    psi = np.array(field.psi.transpose(order), order="C")   # a copy, always
-    u = None
-    if free:
-        # the copy is the basis's scratch; the loop steps b = u^+ psi
-        u = _row_basis(psi)
-        psi = u.conj().T @ field.psi.transpose(order)
     check = boundary_monitor(grid, free)
-    free_masses = _free_margin_masses(grid, free, u, psi, field.mass, dt, steps)
-    observe = _observer(grid, free, order, field.mass, half, u)
+
+    def observe(psi, u_t):
+        """The held field in grid order, with its trailing half kick and,
+        for a split field, its free factor ``u_t``; ``psi`` is not changed."""
+        if half is not None:
+            psi = psi * half
+        if not free:
+            return psi
+        psi = u_t @ psi
+        return psi.T if flip else psi
 
     out = WaveField(grid, field.psi, field.mass, field.time, field.norm_drift)
     trace = ObservableTrace() if record_every else None
     if record_every:
         trace.append(out.time, snapshot_with_force(out, potential))
 
-    for step, free_mass in zip(range(1, steps + 1), free_masses):
+    u_t, free_mass = None, 0.0
+    for step in range(1, steps + 1):
         if half is not None:
             psi *= half if step == 1 else full
         psi = strang_step(psi, kin)
         out.time += dt
+        if free:
+            u_t = _fft.ifft(fu * np.exp(step * dt * phase), axis=0,
+                            overwrite_x=True)
+            e = u_t[edge]
+            free_mass = float(np.vdot(e, e).real) * b2
         check(psi, out.time, step, free_mass)
         if record_every and step % record_every == 0 and step < steps:
-            out.psi = observe(psi, step * dt)
+            out.psi = observe(psi, u_t)
             trace.append(out.time, snapshot_with_force(out, potential))
 
-    out.psi = observe(psi, steps * dt)
+    out.psi = observe(psi, u_t)
     if record_every:
         trace.append(out.time, snapshot_with_force(out, potential))
     out.norm_drift = max(field.norm_drift, abs(out.norm() - 1.0))

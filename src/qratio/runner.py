@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .catalog import experiment_lookup
-from .constants import BOHR_MAGNETON, EV
+from .constants import BOHR_MAGNETON, EV, HBAR
 from .core import (GaussianPacket, doubling_time, quantum_ratio)
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ResolutionError
 from .grid import Grid, ceiling_dt, field_array_bytes, initialize_gaussian
 from .spin import (SpinCoherentState, approximate_distribution,
                    classical_limit_diagnostics, distribution)
@@ -170,6 +170,20 @@ def _trace_rows(trace):
     return rows
 
 
+def _check_sg_kick(p, grid):
+    """initialize_gaussian's band rule for the final momentum mu_B b0 t of
+    either band along z (grid axis 1): past it the bands alias, and the run
+    would end in garbage."""
+    k_need = BOHR_MAGNETON * abs(p["b0"]) * p["duration"] / HBAR + 5.0 / p["width"]
+    k_nyquist = math.pi / grid.spacings[1]
+    if not k_need <= 0.9 * k_nyquist:
+        raise ResolutionError(
+            f"[sg] gradient 'b0' = {p['b0']:g} T/m over 'duration' = "
+            f"{p['duration']:g} s takes the momentum content to {k_need:.3e} "
+            f"rad/m, over 90% of the spectral band ({k_nyquist:.3e} rad/m); "
+            "refine the grid")
+
+
 def _run_sg(cfg):
     p = cfg.section("sg")
     mode = p["mode"]
@@ -199,6 +213,7 @@ def _run_sg(cfg):
     spinor = sg.SpinorField(up, down, c_up, c_down)
 
     if mode == "decoupled":
+        _check_sg_kick(p, grid)
         # the momentum check divides by the kick mu_B b0 duration
         if BOHR_MAGNETON * p["b0"] * p["duration"] == 0.0:
             raise DomainError(f"[sg] gradient 'b0' = {p['b0']:g} T/m gives a "
@@ -247,6 +262,8 @@ def _run_sg(cfg):
         if not alpha <= sg.MAX_APPLICATIONS:
             raise DomainError(f"[sg] 'duration' = {p['duration']:g} s takes over "
                               f"{sg.MAX_APPLICATIONS} H-applications, the cap")
+        # after the caps, which name the cause of a run too long to make
+        _check_sg_kick(p, grid)
         chunks = max(1, math.ceil(alpha / sg.MAX_CHUNK_ALPHA))
         coup, _, applications = sg.propagate_coupled(
             spinor, config, p["duration"] / chunks, chunks)

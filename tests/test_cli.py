@@ -323,6 +323,33 @@ def test_sg_decoupled_zero_gradient_is_a_domain_error(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("preset,edits", [
+    # the final momentum mu_B b0 t of sg-split's 2 ps run on 256 points per
+    # micron leaves the band from about 3.8e9 T/m on
+    ("sg-split", [("b0 = 5e8 T/m", "b0 = 4.5e9 T/m")]),
+    ("sg-split", [("b0 = 5e8 T/m", "b0 = 1e300 T/m")]),
+    # and sg-coupled-check's 54 ps run on 64 points from about 3e7 T/m
+    ("sg-coupled-check", [("b0 = 1.05e6 T/m", "b0 = 5e7 T/m"),
+                          ("bias_ratios = 200", "bias_ratios = 50")]),
+], ids=["split-4.5e9", "split-1e300", "coupled-check-5e7"])
+def test_sg_kick_past_the_spectral_band_is_a_resolution_error(tmp_path, capsys,
+                                                              preset, edits):
+    cfg = preset_copy(tmp_path, preset, *edits)
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ResolutionError"
+    assert "'b0'" in err["message"] and "'duration'" in err["message"]
+    assert not out.exists()
+
+
+def test_sg_kick_inside_the_spectral_band_runs(tmp_path):
+    cfg = preset_copy(tmp_path, "sg-split", ("b0 = 5e8 T/m", "b0 = 3e9 T/m"))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 0
+    assert load_summary(out)["pz_relative_error"] < 1e-12
+
+
 @pytest.mark.parametrize("kind,preset,old,new,words", [
     ("ratio", "Ag", "experiment = Ag", "Rq = 1 mm", "'experiment'"),
     ("sg", "sg-coupled-check", "bias_ratios = 200\n", "", "'bias_ratios'"),

@@ -480,21 +480,29 @@ def test_steps_transform_only_the_coupled_axis(monkeypatch, record_every):
     propagate(f0, BARRIER, suggest_dt(ZX, BARRIER, ME), steps,
               record_every=record_every)
     n_z, n_x = ZX.points
-    # a product field's free-axis rows span one row
+    # a product field steps its one coupled-axis row, and reads its free
+    # factor (transformed once before the loop) at every step
     per_step = [c for c in proxy.calls if c == ((1, n_z), (-1,))]
-    free_axis = [c for c in proxy.calls if c == ((n_x, 1), (0,))]
+    free_axis = [c for c in proxy.calls if c == ((n_x, 1), 0)]
     snapshots = [c for c in proxy.calls if c == ((n_z, n_x), None)]
-    setup = [c for c in proxy.calls if c[0] in ((n_x,), (n_x, n_x))]
     records = steps // record_every + 1 if record_every else 0
-    # the free axis's basis is transformed at each record after step 0, or
-    # at the return
-    observations = records - 1 if record_every else 1
     assert len(per_step) == 2 * steps
-    assert len(free_axis) == 2 * observations
+    assert len(free_axis) == steps + 1
     assert len(snapshots) == records
-    assert len(setup) == 3
-    assert len(proxy.calls) == (len(per_step) + len(free_axis) + len(snapshots)
-                                + len(setup))
+    assert len(proxy.calls) == len(per_step) + len(free_axis) + len(snapshots)
+
+
+@pytest.mark.parametrize("record_every", [0, 20])
+def test_non_product_field_transforms_the_full_grid(monkeypatch, record_every):
+    proxy = _CountingFFT(grid_module._fft)
+    monkeypatch.setattr(grid_module, "_fft", proxy)
+    steps = 60
+    propagate(rank2_field(), BARRIER, suggest_dt(ZX, BARRIER, ME), steps,
+              record_every=record_every)
+    # the transform pair of each step and one transform per snapshot, all
+    # on the full (n_z, n_x) grid
+    records = steps // record_every + 1 if record_every else 0
+    assert proxy.calls == [(ZX.points, None)] * (2 * steps + records)
 
 
 def density_step():
@@ -541,7 +549,8 @@ def test_every_transform_runs_on_one_thread(monkeypatch, step, pair):
 
 
 # ---------------------------------------------------------------------------
-# fields that are not products: the stepped rows span the free-axis rows
+# the free-axis rows a run steps: one row b of a product field u b, or every
+# row of any other field
 
 def rank2_field(second=(2e-26, -1e-26, 2e-7, -1.2e-7)):
     """Sum of two product packets, normalized."""
@@ -606,16 +615,20 @@ def margin_masses(monkeypatch, field, potential, dt, steps):
 
 
 class TestRowBasis:
-    @pytest.mark.parametrize("make, rank", [(zx_field, 1), (rank2_field, 2),
-                                            (seeded_field, 64)],
+    @pytest.mark.parametrize("make, product", [(zx_field, True),
+                                               (rank2_field, False),
+                                               (seeded_field, False)],
                              ids=["product", "rank-2", "seeded"])
-    def test_spans_the_rows_with_orthonormal_columns(self, make, rank):
+    def test_splits_only_a_product_field(self, make, product):
         psi = make().psi.T                      # free-axis-major
-        u = grid_module._row_basis(np.array(psi, order="C"))
-        assert u.shape == (ZX.points[1], rank)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(rank))) < 1e-14
-        rebuilt = u @ (u.conj().T @ psi)
-        assert np.linalg.norm(rebuilt - psi) < 1e-13 * np.linalg.norm(psi)
+        split = grid_module._product_split(psi)
+        if not product:
+            assert split is None
+            return
+        u, b = split
+        assert u.shape == (ZX.points[1], 1) and b.shape == (1, ZX.points[0])
+        assert abs(np.linalg.norm(u) - 1.0) < 1e-15
+        assert np.linalg.norm(u @ b - psi) <= 1e-15 * np.linalg.norm(psi)
 
     @pytest.mark.parametrize("make", [rank2_field, seeded_field],
                              ids=["rank-2", "seeded"])
@@ -628,19 +641,26 @@ class TestRowBasis:
         for a, b in zip(got, want):
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
-    # the second packet moves out along x, the free axis; the first along z
-    @pytest.mark.parametrize("second", [(0.0, -1e-26, 4e-7, -1.2e-7),
-                                        (-3e-26, 0.0, -5e-7, -1e-7)],
+    # a product packet that moves out along x, the free axis, or along z
+    @pytest.mark.parametrize("packet", [(0.0, 1e-26, -4e-7, 1e-7),
+                                        (-2e-26, 0.0, -6e-7, 0.0)],
                              ids=["free-margin", "coupled-margin"])
-    def test_margin_mass_and_stop_match_every_row(self, monkeypatch, second):
-        f0 = rank2_field(second)
+    def test_margin_mass_and_stop_match_every_row(self, monkeypatch, packet):
+        f0 = zx_field(*packet)
         dt = suggest_dt(ZX, BARRIER, ME)
         masses, stop = margin_masses(monkeypatch, f0, BARRIER, dt, 100_000)
-        # the identity basis: every free-axis row is stepped
-        monkeypatch.setattr(grid_module, "_row_basis",
-                            lambda psi: np.eye(len(psi), dtype=complex))
-        want, want_stop = margin_masses(monkeypatch, f0, BARRIER, dt, 100_000)
-        assert len(masses) == len(want) > 100
-        assert (np.max(np.abs(np.subtract(masses, want)))
+        # every row stepped on the full grid: the coupled (z) axis's outer
+        # slabs plus the free (x) axis's, each across the whole grid
+        kin = kinetic_phase(ZX, ME, dt)
+        half = half_kick(BARRIER.values(ZX), dt)
+        w_z, w_x = map(grid_module._margin_width, ZX.points)
+        psi, want = f0.psi, []
+        while not want or want[-1] < BOUNDARY_TOLERANCE:
+            psi = strang_step(psi, kin, lambda p: p * half)
+            slabs = (psi[:w_z], psi[-w_z:], psi[:, :w_x], psi[:, -w_x:])
+            want.append(sum(np.vdot(e, e).real for e in slabs) * ZX.cell_volume)
+        # the check that raises returns no mass
+        assert len(masses) == len(want) - 1 > 100
+        assert (np.max(np.abs(np.subtract(masses, want[:-1])))
                 <= 1e-9 * BOUNDARY_TOLERANCE)
-        assert stop == want_stop
+        assert f"(step {len(want)})" in stop

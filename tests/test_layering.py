@@ -75,7 +75,8 @@ def test_internal_imports_are_acyclic():
 
 @pytest.mark.parametrize("name", ["stern_gerlach", "decoherence"])
 def test_only_grid_steps(name):
-    # every split-operator step goes through grid.strang_step
+    # every transform of a step runs in grid: strang_step, the Chebyshev
+    # expansion's fourier_multiply or the density matrix's liouville_step
     uses = sorted({n.lineno for n in ast.walk(MODULES[name])
                    if isinstance(n, ast.Name) and n.id == "_fft"})
     assert not uses, f"{name}.py uses _fft at lines {uses}"
