@@ -17,8 +17,7 @@ import numpy as np
 from qratio import GaussianPacket, catalog_lookup, quantum_ratio
 from qratio.constants import BOHR_MAGNETON as MUB, ELECTRON_MASS as ME, HBAR
 from qratio.grid import Grid, ceiling_dt, initialize_gaussian, observables
-from qratio.stern_gerlach import (MAX_CHUNK_ALPHA, SGFieldConfig, SpinorField,
-                                  band_separation, coupled_alpha,
+from qratio.stern_gerlach import (SGFieldConfig, SpinorField, band_separation,
                                   large_spin_bands, precession_frequency,
                                   propagate_coupled, propagate_decoupled)
 
@@ -31,7 +30,7 @@ spinor = SpinorField(initialize_gaussian(grid, (pk, pk)),
 config = SGFieldConfig(field_B0=1.0, gradient_b0=5e8, region_length=2e-12,
                        transit_speed=1.0)
 steps = 256
-out = propagate_decoupled(spinor, config, 2e-12 / steps, steps, z_axis=1)
+out = propagate_decoupled(spinor, config, 2e-12 / steps, steps)
 pz_up = observables(out.up).mean_momentum[1]
 print(f"decoupled: <p_z>_up = {pz_up:.4e}, "
       f"mu_B b0 t = {MUB * 5e8 * out.up.time:.4e}")
@@ -47,12 +46,11 @@ sp2 = SpinorField(initialize_gaussian(small, (pk2, pk2)),
 duration = 0.4 * ME * w * w / HBAR
 b0 = 2 * ME * (w / 8) / (MUB * duration ** 2)
 cfg = SGFieldConfig(200 * b0 * small.extents[0] / 2, b0, duration, 1.0)
-# the coupled run: Chebyshev chunks of alpha <= 100; the decoupled one is
-# exact up to a phase at the spectral ceiling step
-chunks = math.ceil(coupled_alpha(sp2, cfg, duration) / MAX_CHUNK_ALPHA)
-coupled, _, applications = propagate_coupled(sp2, cfg, duration / chunks, chunks)
+# the coupled run picks its own Chebyshev chunks of alpha <= 100; the
+# decoupled one is exact up to a phase at the spectral ceiling step
+coupled, applications = propagate_coupled(sp2, cfg, duration, 1)
 n = math.ceil(duration / ceiling_dt(small, ME))
-decoupled = propagate_decoupled(sp2, cfg, duration / n, n, z_axis=1)
+decoupled = propagate_decoupled(sp2, cfg, duration / n, n)
 nu_c, nd_c = coupled.densities()
 nu_d, nd_d = decoupled.densities()
 l1 = float((np.abs(nu_c - nu_d).sum() + np.abs(nd_c - nd_d).sum())

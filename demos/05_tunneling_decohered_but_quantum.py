@@ -54,7 +54,7 @@ scen_d = TunnelScenario(
                 GaussianPacket(+75e-9, 36e-9, 0.0, ME)),
     c1=0.6, c2=0.8, barrier=gauss)
 env = EnvironmentSpec(lambda_env=50e-9, rate_Lambda=1e9)
-deco = run_tunnel_scenario(scen_d, grid=grid, with_decoherence=True, env=env)
+deco = run_tunnel_scenario(scen_d, grid=grid, env=env)
 print("\ndecohered beam (|c1|^2 = 0.36, |c2|^2 = 0.64):")
 print(f"  transmitted fraction {deco.transmitted_fraction:.4e} - unchanged")
 print(f"  transverse coherence {deco.transverse_coherence:.4f} - destroyed")

@@ -106,14 +106,13 @@ SCHEMAS = {
         "sg": {
             "mode": ("choice:decoupled|coupled-check|bands", True, None),
             "mass": ("mass", True, None),
-            "B0": ("field", False, None),
             "b0": ("gradient", True, None),
             "width": ("length", "sg.mode=decoupled|coupled-check", None),
             "duration": ("time", "sg.mode=decoupled|coupled-check", None),
             "steps": ("int>=1", False, 200),
             "c_up": ("float", False, _C1),
             "c_down": ("float", False, None),
-            "bias_ratios": ("floats", False, None),
+            "bias_ratios": ("floats", "sg.mode=coupled-check", None),
             "record_every": ("int>=0", False, 0),
             "j": ("spin", "sg.mode=bands", None),
             "theta": ("angle", "sg.mode=bands", None),

@@ -127,4 +127,13 @@ def doubling_time(mass, initial_width):
     """
     if mass <= 0.0 or initial_width <= 0.0:
         raise DomainError("mass and initial width must be positive")
-    return math.sqrt(3.0) * mass * initial_width ** 2 / (2.0 * HBAR)
+    return math.sqrt(3.0) * mass * square(initial_width, "packet width") / (2.0 * HBAR)
+
+
+def square(x, name):
+    """x ** 2, or a :class:`DomainError` that names the quantity where the
+    square overflows the float range."""
+    try:
+        return x ** 2
+    except OverflowError:
+        raise DomainError(f"{name} {x:.3e} overflows when squared") from None

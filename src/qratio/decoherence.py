@@ -95,10 +95,6 @@ class DensityMatrix:
         v = self.packed.ravel()
         return float(np.einsum("i,i->", v, v) * dx * dx)
 
-    def hermiticity_defect(self):
-        rho = self.rho
-        return float(np.max(np.abs(rho - rho.conj().T)))
-
     def smallest_eigenvalue(self):
         """Least eigenvalue of the trace-normalized operator (on demand)."""
         w = np.linalg.eigvalsh(self.rho * self.grid.spacings[0])

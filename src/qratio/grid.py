@@ -14,7 +14,7 @@ K(k) K*(k')).
 
 A stepping loop holds its field before the trailing half kick, which joins
 the next step's leading one into one full kick; it is applied only where
-the field is observed (records, population samples, the return).
+the field is observed (records and the return).
 
 On a grid axis along which V is constant, the kinetic factor commutes with
 every other factor of the step, so a product field psi = u b, with u a
@@ -294,25 +294,20 @@ def observables(field):
                     (0.0,) * grid.ndim, math.sqrt(norm2))
 
 
-def _mean_force(field, potential, dens=None):
+def snapshot_with_force(field, potential):
+    """:func:`observables` with the mean force -<dV/dx_i> filled in."""
+    snap = observables(field)
     grid = field.grid
-    if dens is None:
-        dens = field.density()
-    dv = grid.cell_volume
-    out = []
+    dens = field.density()
+    force = []
     for ax in range(grid.ndim):
         g = potential.gradient(grid, ax)
         if np.isscalar(g) or np.ndim(g) == 0:
-            out.append(-float(g))
+            force.append(-float(g))
         else:
-            out.append(-float(np.sum(dens * g) * dv))
-    return tuple(out)
-
-
-def snapshot_with_force(field, potential):
-    snap = observables(field)
+            force.append(-float(np.sum(dens * g) * grid.cell_volume))
     return Snapshot(snap.mean_position, snap.mean_momentum, snap.widths,
-                    _mean_force(field, potential), snap.norm)
+                    tuple(force), snap.norm)
 
 
 def kinetic_ceiling(grid, mass):

@@ -187,9 +187,8 @@ def _check_sg_kick(p, grid):
 def _run_sg(cfg):
     p = cfg.section("sg")
     mode = p["mode"]
-    b_bias = p["B0"] if p["B0"] is not None else 0.0
     if mode == "bands":
-        config = sg.SGFieldConfig(b_bias, p["b0"], p["region_length"], p["speed"])
+        config = sg.SGFieldConfig(0.0, p["b0"], p["region_length"], p["speed"])
         hist = sg.large_spin_bands(p["j"], p["theta"], p["phi"], config,
                                    p["drift_time"], p["mass"])
         rows = list(zip(hist.m_values, hist.deflections, hist.weights))
@@ -201,8 +200,6 @@ def _run_sg(cfg):
                    "classical_m": m_peak, "total_weight": float(hist.weights.sum())}
         return summary, files, {}
 
-    if mode == "coupled-check" and p["B0"] is None and not p["bias_ratios"]:
-        raise ConfigError("[sg] coupled-check needs 'B0' or 'bias_ratios'")
     if p["b0"] == 0.0:
         raise DomainError(f"[sg] {mode} needs a nonzero gradient 'b0'")
     grid = _sg_grid(cfg)
@@ -214,16 +211,20 @@ def _run_sg(cfg):
 
     if mode == "decoupled":
         _check_sg_kick(p, grid)
-        # the momentum check divides by the kick mu_B b0 duration
-        if BOHR_MAGNETON * p["b0"] * p["duration"] == 0.0:
-            raise DomainError(f"[sg] gradient 'b0' = {p['b0']:g} T/m gives a "
-                              "momentum kick that underflows to 0")
-        config = sg.SGFieldConfig(b_bias, p["b0"], p["duration"], 1.0)
+        # the momentum check divides by the kick mu_B b0 duration, and
+        # reads about 1.4e-14 hbar/width of rounding
+        kick = BOHR_MAGNETON * abs(p["b0"]) * p["duration"]
+        if not kick >= 1e-6 * HBAR / p["width"]:
+            raise DomainError(
+                f"[sg] gradient 'b0' = {p['b0']:g} T/m over 'duration' = "
+                f"{p['duration']:g} s gives a momentum kick of {kick:.3e} "
+                "N s, under 1e-6 hbar/'width', where the momentum check "
+                "reads rounding")
+        config = sg.SGFieldConfig(0.0, p["b0"], p["duration"], 1.0)
         steps = p["steps"]
         dt = p["duration"] / steps
         rec = p["record_every"] or max(1, steps // 32)
-        out = sg.propagate_decoupled(spinor, config, dt, steps, z_axis=1,
-                                     record_every=rec)
+        out = sg.propagate_decoupled(spinor, config, dt, steps, record_every=rec)
         slope = BOHR_MAGNETON * p["b0"]
         t_end = out.up.time
         tr_u, tr_d = out.up.trace, out.down.trace
@@ -243,7 +244,6 @@ def _run_sg(cfg):
 
     # coupled-check
     y_max = grid.extents[0] / 2.0
-    ratios = p["bias_ratios"] or (abs(p["B0"]) / (p["b0"] * y_max),)
     # Strang splitting is exact up to a global phase for a linear
     # potential, so the decoupled reference runs at the spectral ceiling;
     # counts are compared as floats, which may be inf, before int()
@@ -252,25 +252,25 @@ def _run_sg(cfg):
         raise DomainError(f"[sg] 'duration' = {p['duration']:g} s takes over "
                           f"{sg.MAX_STEPS} decoupled steps, the cap")
     steps_d = max(1, math.ceil(steps_d))
-    results = []
-    drift = {}
-    for r in ratios:
-        config = sg.SGFieldConfig(r * p["b0"] * y_max, p["b0"], p["duration"], 1.0)
+    configs = [sg.SGFieldConfig(r * p["b0"] * y_max, p["b0"], p["duration"], 1.0)
+               for r in p["bias_ratios"]]
+    for config in configs:
         config.check_bias(y_max)
         # each Chebyshev expansion applies H more than alpha times
-        alpha = sg.coupled_alpha(spinor, config, p["duration"])
-        if not alpha <= sg.MAX_APPLICATIONS:
+        if not sg.coupled_alpha(spinor, config, p["duration"]) <= sg.MAX_APPLICATIONS:
             raise DomainError(f"[sg] 'duration' = {p['duration']:g} s takes over "
                               f"{sg.MAX_APPLICATIONS} H-applications, the cap")
-        # after the caps, which name the cause of a run too long to make
-        _check_sg_kick(p, grid)
-        chunks = max(1, math.ceil(alpha / sg.MAX_CHUNK_ALPHA))
-        coup, _, applications = sg.propagate_coupled(
-            spinor, config, p["duration"] / chunks, chunks)
-        decp = sg.propagate_decoupled(spinor, config, p["duration"] / steps_d,
-                                      steps_d, z_axis=1)
+    # after the caps, which name the cause of a run too long to make
+    _check_sg_kick(p, grid)
+    # the decoupled potentials read b0 alone: one reference serves every ratio
+    decp = sg.propagate_decoupled(spinor, configs[0], p["duration"] / steps_d,
+                                  steps_d)
+    nu_d, nd_d = decp.densities()
+    results = []
+    drift = {}
+    for r, config in zip(p["bias_ratios"], configs):
+        coup, applications = sg.propagate_coupled(spinor, config, p["duration"], 1)
         nu_c, nd_c = coup.densities()
-        nu_d, nd_d = decp.densities()
         l1 = float((np.abs(nu_c - nu_d).sum() + np.abs(nd_c - nd_d).sum())
                    * grid.cell_volume)
         transfer = abs(abs(coup.c_up) ** 2 - abs(spinor.c_up) ** 2)
@@ -336,11 +336,10 @@ def _run_tunnel(cfg):
         c1=c1, c2=c2, barrier=barrier)
     points = cfg.section("grid")["points"]
     grid = tn.default_scenario_grid(scen, points_z=points[0], points_x=points[1])
-    decohered = p["mode"] == "decohered"
     e = cfg.section("environment")
-    env = dec.EnvironmentSpec(e["wavelength"], e["rate"]) if decohered else None
-    rep = tn.run_tunnel_scenario(scen, grid=grid, with_decoherence=decohered,
-                                 env=env)
+    env = (dec.EnvironmentSpec(e["wavelength"], e["rate"])
+           if p["mode"] == "decohered" else None)
+    rep = tn.run_tunnel_scenario(scen, grid=grid, env=env)
     prof_rows = list(zip(rep.transverse_positions, rep.transverse_profile))
     files = {"transverse_profile.csv": _csv_bytes(("x_m", "density"), prof_rows)}
     if rep.final_density is not None:

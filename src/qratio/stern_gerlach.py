@@ -24,6 +24,7 @@ from scipy import fft as _fft  # noqa: F401  kept: bench/tracer.py proxies it
 from scipy.special import jv
 
 from .constants import BOHR_MAGNETON, HBAR
+from .core import square
 from .errors import DomainError
 from .grid import (LinearPotential, WaveField, boundary_monitor,
                    fourier_multiply, kinetic_ceiling, propagate)
@@ -107,17 +108,13 @@ def gradient_potentials(config, axis):
     return LinearPotential(-slope, axis), LinearPotential(+slope, axis)
 
 
-def propagate_decoupled(spinor, config, dt, steps, z_axis=None,
-                        record_every=0):
-    """Evolve both components under their decoupled linear potentials.
-
-    ``z_axis`` defaults to the last grid axis.  Components are never mixed;
-    each conserves its own norm.
+def propagate_decoupled(spinor, config, dt, steps, record_every=0):
+    """Evolve both components under their decoupled linear potentials along
+    the last grid axis.  Components are never mixed; each conserves its own
+    norm.
     """
     _check_steps(steps)
-    if z_axis is None:
-        z_axis = spinor.up.grid.ndim - 1
-    v_up, v_down = gradient_potentials(config, z_axis)
+    v_up, v_down = gradient_potentials(config, spinor.up.grid.ndim - 1)
     up = propagate(spinor.up, v_up, dt, steps, record_every=record_every)
     down = propagate(spinor.down, v_down, dt, steps, record_every=record_every)
     return SpinorField(up, down, spinor.c_up, spinor.c_down)
@@ -167,26 +164,25 @@ def chebyshev_coefficients(alpha):
     return a
 
 
-def propagate_coupled(spinor, config, dt, steps, record_populations_every=0):
-    """Full two-component evolution on a 2D (y, z) grid, in ``steps``
-    chunks of length ``dt``.
+def propagate_coupled(spinor, config, dt, steps):
+    """Full two-component evolution on a 2D (y, z) grid over ``steps``
+    intervals of length ``dt``.
 
     H = hbar^2 k^2 / 2m - mu_B sigma.B with B = (0, -b0 y, B0 + b0 z) is
     time-independent and its spectrum lies in [E_min, E_max] (see
-    :func:`coupled_alpha`), so each chunk applies the Chebyshev expansion
-    exp(-i H dt / hbar) = exp(-i E_c dt / hbar) sum_k a_k T_k(H_n), with
-    E_c the centre of that interval, H_n = (H - E_c) / (dE / 2) and
-    a_k from :func:`chebyshev_coefficients` at alpha = dE dt / 2 hbar
-    (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).  It is exact up
-    to the truncation at |J_k| < CHEBYSHEV_FLOOR and rounding, for any dt;
-    each H-application is one FFT pair and a pointwise 2x2 product.  The
-    total count of H-applications is capped at MAX_APPLICATIONS, checked
-    before the loop.  The margin monitor and the population samples
-    (every ``record_populations_every`` chunks) run at chunk ends.
+    :func:`coupled_alpha`).  Each interval is cut into the fewest equal
+    chunks of alpha = dE dt_c / 2 hbar <= MAX_CHUNK_ALPHA, and each chunk
+    applies the Chebyshev expansion exp(-i H dt_c / hbar) =
+    exp(-i E_c dt_c / hbar) sum_k a_k T_k(H_n), with E_c the centre of that
+    interval, H_n = (H - E_c) / (dE / 2) and a_k from
+    :func:`chebyshev_coefficients` (Tal-Ezer and Kosloff, J. Chem. Phys.
+    81, 3967 (1984)).  It is exact up to the truncation at
+    |J_k| < CHEBYSHEV_FLOOR and rounding, for any dt; each H-application is
+    one FFT pair and a pointwise 2x2 product.  The total count of
+    H-applications is capped at MAX_APPLICATIONS, checked before the loop.
+    The margin monitor runs at chunk ends.
 
-    Returns (spinor, populations, applications): populations is a list of
-    (t, P_up, P_down) samples of the total spin populations, and
-    applications the number of H-applications.
+    Returns (spinor, applications), the number of H-applications.
     """
     grid = spinor.up.grid
     if grid.ndim != 2:
@@ -203,7 +199,10 @@ def propagate_coupled(spinor, config, dt, steps, record_populations_every=0):
     # compared as a float first, so an infinite alpha sizes no array
     applications = math.inf
     if steps * abs(alpha) <= MAX_APPLICATIONS:
-        coeffs = chebyshev_coefficients(alpha)
+        chunks = max(1, math.ceil(abs(alpha) / MAX_CHUNK_ALPHA))
+        dt /= chunks
+        steps *= chunks
+        coeffs = chebyshev_coefficients(half_width * dt / HBAR)
         applications = steps * (len(coeffs) - 1)
     if applications > MAX_APPLICATIONS:
         raise DomainError(
@@ -228,7 +227,6 @@ def propagate_coupled(spinor, config, dt, steps, record_populations_every=0):
     psi = np.array([spinor.c_up * spinor.up.psi, spinor.c_down * spinor.down.psi])
     check = boundary_monitor(grid)
     dv = grid.cell_volume
-    populations = []
     t = spinor.up.time
     for chunk in range(1, steps + 1):
         # T_0 = 1, T_1 = H_n, T_k+1 = 2 H_n T_k - T_k-1
@@ -241,9 +239,6 @@ def propagate_coupled(spinor, config, dt, steps, record_populations_every=0):
             psi += a * cur
         t += dt
         check(psi, t, chunk)
-        if record_populations_every and chunk % record_populations_every == 0:
-            p_up, p_down = np.sum(np.abs(psi) ** 2, axis=(1, 2)) * dv
-            populations.append((t, float(p_up), float(p_down)))
 
     psi_u, psi_d = psi
     p_up = float(np.sum(np.abs(psi_u) ** 2) * dv)
@@ -256,20 +251,21 @@ def propagate_coupled(spinor, config, dt, steps, record_populations_every=0):
                    spinor.up.mass, t, norm_drift=drift)
     down = WaveField(grid, psi_d / (total * (c_down if c_down > 0 else 1.0)),
                      spinor.down.mass, t, norm_drift=drift)
-    out = SpinorField(up, down, c_up, c_down)
-    return out, populations, applications
+    return SpinorField(up, down, c_up, c_down), applications
 
 
 def band_deflection(force, mass, transit_time, drift_time):
     """Deflection after the magnet plus free flight: F t^2/2m + (F t/m) t_drift."""
     acc = force / mass
-    return 0.5 * acc * transit_time ** 2 + acc * transit_time * drift_time
+    return (0.5 * acc * square(transit_time, "transit time")
+            + acc * transit_time * drift_time)
 
 
-def band_separation(config, mass, drift_time=0.0, moment=BOHR_MAGNETON):
+def band_separation(config, mass, drift_time=0.0):
     """Distance between the two spin-1/2 bands after transit plus drift."""
     tau = config.transit_time
-    return 2.0 * band_deflection(moment * config.gradient_b0, mass, tau, drift_time)
+    return 2.0 * band_deflection(BOHR_MAGNETON * config.gradient_b0, mass, tau,
+                                 drift_time)
 
 
 @dataclass(frozen=True)
@@ -286,20 +282,19 @@ class BandHistogram:
         return float(self.weights[sel].sum())
 
 
-def large_spin_bands(j, theta, phi, config, drift_time, mass, moment=None):
+def large_spin_bands(j, theta, phi, config, drift_time, mass):
     """Deflection histogram of a spin-j coherent beam.
 
-    Band k (m = -j + k) feels the linear-potential force (m/j) * moment * b0;
-    ``moment`` is the full-polarization magnetic moment and defaults to
-    2j mu_B so that j = 1/2 reproduces the single-Bohr-magneton force.
-    Weights are exactly the spin-coherent J_z distribution.
+    Band k (m = -j + k) feels the linear-potential force (m/j) * moment * b0,
+    with the full-polarization moment 2j mu_B, so that j = 1/2 reproduces
+    the single-Bohr-magneton force.  Weights are exactly the spin-coherent
+    J_z distribution.
     """
     state = SpinCoherentState.from_j(j, theta, phi)
     if mass <= 0.0:
         raise DomainError("mass must be positive")
     jj = state.two_j / 2.0
-    if moment is None:
-        moment = state.two_j * BOHR_MAGNETON
+    moment = state.two_j * BOHR_MAGNETON
     dist = distribution(state)
     m_values = dist.m_values
     forces = (m_values / jj) * moment * config.gradient_b0 if jj > 0 else m_values * 0.0

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as _fft
 
+from .core import square
 from .errors import DomainError
 
 PARAXIAL_BOUND = 0.1
@@ -83,7 +84,7 @@ def talbot_length(period, wavelength):
     """L_T = d^2 / lambda."""
     if period <= 0.0 or wavelength <= 0.0:
         raise DomainError("period and wavelength must be positive")
-    return period ** 2 / wavelength
+    return square(period, "grating period") / wavelength
 
 
 def _check_paraxial(period, wavelength):

@@ -369,25 +369,24 @@ def energy_averaged_transmission(scenario):
     return float(np.dot(w, t) / w.sum())
 
 
-def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None):
+def run_tunnel_scenario(scenario, grid=None, env=None):
     """Propagate the scenario through the barrier and report what crossed.
 
     V(z) does not depend on x: chi(z) steps through it on the z axis alone,
     at the kinetic ceiling of the 2D ``grid``, while one transverse density
     matrix, |phi><phi| of the split state phi(x), spreads freely for as
-    long, its diagonal's margin watched every step.  Decohered mode damps
-    it first (the environment acting before the barrier; ``env`` is then an
-    :class:`~qratio.decoherence.EnvironmentSpec`).  The transmitted state
-    is w_trans times that matrix.  Pure mode also steps phi, for the
-    factorization error and the |chi|^2 |phi|^2 heatmap.
+    long, its diagonal's margin watched every step.  Given an ``env``, an
+    :class:`~qratio.decoherence.EnvironmentSpec`, the run is decohered: the
+    environment damps that matrix first, acting before the barrier.  The
+    transmitted state is w_trans times that matrix.  Pure mode (no ``env``)
+    also steps phi, for the factorization error and the |chi|^2 |phi|^2
+    heatmap.
 
     The transmitted window is z > a + 4 * (longitudinal width); the run
     measures once the transmitted lobe's mean position passes it.
     """
     long_pkt = scenario.longitudinal
     mass = long_pkt.mass
-    if with_decoherence and env is None:
-        raise DomainError("decohered mode needs an EnvironmentSpec")
     if grid is None:
         grid = default_scenario_grid(scenario)
     ceiling = kinetic_ceiling(grid, mass)
@@ -414,7 +413,7 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None):
     phi = two_band_state(xgrid, scenario.c1, scenario.c2, (p1, p2))
     rho = pure_to_density(phi)
     in_coh = coherence(rho, p1.center, p2.center)
-    if with_decoherence:
+    if env is not None:
         rho = apply_damping(rho, env, 5.0 / env.rate_Lambda)
         rho.time = 0.0      # the flight starts once the damping is done
 
@@ -445,7 +444,7 @@ def run_tunnel_scenario(scenario, grid=None, with_decoherence=False, env=None):
     xax = xgrid.axis(0)
     dx = xgrid.spacings[0]
     fact_err, final_density = math.nan, None
-    if not with_decoherence:
+    if env is None:
         n_free = propagate(phi, FreePotential(), tau, steps_x).density()
         # the heatmap takes |phi|^2, whose entries are never negative
         final_density = np.outer(chi.density(), n_free)

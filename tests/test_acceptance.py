@@ -20,8 +20,7 @@ from qratio.grid import (FreePotential, Grid, ceiling_dt, initialize_gaussian,
                          kinetic_ceiling, observables, propagate)
 from qratio.runner import run as run_config
 from qratio.spin import SpinCoherentState, classical_limit_diagnostics, distribution
-from qratio.stern_gerlach import (MAX_CHUNK_ALPHA, SGFieldConfig, SpinorField,
-                                  coupled_alpha, propagate_coupled,
+from qratio.stern_gerlach import (SGFieldConfig, SpinorField, propagate_coupled,
                                   propagate_decoupled)
 from qratio.talbot import (GratingSpec, LauConfig, correlation_at_shift,
                            lau_scan, propagate_carpet, revival_fidelity,
@@ -123,8 +122,7 @@ def test_criterion_4_decoupled_sg_1024():
         config = SGFieldConfig(1.0, b0, 1e-12, 1.0)
         dt = 0.9 * (math.pi / 4) * HBAR / kinetic_ceiling(grid, ME)
         steps = 40
-        out = propagate_decoupled(spinor, config, dt, steps, z_axis=1,
-                                  record_every=8)
+        out = propagate_decoupled(spinor, config, dt, steps, record_every=8)
         slope = MUB * b0
         t_end = out.up.time
         pz_err = 0.0
@@ -134,7 +132,7 @@ def test_criterion_4_decoupled_sg_1024():
                          abs(out.down.trace.mean_momentum[i][1] + slope * t))
         pz_rel = pz_err / (slope * t_end)
         drift_per_step = max(out.up.norm_drift, out.down.norm_drift) / steps
-        back = propagate_decoupled(out, config, -dt, steps, z_axis=1)
+        back = propagate_decoupled(out, config, -dt, steps)
         err_up = math.sqrt(float(np.sum(np.abs(back.up.psi - spinor.up.psi) ** 2))
                            * grid.cell_volume)
         err_down = math.sqrt(float(np.sum(np.abs(back.down.psi - spinor.down.psi) ** 2))
@@ -158,19 +156,17 @@ def test_criterion_5_decoupling_validation():
         duration = 0.4 * tau_diff
         b0 = 2 * ME * (width / 8) / (MUB * duration ** 2)
         y_max = grid.extents[0] / 2
-        # the decoupled reference is exact up to a global phase at any step
+        # the decoupled reference is exact up to a global phase at any step,
+        # and its potentials read b0 alone: one serves every bias
         steps = int(math.ceil(duration / ceiling_dt(grid, ME)))
+        decoupled = propagate_decoupled(
+            spinor, SGFieldConfig(0.0, b0, duration, 1.0), duration / steps, steps)
+        nu_d, nd_d = decoupled.densities()
         deviations = []
         for ratio in (200.0, 400.0, 800.0, 1600.0):
             config = SGFieldConfig(ratio * b0 * y_max, b0, duration, 1.0)
-            chunks = max(1, math.ceil(coupled_alpha(spinor, config, duration)
-                                      / MAX_CHUNK_ALPHA))
-            coupled, _, _ = propagate_coupled(spinor, config, duration / chunks,
-                                              chunks)
-            decoupled = propagate_decoupled(spinor, config, duration / steps,
-                                            steps, z_axis=1)
+            coupled, _ = propagate_coupled(spinor, config, duration, 1)
             nu_c, nd_c = coupled.densities()
-            nu_d, nd_d = decoupled.densities()
             deviations.append(float(
                 (np.abs(nu_c - nu_d).sum() + np.abs(nd_c - nd_d).sum())
                 * grid.cell_volume))
@@ -212,8 +208,7 @@ def test_criterion_6_tunneling():
                         GaussianPacket(+75e-9, 36e-9, 0.0, ME)),
             c1=0.6, c2=0.8, barrier=barrier)
         env = EnvironmentSpec(50e-9, 1e9)
-        deco = run_tunnel_scenario(scen_d, grid=grid, with_decoherence=True,
-                                   env=env)
+        deco = run_tunnel_scenario(scen_d, grid=grid, env=env)
         coh_ok = deco.transverse_coherence < 0.05
         band_ok = (abs(deco.band_weights[0] / 0.36 - 1.0) < 0.02
                    and abs(deco.band_weights[1] / 0.64 - 1.0) < 0.02)

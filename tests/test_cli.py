@@ -131,9 +131,8 @@ def test_sg_decoupled_trace_ends_at_last_step(tmp_path, edit, samples):
 
 @pytest.mark.parametrize("old,new,words", [
     ("bias_ratios = 200", "bias_ratios = 0", "B0"),
-    ("bias_ratios = 200", "B0 = 0 T", "B0"),
     ("b0 = 1.05e6 T/m", "b0 = 0 T/m", "b0"),
-], ids=["zero-ratio", "zero-B0", "zero-b0"])
+], ids=["zero-ratio", "zero-b0"])
 def test_sg_coupled_check_zero_field_is_a_domain_error(tmp_path, capsys, old,
                                                        new, words):
     cfg = preset_copy(tmp_path, "sg-coupled-check", (old, new))
@@ -252,9 +251,11 @@ def test_degenerate_sizes_rejected(tmp_path, capsys, kind, preset, old, new,
      "transit_speed = 1e6 m/s\ntau_diss = -1 s", "tau_diss"),
     ("tunnel", "tunnel-pure", "mass = 9.1093837015e-31 kg", "mass = -1 kg",
      "mass"),
+    # no [sg] run reads a bias field: coupled-check sets it from 'bias_ratios'
+    ("sg", "sg-split", "b0 = 5e8 T/m", "b0 = 5e8 T/m\nB0 = 1 T", "B0"),
 ], ids=["zero-energy", "negative-energy", "negative-record-every",
         "decohere-two-points", "negative-duration-rate", "negative-tau-diss",
-        "negative-tunnel-mass"])
+        "negative-tunnel-mass", "sg-bias-key"])
 def test_schema_bounds_rejected(tmp_path, capsys, kind, preset, old, new, key):
     cfg = preset_copy(tmp_path, preset, (old, new))
     code, out = run_cli(tmp_path, kind, "--config", cfg)
@@ -321,6 +322,51 @@ def test_sg_decoupled_zero_gradient_is_a_domain_error(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DomainError" and "'b0'" in err["message"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("duration", ["1e-300 s", "1e-290 s"])
+def test_sg_decoupled_kick_below_rounding_is_a_domain_error(tmp_path, capsys,
+                                                            duration):
+    # the momentum check divides by the kick mu_B b0 t and reads about
+    # 1.4e-14 hbar/width of rounding: these kicks would report errors of
+    # 3.9e272 and 3.9e262
+    cfg = preset_copy(tmp_path, "sg-split", ("points = 256 256", "points = 64 64"),
+                      ("duration = 2 ps", f"duration = {duration}"))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert "'b0'" in err["message"] and "'duration'" in err["message"]
+    assert not out.exists()
+
+
+def test_sg_decoupled_small_kick_runs(tmp_path):
+    # 1e-18 s gives a kick of 4.4e-6 hbar/width, over the 1e-6 floor
+    cfg = preset_copy(tmp_path, "sg-split", ("points = 256 256", "points = 64 64"),
+                      ("duration = 2 ps", "duration = 1e-18 s"))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 0
+    assert load_summary(out)["pz_relative_error"] < 1e-8
+
+
+@pytest.mark.parametrize("kind,preset,old,new,words", [
+    ("talbot", "carpet-100nm", "period = 100 nm", "period = 1e300 nm",
+     "grating period"),
+    ("sg", "sg-bands-13half", "region_length = 3.5 cm", "region_length = 1e300 m",
+     "transit time"),
+    ("sg", "sg-bands-13half", "speed = 600 m/s", "speed = 1e-300 m/s",
+     "transit time"),
+    ("diffuse", "table1", "width = 1 um", "width = 1e300 m", "packet width"),
+], ids=["talbot-period", "sg-region-length", "sg-speed", "diffuse-width"])
+def test_overflow_is_a_domain_error(tmp_path, capsys, kind, preset, old, new,
+                                    words):
+    # each squares a time or a length past the float range
+    cfg = preset_copy(tmp_path, preset, (old, new))
+    code, out = run_cli(tmp_path, kind, "--config", cfg)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError" and words in err["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("preset,edits", [

@@ -1,8 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
-from qratio import catalog
+from qratio import catalog, runner
 from qratio.config import (_SIMPLE, SCENARIO, SCHEMAS, _type_parts,
                            parse_config, serialize_config)
 from qratio.errors import ConfigError
@@ -178,6 +180,17 @@ def test_schema_entry_is_consistent(kind, section, key, entry):
                                  for v in values)
 
 
+def test_every_schema_key_is_read_by_the_runner():
+    # a key that appears nowhere in runner.py as a literal does nothing
+    tree = ast.parse(Path(runner.__file__).read_text(encoding="utf-8"))
+    literals = {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unread = [f"{kind}.{section}.{key}" for kind, schema in SCHEMAS.items()
+              for section, spec in schema.items() for key in spec
+              if key not in literals]
+    assert unread == []
+
+
 TUNNEL_BEAM = ("[scenario]\nkind = tunnel\n[tunnel]\nmode = pure\nmass = 1 kg\n"
                "[barrier]\nshape = gaussian\nheight = 1 eV\nsigma = 1 nm\n"
                "[beam]\nenergy = 1 eV\nwidth = 1 nm\ntransverse_width = 1 nm\n"
@@ -190,6 +203,7 @@ SG = "[scenario]\nkind = sg\n[sg]\nmass = 1 kg\nb0 = 1 T/m\n"
     (SG + "mode = bands\nj = 1\ntheta = 1\nspeed = 1 m/s\n", "region_length"),
     (SG + "mode = decoupled\nwidth = 1 nm\n", "duration"),
     (SG + "mode = coupled-check\nduration = 1 s\n", "width"),
+    (SG + "mode = coupled-check\nwidth = 1 nm\nduration = 1 s\n", "bias_ratios"),
     (SG.replace("mass = 1 kg\n", "") + "mode = bands\n", "mass"),
     (TUNNEL_BEAM.replace("sigma = 1 nm", "width = 1 nm"), "sigma"),
     (TUNNEL_BEAM.replace("shape = gaussian", "shape = rectangular"), "width"),

@@ -519,7 +519,7 @@ def spinor_step():
     spinor = SpinorField(initialize_gaussian(g, (pk, pk)),
                          initialize_gaussian(g, (pk, pk)), c, c)
     config = SGFieldConfig(200 * 5e-7, 1.0, 1e-9, 1.0)
-    return propagate_coupled(spinor, config, ceiling_dt(g, ME), 1)[2]   # H-applications
+    return propagate_coupled(spinor, config, ceiling_dt(g, ME), 1)[1]   # H-applications
 
 
 def free_axis_step():

@@ -51,15 +51,6 @@ def precession_dt(config):
     return HBAR / (2.0 * MUB * abs(config.field_B0)) / 10.0
 
 
-def run_coupled(spinor, config, duration, record_populations_every=0):
-    """propagate_coupled over ``duration`` in the fewest chunks of
-    alpha <= MAX_CHUNK_ALPHA, as the coupled-check runner picks them."""
-    chunks = max(1, math.ceil(coupled_alpha(spinor, config, duration)
-                              / MAX_CHUNK_ALPHA))
-    return propagate_coupled(spinor, config, duration / chunks, chunks,
-                             record_populations_every)
-
-
 def stacked(spinor):
     """The (up, down) field with the spin amplitudes folded in."""
     return np.array([spinor.c_up * spinor.up.psi, spinor.c_down * spinor.down.psi])
@@ -90,11 +81,10 @@ def strang_coupled(spinor, config, dt, steps):
 
 
 def run_pair(grid, spinor, config, duration):
-    coupled, _, _ = run_coupled(spinor, config, duration)
+    coupled, _ = propagate_coupled(spinor, config, duration, 1)
     # the decoupled reference runs at the spectral ceiling, as in the runner
     steps = int(math.ceil(duration / ceiling_dt(grid, ME)))
-    decoupled = propagate_decoupled(spinor, config, duration / steps, steps,
-                                    z_axis=1)
+    decoupled = propagate_decoupled(spinor, config, duration / steps, steps)
     return coupled, decoupled, density_gap(grid, stacked(coupled),
                                            stacked(decoupled))
 
@@ -105,7 +95,7 @@ class TestDecoupled:
         config = SGFieldConfig(1.0, 5e8, 1e-12, 1.0)
         steps = 400
         dt = 2e-12 / steps
-        out = propagate_decoupled(sp, config, dt, steps, z_axis=0)
+        out = propagate_decoupled(sp, config, dt, steps)
         t = out.up.time
         pz = observables(out.up).mean_momentum[0]
         assert pz == pytest.approx(MUB * 5e8 * t, rel=1e-10)
@@ -113,7 +103,7 @@ class TestDecoupled:
     def test_mirror_symmetry(self):
         grid, sp = spinor_1d(1 / math.sqrt(2), 1 / math.sqrt(2))
         config = SGFieldConfig(1.0, 5e8, 1e-12, 1.0)
-        out = propagate_decoupled(sp, config, 5e-15, 300, z_axis=0)
+        out = propagate_decoupled(sp, config, 5e-15, 300)
         dens_up = out.up.density()
         dens_down = out.down.density()
         # grid points map z -> -z under reversal plus a one-sample roll
@@ -123,7 +113,7 @@ class TestDecoupled:
     def test_component_norms_conserved(self):
         grid, sp = spinor_1d(0.6, 0.8)
         config = SGFieldConfig(1.0, 5e8, 1e-12, 1.0)
-        out = propagate_decoupled(sp, config, 5e-15, 200, z_axis=0)
+        out = propagate_decoupled(sp, config, 5e-15, 200)
         assert out.up.norm_drift < 1e-10 * 200
         assert out.down.norm_drift < 1e-10 * 200
         assert abs(out.up.norm() - 1.0) < 1e-9
@@ -136,7 +126,7 @@ class TestDecoupled:
         tau = 1.2e-12
         steps = 300
         config = SGFieldConfig(1.0, b0, tau, 1.0)
-        out = propagate_decoupled(sp, config, tau / steps, steps, z_axis=0)
+        out = propagate_decoupled(sp, config, tau / steps, steps)
         t_drift = 0.8e-12
         drift_steps = 200
         up = propagate(out.up, FreePotential(), t_drift / drift_steps, drift_steps)
@@ -155,8 +145,8 @@ class TestDecoupled:
         fine = int(math.ceil(duration / precession_dt(config)))
         coarse = int(math.ceil(duration / ceiling_dt(grid, ME)))
         assert coarse * 10 < fine
-        a = propagate_decoupled(sp, config, duration / fine, fine, z_axis=1)
-        b = propagate_decoupled(sp, config, duration / coarse, coarse, z_axis=1)
+        a = propagate_decoupled(sp, config, duration / fine, fine)
+        b = propagate_decoupled(sp, config, duration / coarse, coarse)
         for x, y in zip(a.densities(), b.densities()):
             assert np.abs(x - y).sum() * grid.cell_volume <= 1e-10
 
@@ -170,11 +160,11 @@ class TestCoupled:
     def test_zero_gradient_keeps_populations(self):
         grid, sp = spinor_2d()
         config = SGFieldConfig(5.0, 0.0, 1e-12, 1.0)
-        out, pops, _ = run_coupled(sp, config, 4e-13, record_populations_every=1)
-        assert pops
-        for _, p_up, p_down in pops:
-            assert abs(p_up - 0.5) < 1e-10
-            assert abs(p_down - 0.5) < 1e-10
+        out = sp
+        for _ in range(4):
+            out, _ = propagate_coupled(out, config, 1e-13, 1)
+            assert abs(out.c_up ** 2 - 0.5) < 1e-10
+            assert abs(out.c_down ** 2 - 0.5) < 1e-10
 
     def test_agrees_with_decoupled_at_large_bias(self):
         grid, sp = spinor_2d()
@@ -207,7 +197,7 @@ class TestCoupled:
         grid, sp = spinor_2d()
         config, duration = desk_config(grid, 8 * grid.spacings[0])
         duration /= 4
-        exact = stacked(run_coupled(sp, config, duration)[0])
+        exact = stacked(propagate_coupled(sp, config, duration, 1)[0])
         steps = int(math.ceil(duration / (4 * precession_dt(config))))
         gaps = [density_gap(grid, strang_coupled(sp, config, duration / n, n),
                             exact) for n in (steps, 2 * steps, 4 * steps)]
@@ -218,33 +208,35 @@ class TestCoupled:
     def test_norm_drift(self, ratio):
         grid, sp = spinor_2d()
         config, duration = desk_config(grid, 8 * grid.spacings[0], ratio=ratio)
-        out, _, applications = run_coupled(sp, config, duration)
+        out, applications = propagate_coupled(sp, config, duration, 1)
         assert out.up.norm_drift <= 1e-12
         assert abs(out.c_up ** 2 + out.c_down ** 2 - 1.0) < 1e-15
         assert applications > coupled_alpha(sp, config, duration)
 
     def test_any_chunk_length_gives_the_same_state(self):
         # there is no step rule: one expansion over the whole run and one
-        # per chunk agree to rounding
+        # per interval agree to rounding
         grid, sp = spinor_2d()
         config, duration = desk_config(grid, 8 * grid.spacings[0])
         duration /= 10
-        one, _, n_one = propagate_coupled(sp, config, duration, 1)
-        many, _, n_many = propagate_coupled(sp, config, duration / 8, 8)
+        assert coupled_alpha(sp, config, duration) <= MAX_CHUNK_ALPHA
+        one, n_one = propagate_coupled(sp, config, duration, 1)
+        many, n_many = propagate_coupled(sp, config, duration / 8, 8)
         assert n_one < n_many
         scale = np.max(np.abs(stacked(one)))
         assert np.max(np.abs(stacked(one) - stacked(many))) < 1e-12 * scale
 
-    def test_populations_sampled_at_chunk_ends(self):
+    def test_interval_is_cut_into_the_fewest_chunks(self):
+        # alpha = 3.5 MAX_CHUNK_ALPHA takes four chunks, each the same
+        # expansion as one interval of a quarter of the run
         grid, sp = spinor_2d()
-        config, duration = desk_config(grid, 8 * grid.spacings[0])
-        out, pops, _ = propagate_coupled(sp, config, duration / 6, 6,
-                                         record_populations_every=2)
-        assert [t for t, _, _ in pops] == pytest.approx(
-            [duration / 3, 2 * duration / 3, duration], rel=1e-12)
-        t, p_up, p_down = pops[-1]
-        assert (p_up, p_down) == pytest.approx((out.c_up ** 2, out.c_down ** 2),
-                                               rel=1e-12)
+        config, _ = desk_config(grid, 8 * grid.spacings[0])
+        duration = 3.5 * MAX_CHUNK_ALPHA / coupled_alpha(sp, config, 1.0)
+        one, n_one = propagate_coupled(sp, config, duration, 1)
+        four, n_four = propagate_coupled(sp, config, duration / 4, 4)
+        assert n_one == n_four > 4 * 0.875 * MAX_CHUNK_ALPHA
+        assert one.up.time == four.up.time
+        assert np.array_equal(stacked(one), stacked(four))
 
     def test_requires_2d(self):
         grid, sp = spinor_1d()
@@ -281,9 +273,9 @@ class TestCoupled:
                          initialize_gaussian(grid, (at_rest, moving)), c, c)
         config = SGFieldConfig(5.0, 0.0, 1e-12, 1.0)
         duration = 2000 * precession_dt(config)
-        chunks = math.ceil(coupled_alpha(sp, config, duration) / MAX_CHUNK_ALPHA)
+        assert coupled_alpha(sp, config, duration) > MAX_CHUNK_ALPHA
         with pytest.raises(BoundaryError) as err:
-            propagate_coupled(sp, config, duration / chunks, chunks)
+            propagate_coupled(sp, config, duration, 1)
         # the monitor reads the field at the first chunk end
         assert "margin" in str(err.value) and "(step 1)" in str(err.value)
 

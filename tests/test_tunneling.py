@@ -226,7 +226,7 @@ class TestScenario:
         scen = make_scenario(c1=0.6, c2=0.8)
         grid = default_scenario_grid(scen, points_z=2048, points_x=64)
         env = EnvironmentSpec(50e-9, 1e9)
-        rep = run_tunnel_scenario(scen, grid=grid, with_decoherence=True, env=env)
+        rep = run_tunnel_scenario(scen, grid=grid, env=env)
         # the input is a pure split state; the environment destroys its coherence
         assert rep.input_coherence == pytest.approx(1.0, abs=1e-9)
         assert rep.transverse_coherence < 0.05
@@ -245,17 +245,11 @@ class TestScenario:
             scen = make_scenario(width=width)
             grid = default_scenario_grid(scen, points_z=2048, points_x=64,
                                          lo_widths=10.0, hi_widths=14.0)
-            rep = run_tunnel_scenario(scen, grid=grid, with_decoherence=True,
-                                      env=env)
+            rep = run_tunnel_scenario(scen, grid=grid, env=env)
             central = exact_transmission(scen.barrier, scen.energy, ME,
                                          check=False)
             devs.append(abs(rep.transmitted_fraction - central) / central)
         assert devs[1] < devs[0]
-
-    def test_decohered_needs_environment(self):
-        scen = make_scenario()
-        with pytest.raises(DomainError):
-            run_tunnel_scenario(scen, with_decoherence=True, env=None)
 
     def test_decohered_band_spreads_wider_than_pure(self):
         # localization widens each packet's momentum spread (Joos and Zeh
@@ -272,8 +266,7 @@ class TestScenario:
             return math.sqrt(np.sum((x - mean) ** 2 * n) / np.sum(n))
 
         pure = run_tunnel_scenario(scen, grid=grid)
-        deco = run_tunnel_scenario(scen, grid=grid, with_decoherence=True,
-                                   env=env)
+        deco = run_tunnel_scenario(scen, grid=grid, env=env)
         assert right_band_rms(deco) > 1.02 * right_band_rms(pure)
 
     @pytest.mark.parametrize("decohered", [False, True])
@@ -284,13 +277,11 @@ class TestScenario:
         env = EnvironmentSpec(50e-9, 1e9) if decohered else None
         narrow = default_scenario_grid(scen, points_z=2048, points_x=128)
         with pytest.raises(BoundaryError):
-            run_tunnel_scenario(scen, grid=narrow, with_decoherence=decohered,
-                                env=env)
+            run_tunnel_scenario(scen, grid=narrow, env=env)
         wide = Grid.make((2048, 256), (narrow.extents[0], 2 * narrow.extents[1]),
                          centers=(narrow.origins[0] + 0.5 * narrow.extents[0],
                                   0.0))
-        rep = run_tunnel_scenario(scen, grid=wide, with_decoherence=decohered,
-                                  env=env)
+        rep = run_tunnel_scenario(scen, grid=wide, env=env)
         assert rep.band_weights == pytest.approx((0.5, 0.5), abs=1e-9)
 
 
