@@ -13,18 +13,17 @@ import numpy as np
 
 from qratio import GaussianPacket, packet_width_at
 from qratio.constants import ELECTRON_MASS as ME
-from qratio.grid import (FreePotential, Grid, ehrenfest_residual,
-                         initialize_gaussian, observables, propagate,
-                         suggest_dt)
+from qratio.grid import (FreePotential, Grid, ceiling_dt, ehrenfest_residual,
+                         initialize_gaussian, observables, propagate)
 
 grid = Grid.make(1024, 4e-6)
 packet = GaussianPacket(center=-5e-7, width=2e-7, momentum=5e-26, mass=ME)
 field = initialize_gaussian(grid, packet)
-dt = suggest_dt(grid, FreePotential(), ME)
+dt = ceiling_dt(grid, ME)
 steps = 600
 
 evolved = propagate(field, FreePotential(), dt, steps, record_every=60)
-snap = observables(evolved)
+snap = observables(evolved, FreePotential())
 t = evolved.time
 
 x_exact = packet.center + packet.momentum * t / ME

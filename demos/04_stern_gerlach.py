@@ -16,10 +16,11 @@ import numpy as np
 
 from qratio import GaussianPacket, catalog_lookup, quantum_ratio
 from qratio.constants import BOHR_MAGNETON as MUB, ELECTRON_MASS as ME, HBAR
-from qratio.grid import Grid, ceiling_dt, initialize_gaussian, observables
+from qratio.grid import (FreePotential, Grid, ceiling_dt, initialize_gaussian,
+                         observables)
 from qratio.stern_gerlach import (SGFieldConfig, SpinorField, band_separation,
-                                  large_spin_bands, precession_frequency,
-                                  propagate_coupled, propagate_decoupled)
+                                  large_spin_bands, propagate_coupled,
+                                  propagate_decoupled)
 
 # --- 1. decoupled run on a (y, z) grid --------------------------------------
 grid = Grid.make((256, 256), (1e-6, 1e-6))
@@ -31,7 +32,7 @@ config = SGFieldConfig(field_B0=1.0, gradient_b0=5e8, region_length=2e-12,
                        transit_speed=1.0)
 steps = 256
 out = propagate_decoupled(spinor, config, 2e-12 / steps, steps)
-pz_up = observables(out.up).mean_momentum[1]
+pz_up = observables(out.up, FreePotential()).mean_momentum[1]
 print(f"decoupled: <p_z>_up = {pz_up:.4e}, "
       f"mu_B b0 t = {MUB * 5e8 * out.up.time:.4e}")
 print(f"  band separation (closed form): "
@@ -57,7 +58,8 @@ l1 = float((np.abs(nu_c - nu_d).sum() + np.abs(nd_c - nd_d).sum())
            * small.cell_volume)
 print(f"coupled vs decoupled at 200x bias: L1 density deviation = {l1:.2e} "
       f"({applications} H-applications, {n} decoupled steps)")
-print(f"  precession at 0.1 T: {precession_frequency(0.1):.3e} rad/s")
+# Larmor angular frequency 2 mu_B B0 / hbar of one Bohr magneton (g ~ 2)
+print(f"  precession at 0.1 T: {2 * MUB * 0.1 / HBAR:.3e} rad/s")
 
 # --- 3. silver-beam kinematics and a large-spin histogram -------------------
 ag = catalog_lookup("Ag")

@@ -107,16 +107,19 @@ class Grid:
     def kaxis(self, i):
         return 2.0 * math.pi * _fft.fftfreq(self.points[i], self.spacings[i])
 
-    def meshes(self):
-        return np.meshgrid(*[self.axis(i) for i in range(self.ndim)], indexing="ij")
+    def open_axes(self):
+        """The coordinate axes as open (``np.ix_``) arrays, which broadcast
+        to the grid."""
+        return np.ix_(*(self.axis(i) for i in range(self.ndim)))
 
-    def kmeshes(self, axes=None):
+    def open_kaxes(self, axes=None):
+        """The wave-number axes of ``axes`` (default all) as open arrays."""
         axes = range(self.ndim) if axes is None else axes
-        return np.meshgrid(*[self.kaxis(i) for i in axes], indexing="ij")
+        return np.ix_(*(self.kaxis(i) for i in axes))
 
     def k2(self, axes=None):
         """|k|^2 on the k mesh of ``axes`` (default all)."""
-        return sum(km ** 2 for km in self.kmeshes(axes))
+        return sum(k ** 2 for k in self.open_kaxes(axes))
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +138,7 @@ class FreePotential:
 
 def _on_grid(fn, grid):
     """fn of the open (``np.ix_``) coordinate axes, broadcast to the grid."""
-    axes = np.ix_(*(grid.axis(i) for i in range(grid.ndim)))
-    return np.broadcast_to(fn(*axes), grid.points)
+    return np.broadcast_to(fn(*grid.open_axes()), grid.points)
 
 
 class LinearPotential:
@@ -155,18 +157,16 @@ class LinearPotential:
 
 class SampledPotential:
     """V given by a callable of the open (``np.ix_``) coordinate axes, whose
-    result is broadcast to the grid (and optional gradient callables)."""
+    result is broadcast to the grid; its gradient is taken by central
+    differences on the grid."""
 
-    def __init__(self, fn, grad_fns=None):
+    def __init__(self, fn):
         self.fn = fn
-        self.grad_fns = grad_fns
 
     def values(self, grid):
         return _on_grid(self.fn, grid)
 
     def gradient(self, grid, axis):
-        if self.grad_fns is not None:
-            return _on_grid(self.grad_fns[axis], grid)
         v = np.asarray(self.values(grid), dtype=float)
         return np.gradient(v, grid.spacings[axis], axis=axis)
 
@@ -271,56 +271,33 @@ def initialize_gaussian(grid, packets):
     return WaveField(grid, psi, mass)
 
 
-def observables(field):
-    """First moments: position by grid quadrature, momentum spectrally."""
+def observables(field, potential):
+    """First moments: position by grid quadrature, momentum spectrally, and
+    the mean force -<dV/dx_i> of ``potential``."""
     grid = field.grid
     dens = field.density()
     dv = grid.cell_volume
     norm2 = float(np.sum(dens) * dv)
-    meshes = grid.meshes()
-    mean_x, widths = [], []
-    for ax in range(grid.ndim):
-        mx = float(np.sum(dens * meshes[ax]) * dv) / norm2
-        var = float(np.sum(dens * (meshes[ax] - mx) ** 2) * dv) / norm2
+    mean_x, widths, force = [], [], []
+    for ax, x in enumerate(grid.open_axes()):
+        mx = float(np.sum(dens * x) * dv) / norm2
+        var = float(np.sum(dens * (x - mx) ** 2) * dv) / norm2
         mean_x.append(mx)
         widths.append(math.sqrt(2.0 * var))
+        g = potential.gradient(grid, ax)
+        force.append(-float(g) if np.ndim(g) == 0 else -float(np.sum(dens * g) * dv))
     phi = _fft.fftn(field.psi)
     pdens = np.abs(phi) ** 2
     ptot = float(np.sum(pdens))
-    kmeshes = grid.kmeshes()
-    mean_p = [HBAR * float(np.sum(pdens * kmeshes[ax])) / ptot
-              for ax in range(grid.ndim)]
-    return Snapshot(tuple(mean_x), tuple(mean_p), tuple(widths),
-                    (0.0,) * grid.ndim, math.sqrt(norm2))
-
-
-def snapshot_with_force(field, potential):
-    """:func:`observables` with the mean force -<dV/dx_i> filled in."""
-    snap = observables(field)
-    grid = field.grid
-    dens = field.density()
-    force = []
-    for ax in range(grid.ndim):
-        g = potential.gradient(grid, ax)
-        if np.isscalar(g) or np.ndim(g) == 0:
-            force.append(-float(g))
-        else:
-            force.append(-float(np.sum(dens * g) * grid.cell_volume))
-    return Snapshot(snap.mean_position, snap.mean_momentum, snap.widths,
-                    tuple(force), snap.norm)
+    mean_p = [HBAR * float(np.sum(pdens * k)) / ptot for k in grid.open_kaxes()]
+    return Snapshot(tuple(mean_x), tuple(mean_p), tuple(widths), tuple(force),
+                    math.sqrt(norm2))
 
 
 def kinetic_ceiling(grid, mass):
     """Largest kinetic eigenvalue hbar^2 k_max^2 / 2m on the grid."""
     k2max = sum((math.pi / dx) ** 2 for dx in grid.spacings)
     return HBAR ** 2 * k2max / (2.0 * mass)
-
-
-def suggest_dt(grid, potential, mass):
-    """Conservative step: 0.1 * hbar / (max|V| + max kinetic eigenvalue)."""
-    v = potential.values(grid)
-    vmax = float(np.max(np.abs(v))) if not np.isscalar(v) else abs(v)
-    return 0.1 * HBAR / (vmax + kinetic_ceiling(grid, mass))
 
 
 def ceiling_dt(grid, mass):
@@ -556,7 +533,7 @@ def propagate(field, potential, dt, steps, record_every=0):
     out = WaveField(grid, field.psi, field.mass, field.time, field.norm_drift)
     trace = ObservableTrace() if record_every else None
     if record_every:
-        trace.append(out.time, snapshot_with_force(out, potential))
+        trace.append(out.time, observables(out, potential))
 
     u_t, free_mass = None, 0.0
     for step in range(1, steps + 1):
@@ -572,11 +549,11 @@ def propagate(field, potential, dt, steps, record_every=0):
         check(psi, out.time, step, free_mass)
         if record_every and step % record_every == 0 and step < steps:
             out.psi = observe(psi, u_t)
-            trace.append(out.time, snapshot_with_force(out, potential))
+            trace.append(out.time, observables(out, potential))
 
     out.psi = observe(psi, u_t)
     if record_every:
-        trace.append(out.time, snapshot_with_force(out, potential))
+        trace.append(out.time, observables(out, potential))
     out.norm_drift = max(field.norm_drift, abs(out.norm() - 1.0))
     out.trace = trace
     return out
@@ -624,14 +601,8 @@ def field_array_bytes(data, spacings, origins):
                      data.astype("<c16").tobytes()])
 
 
-def write_field_array(path, data, spacings, origins):
-    """Write a complex array in the documented little-endian layout."""
-    with open(path, "wb") as fh:
-        fh.write(field_array_bytes(data, spacings, origins))
-
-
 def read_field_array(path):
-    """Read back (data, spacings, origins) written by write_field_array.
+    """Read back (data, spacings, origins) of :func:`field_array_bytes`.
 
     Raises :class:`DomainError` unless the file is a whole 1D or 2D array.
     """

@@ -71,18 +71,22 @@ def _pgm_bytes(image):
     return head + pix.tobytes()
 
 
-def _svg_bands(m_values, weights, width=640, height=360):
+# the band histogram's canvas, in SVG user units
+SVG_WIDTH, SVG_HEIGHT = 640, 360
+
+
+def _svg_bands(m_values, weights):
     """Minimal vector rendering of a band histogram."""
     peak = max(weights.max(), 1e-300)
     n = len(m_values)
-    bw = width / max(n, 1)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">']
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    bw = SVG_WIDTH / max(n, 1)
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+             f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">']
+    parts.append(f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>')
     for i, w in enumerate(weights):
-        h = (height - 20) * float(w) / peak
+        h = (SVG_HEIGHT - 20) * float(w) / peak
         x = i * bw
-        parts.append(f'<rect x="{x:.2f}" y="{height - 10 - h:.2f}" '
+        parts.append(f'<rect x="{x:.2f}" y="{SVG_HEIGHT - 10 - h:.2f}" '
                      f'width="{max(bw - 1, 0.5):.2f}" height="{h:.2f}" '
                      f'fill="steelblue"/>')
     parts.append("</svg>")
@@ -472,9 +476,19 @@ _RUNNERS = {
 
 
 def run(cfg, outdir):
-    """Execute a validated config, write outputs + manifest into ``outdir``."""
+    """Execute a validated config, write outputs + manifest into ``outdir``.
+
+    The scenario runs with numpy's overflow, divide-by-zero and invalid
+    operations raised: an input that takes its arithmetic past the float
+    range ends in a :class:`DomainError`, not in a warning and a result.
+    """
     started = time.time()
-    summary, files, drift = _RUNNERS[cfg.kind](cfg)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            summary, files, drift = _RUNNERS[cfg.kind](cfg)
+    except FloatingPointError as exc:
+        raise DomainError(f"{cfg.kind} scenario: {exc}; an input lies outside "
+                          "the float range this scenario can compute") from None
     files = dict(files)
     files["summary.json"] = _json_bytes(summary)
     try:

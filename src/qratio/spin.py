@@ -25,6 +25,7 @@ from .errors import DomainError
 
 _HALF_INT_TOL = 1e-9
 MAX_TWO_J = 2_000_000   # largest 2j accepted anywhere: j <= 10^6
+ARGMAX_TIE = 1e-12      # weights this close to the maximum (relative) tie
 
 
 def _two_j(j):
@@ -76,7 +77,11 @@ class SpinDistribution:
         return np.arange(self.two_j + 1) - self.two_j / 2.0
 
     def argmax_m(self):
-        return float(self.m_values[int(np.argmax(self.weights))])
+        """The m of the largest weight; among weights within ARGMAX_TIE of
+        it, the smallest |m|, then the smaller m, so that an exact tie is
+        not decided by rounding."""
+        tied = self.m_values[self.weights >= (1.0 - ARGMAX_TIE) * self.weights.max()]
+        return float(min(tied, key=lambda m: (abs(m), m)))
 
     def mean_m(self):
         return float(self.m_values @ self.weights)

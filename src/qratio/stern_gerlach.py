@@ -120,18 +120,13 @@ def propagate_decoupled(spinor, config, dt, steps, record_every=0):
     return SpinorField(up, down, spinor.c_up, spinor.c_down)
 
 
-def precession_frequency(field_B0):
-    """Larmor angular frequency 2 mu_B B0 / hbar (rad/s) for a spin-1/2
-    moment of one Bohr magneton (electron g ~ 2 folded in)."""
-    if field_B0 < 0.0:
-        raise DomainError("B0 must be non-negative")
-    return 2.0 * BOHR_MAGNETON * field_B0 / HBAR
-
-
 def _field(grid, config):
-    """B_y = -b0 y and B_z = B0 + b0 z on the (y, z) mesh."""
-    ym, zm = grid.meshes()
-    return -config.gradient_b0 * ym, config.field_B0 + config.gradient_b0 * zm
+    """B_y = -b0 y and B_z = B0 + b0 z, each broadcast to the whole (y, z)
+    grid, so that the products the Chebyshev loop forms of them are
+    contiguous."""
+    y, z = grid.open_axes()
+    return np.broadcast_arrays(-config.gradient_b0 * y,
+                               config.field_B0 + config.gradient_b0 * z)
 
 
 def _spectrum(grid, mass, b_y, b_z):
@@ -276,10 +271,6 @@ class BandHistogram:
 
     def mean_deflection(self):
         return float(self.weights @ self.deflections)
-
-    def weight_within(self, center, half_width):
-        sel = np.abs(self.deflections - center) <= half_width
-        return float(self.weights[sel].sum())
 
 
 def large_spin_bands(j, theta, phi, config, drift_time, mass):

@@ -33,17 +33,12 @@ POINTS_PER_SLIT = 8           # incoherent point emitters per source slit
 
 @dataclass(frozen=True)
 class GratingSpec:
-    """Periodic grating: period d, open fraction, number of slits.
-
-    ``kind`` is "absorptive" (binary transmission) or "phase" (unit
-    transmission, ``phase_shift`` radians across the openings).
-    """
+    """Periodic absorptive grating (binary transmission): period d, open
+    fraction, number of slits."""
 
     period: float
     open_fraction: float
     slit_count: int
-    kind: str = "absorptive"
-    phase_shift: float = 0.0
 
     def __post_init__(self):
         if self.period <= 0.0:
@@ -52,31 +47,22 @@ class GratingSpec:
             raise DomainError("open fraction must lie strictly inside (0, 1)")
         if self.slit_count < 2:
             raise DomainError("need at least 2 slits")
-        if self.kind not in ("absorptive", "phase"):
-            raise DomainError(f"unknown grating kind {self.kind!r}")
 
     def mask(self, x, offset=0.0, tapered=True):
         """Complex transmission sampled at ``x``; slits centered at n*d."""
         d = self.period
         frac = np.mod((x - offset) / d + 0.5, 1.0) - 0.5
         open_slit = np.abs(frac) < 0.5 * self.open_fraction
-        if self.kind == "absorptive":
-            t = open_slit.astype(complex)
-        else:
-            t = np.where(open_slit, np.exp(1j * self.phase_shift), 1.0 + 0.0j)
         half_w = 0.5 * self.slit_count * d
         inside = np.abs(x - offset) <= half_w
-        t = np.where(inside, t, 0.0 if self.kind == "absorptive" else 1.0 + 0.0j)
+        t = np.where(inside, open_slit.astype(complex), 0.0)
         if tapered:
             edge = half_w - TAPER_PERIODS * d
             r = (np.abs(x - offset) - edge) / (TAPER_PERIODS * d)
             envelope = np.where(r <= 0.0, 1.0,
                                 np.where(r >= 1.0, 0.0,
                                          0.5 * (1.0 + np.cos(math.pi * np.clip(r, 0.0, 1.0)))))
-            if self.kind == "absorptive":
-                t = t * envelope
-            else:
-                t = 1.0 + (t - 1.0) * envelope
+            t = t * envelope
         return t
 
 

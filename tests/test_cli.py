@@ -349,6 +349,22 @@ def test_sg_decoupled_small_kick_runs(tmp_path):
     assert load_summary(out)["pz_relative_error"] < 1e-8
 
 
+@pytest.mark.parametrize("preset,old,new", [
+    # the beam's momentum spread hbar / width overflows
+    ("tunnel-pure", "\nwidth = 36 nm\n", "\nwidth = 1e-300 nm\n"),
+    # the leads' wave number underflows to 0, and T divides by it
+    ("tunnel-sweep-rect", "energy_min = 0.5 eV", "energy_min = 1e-300 eV"),
+], ids=["beam-width", "sweep-energy"])
+def test_float_range_is_a_domain_error(tmp_path, capsys, preset, old, new):
+    cfg = preset_copy(tmp_path, preset, (old, new))
+    code, out = run_cli(tmp_path, "tunnel", "--config", cfg)
+    assert code == 1
+    # stderr holds the one JSON diagnostic and no RuntimeWarning
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError" and "tunnel scenario" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,preset,old,new,words", [
     ("talbot", "carpet-100nm", "period = 100 nm", "period = 1e300 nm",
      "grating period"),

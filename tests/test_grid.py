@@ -14,13 +14,20 @@ from qratio.decoherence import propagate_density, pure_to_density
 from qratio.grid import (BOUNDARY_TOLERANCE, MAX_POINTS, FreePotential, Grid,
                          LinearPotential, SampledPotential, WaveField,
                          boundary_monitor, ceiling_dt, ehrenfest_residual,
-                         half_kick, initialize_gaussian, kinetic_ceiling,
-                         kinetic_phase, observables, propagate,
-                         read_field_array, snapshot_with_force, strang_step,
-                         suggest_dt, write_field_array)
+                         field_array_bytes, half_kick, initialize_gaussian,
+                         kinetic_ceiling, kinetic_phase, observables, propagate,
+                         read_field_array, strang_step)
 from qratio.stern_gerlach import SGFieldConfig, SpinorField, propagate_coupled
 
 ME = 9.1093837015e-31
+FREE = FreePotential()
+
+
+def suggest_dt(grid, potential, mass):
+    """Conservative step: 0.1 * hbar / (max|V| + max kinetic eigenvalue)."""
+    v = potential.values(grid)
+    vmax = float(np.max(np.abs(v))) if not np.isscalar(v) else abs(v)
+    return 0.1 * HBAR / (vmax + kinetic_ceiling(grid, mass))
 
 
 def electron_field(n=1024, extent=4e-6, width=2e-7, momentum=5e-26, center=-5e-7):
@@ -62,17 +69,17 @@ class TestInitialize:
 
     def test_mean_position(self):
         grid, f = electron_field()
-        snap = observables(f)
+        snap = observables(f, FREE)
         assert abs(snap.mean_position[0] + 5e-7) < grid.spacings[0] / 10
 
     def test_mean_momentum_spectral(self):
         grid, f = electron_field()
-        snap = observables(f)
+        snap = observables(f, FREE)
         assert abs(snap.mean_momentum[0] - 5e-26) < HBAR / (10 * grid.extents[0])
 
     def test_width_is_density_half_width(self):
         _, f = electron_field()
-        snap = observables(f)
+        snap = observables(f, FREE)
         assert snap.widths[0] == pytest.approx(2e-7 / math.sqrt(2), rel=1e-9)
 
     def test_under_resolved_width_rejected(self):
@@ -98,8 +105,49 @@ class TestInitialize:
         pk = GaussianPacket(0.0, 1e-7, 0.0, ME)
         f = initialize_gaussian(grid, (pk, pk))
         assert abs(f.norm() - 1.0) < 1e-12
-        snap = observables(f)
+        snap = observables(f, FREE)
         assert len(snap.mean_position) == 2
+
+
+def meshgrid_observables(field, potential):
+    """The snapshot :func:`observables` gives, formed on full ``np.meshgrid``
+    copies of the coordinate and wave-number axes."""
+    grid = field.grid
+    dens = field.density()
+    dv = grid.cell_volume
+    norm2 = float(np.sum(dens) * dv)
+    xs = np.meshgrid(*map(grid.axis, range(grid.ndim)), indexing="ij")
+    ks = np.meshgrid(*map(grid.kaxis, range(grid.ndim)), indexing="ij")
+    pdens = np.abs(grid_module._fft.fftn(field.psi)) ** 2
+    mean_x, widths, force = [], [], []
+    for ax, x in enumerate(xs):
+        mx = float(np.sum(dens * x) * dv) / norm2
+        mean_x.append(mx)
+        widths.append(math.sqrt(2.0 * float(np.sum(dens * (x - mx) ** 2) * dv) / norm2))
+        g = potential.gradient(grid, ax)
+        force.append(-float(g) if np.ndim(g) == 0 else -float(np.sum(dens * g) * dv))
+    mean_p = [HBAR * float(np.sum(pdens * k)) / float(np.sum(pdens)) for k in ks]
+    return grid_module.Snapshot(tuple(mean_x), tuple(mean_p), tuple(widths),
+                                tuple(force), math.sqrt(norm2))
+
+
+def moving_2d_field():
+    grid = Grid.make((64, 128), (1e-6, 2e-6))
+    return initialize_gaussian(grid, (GaussianPacket(0.5e-7, 1e-7, 5e-27, ME),
+                                      GaussianPacket(-2e-7, 1.5e-7, -1e-26, ME)))
+
+
+@pytest.mark.parametrize("make, potential", [
+    (moving_2d_field, LinearPotential(3e-20, 1)),
+    # a gradient array, by central differences
+    (lambda: electron_field()[1],
+     SampledPotential(lambda x: 2e-21 * (x / 1e-6) ** 4 + 1e-15 * x)),
+], ids=["2d-product-linear", "1d-sampled"])
+def test_observables_match_the_meshgrid_reference(make, potential):
+    field = make()
+    snap = observables(field, potential)
+    assert snap == meshgrid_observables(field, potential)
+    assert any(snap.mean_force)
 
 
 class TestFreeEvolution:
@@ -109,7 +157,7 @@ class TestFreeEvolution:
         steps = 400
         f1 = propagate(f0, FreePotential(), dt, steps)
         t = f1.time
-        snap = observables(f1)
+        snap = observables(f1, FREE)
         expected_x = -5e-7 + 5e-26 * t / ME
         assert abs(snap.mean_position[0] - expected_x) < 1e-3 * grid.extents[0]
         expected_w = packet_width_at(GaussianPacket(-5e-7, 2e-7, 5e-26, ME),
@@ -143,7 +191,7 @@ class TestFreeEvolution:
             dt = suggest_dt(grid, FreePotential(), ME)
             steps = 200
             f1 = propagate(f0, FreePotential(), dt, steps)
-            w = observables(f1).widths[0]
+            w = observables(f1, FREE).widths[0]
             expected = packet_width_at(pk, f1.time) / math.sqrt(2)
             errs.append(abs(w - expected) / expected)
         floor = 1e-10
@@ -157,7 +205,7 @@ class TestLinearPotential:
         force = 1e-20
         dt = suggest_dt(grid, LinearPotential(-force, 0), ME)
         f1 = propagate(f0, LinearPotential(-force, 0), dt, 300)
-        snap = observables(f1)
+        snap = observables(f1, FREE)
         expected = 5e-26 + force * f1.time
         assert snap.mean_momentum[0] == pytest.approx(expected, rel=1e-10)
 
@@ -235,6 +283,19 @@ class TestStepSize:
         assert dt * kinetic_ceiling(grid, ME) / HBAR < math.pi / 4
 
 
+class QuarticPotential:
+    """V = c4 x^4 with its analytic gradient 4 c4 x^3 (1D grids)."""
+
+    def __init__(self, c4):
+        self.c4 = c4
+
+    def values(self, grid):
+        return self.c4 * grid.axis(0) ** 4
+
+    def gradient(self, grid, axis):
+        return 4.0 * self.c4 * grid.axis(0) ** 3
+
+
 class TestEhrenfest:
     def test_free_particle_residuals(self):
         grid, f0 = electron_field()
@@ -257,8 +318,7 @@ class TestEhrenfest:
         grid = Grid.make(512, 4e-6)
         f0 = initialize_gaussian(grid, GaussianPacket(-3e-7, 2e-7, 0.0, ME))
         c4 = 2e-21 / (1e-6) ** 4
-        pot = SampledPotential(lambda x: c4 * x ** 4,
-                               grad_fns=(lambda x: 4 * c4 * x ** 3,))
+        pot = QuarticPotential(c4)
         dt = suggest_dt(grid, pot, ME)
         f1 = propagate(f0, pot, dt, 1200, record_every=12)
         res_r, res_p = ehrenfest_residual(f1.trace, ME)
@@ -277,7 +337,7 @@ def test_field_array_round_trip(tmp_path):
     f = initialize_gaussian(grid, (GaussianPacket(0.0, 1e-7, 0.0, ME),
                                    GaussianPacket(0.0, 2e-7, 0.0, ME)))
     path = tmp_path / "field.bin"
-    write_field_array(path, f.psi, grid.spacings, grid.origins)
+    path.write_bytes(field_array_bytes(f.psi, grid.spacings, grid.origins))
     data, spacings, origins = read_field_array(path)
     assert np.array_equal(data, f.psi)
     assert spacings == grid.spacings
@@ -287,7 +347,8 @@ def test_field_array_round_trip(tmp_path):
 def test_field_array_truncated_file_is_a_domain_error(tmp_path):
     grid = Grid.make(64, 1e-6)
     path = tmp_path / "field.bin"
-    write_field_array(path, np.ones(64, dtype=complex), grid.spacings, grid.origins)
+    path.write_bytes(field_array_bytes(np.ones(64, dtype=complex), grid.spacings,
+                                       grid.origins))
     whole = path.read_bytes()
     for size in (10, 20, len(whole) - 1):
         path.write_bytes(whole[:size])
@@ -299,8 +360,8 @@ def test_field_array_truncated_file_is_a_domain_error(tmp_path):
 def test_field_array_corrupt_shape_is_a_domain_error(tmp_path):
     grid = Grid.make((64, 64), (1e-6, 1e-6))
     path = tmp_path / "field.bin"
-    write_field_array(path, np.ones((64, 64), dtype=complex), grid.spacings,
-                      grid.origins)
+    path.write_bytes(field_array_bytes(np.ones((64, 64), dtype=complex),
+                                       grid.spacings, grid.origins))
     whole = path.read_bytes()
     # a shape claiming ~2.7e20 bytes must not size a read buffer
     path.write_bytes(whole[:12] + np.uint32(2 ** 32 - 1).tobytes() + whole[16:])
@@ -313,7 +374,8 @@ def test_field_array_corrupt_shape_is_a_domain_error(tmp_path):
 def test_field_array_bad_ndim_is_a_domain_error(tmp_path, ndim):
     grid = Grid.make(64, 1e-6)
     path = tmp_path / "field.bin"
-    write_field_array(path, np.ones(64, dtype=complex), grid.spacings, grid.origins)
+    path.write_bytes(field_array_bytes(np.ones(64, dtype=complex), grid.spacings,
+                                       grid.origins))
     whole = path.read_bytes()
     path.write_bytes(whole[:8] + np.uint32(ndim).tobytes() + whole[12:])
     with pytest.raises(DomainError) as err:
@@ -345,11 +407,11 @@ def full_grid_steps(field, potential, dt, steps, record_every):
     kin = kinetic_phase(grid, field.mass, dt)
     half = half_kick(potential.values(grid), dt)
     out = WaveField(grid, field.psi, field.mass)
-    snaps = [snapshot_with_force(out, potential)]
+    snaps = [observables(out, potential)]
     for step in range(1, steps + 1):
         out.psi = strang_step(out.psi, kin, lambda p: p * half)
         if step % record_every == 0 or step == steps:
-            snaps.append(snapshot_with_force(out, potential))
+            snaps.append(observables(out, potential))
     return out.psi, snaps
 
 
@@ -563,7 +625,7 @@ def seeded_field(seed=20260):
     """Complex Gaussian noise under a Gaussian envelope well inside the
     margins: full rank, with every row of it independent."""
     rng = np.random.default_rng(seed)
-    zm, xm = ZX.meshes()
+    zm, xm = ZX.open_axes()
     envelope = np.exp(-((zm + 3e-7) / 1.5e-7) ** 2 - (xm / 1.2e-7) ** 2)
     psi = envelope * (rng.standard_normal(ZX.points)
                       + 1j * rng.standard_normal(ZX.points))
@@ -590,8 +652,8 @@ def recorded_fields(monkeypatch, field, potential, dt, steps, record_every):
 
     def logged(f, pot):
         fields.append(f.psi.copy())
-        return snapshot_with_force(f, pot)
-    monkeypatch.setattr(grid_module, "snapshot_with_force", logged)
+        return observables(f, pot)
+    monkeypatch.setattr(grid_module, "observables", logged)
     out = propagate(field, potential, dt, steps, record_every=record_every)
     assert np.array_equal(fields[-1], out.psi)
     return fields

@@ -1,10 +1,13 @@
 """The package's import graph is layered: every import sits at module level
-and no chain of package-internal imports leads back to where it started."""
+and no chain of package-internal imports leads back to where it started.
+Every function the package defines is used by the package, or kept for a
+stated reason."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -121,3 +124,52 @@ def test_cli_imports_no_scipy_integrate_or_optimize():
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.stdout.strip() == "[]"
+
+
+# functions no other package code names, each with the reason it stays
+# (besides qratio.__all__ and the dunder methods Python calls)
+KEPT = {
+    "grid.read_field_array": "oracle: the reader of the documented array format",
+    "tunneling.rectangular_transmission": "oracle: the closed-form barrier",
+    "decoherence._apply_unitary": "bench/tracer.py traces it by name",
+    "decoherence.decohere_step": "bench/tracer.py traces it by name",
+    "grid.ehrenfest_residual": "gauge: the Ehrenfest defect of a trace",
+    "decoherence.smallest_eigenvalue": "gauge: the positivity of a density matrix",
+    "cli.error": "hook: argparse calls it on a usage error",
+}
+
+
+def _names(node):
+    """Every name read under ``node``: bare names and attribute names."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def _public_api():
+    for node in MODULES["__init__"].body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    pytest.fail("qratio/__init__.py defines no __all__")
+
+
+def test_every_function_is_used_or_kept():
+    refs = Counter(n for tree in MODULES.values() for n in _names(tree))
+    api = _public_api()
+    defined, unused = set(), []
+    for name, tree in MODULES.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            key = f"{name}.{fn.name}"
+            defined.add(key)
+            # a name read only inside its own body, as by recursion, is unused
+            used = refs[fn.name] > Counter(_names(fn))[fn.name]
+            dunder = fn.name.startswith("__") and fn.name.endswith("__")
+            if not (used or dunder or fn.name in api or key in KEPT):
+                unused.append(f"{name}.py:{fn.lineno} {fn.name}")
+    assert not unused, f"functions no package code uses: {unused}"
+    assert set(KEPT) <= defined, f"kept but gone: {sorted(set(KEPT) - defined)}"

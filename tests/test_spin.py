@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qratio.errors import DomainError
-from qratio.spin import (SpinCoherentState, approximate_distribution,
+from qratio.spin import (ARGMAX_TIE, SpinCoherentState, SpinDistribution,
+                         approximate_distribution,
                          classical_limit_diagnostics, coefficient,
                          distribution, saddle_point_peak, stirling_log_weight)
 
@@ -88,6 +89,29 @@ class TestDistribution:
         d = distribution(SpinCoherentState(2 * 10 ** 6, math.pi / 3))
         assert np.isfinite(d.weights).all()
         assert abs(d.weights.sum() - 1.0) < 1e-12
+
+
+class TestArgmaxM:
+    @pytest.mark.parametrize("weights, m", [
+        ([0.1, 0.4, 0.4, 0.1], -0.5),
+        ([0.4, 0.1, 0.1, 0.4], -1.5),
+        ([0.4, 0.2, 0.4], -1.0),
+        # m = -2, 1 and 2 tie: the smallest |m| wins over index order
+        ([0.3, 0.05, 0.05, 0.3, 0.3], 1.0),
+        # within the tolerance of the maximum is a tie, beyond it is not
+        ([0.1, 0.4 * (1 - 0.1 * ARGMAX_TIE), 0.4, 0.1], -0.5),
+        ([0.1, 0.4 * (1 - 10 * ARGMAX_TIE), 0.4, 0.1], 0.5),
+    ])
+    def test_ties_take_the_smallest_magnitude_then_the_smaller_m(self, weights, m):
+        d = SpinDistribution(len(weights) - 1, np.array(weights))
+        assert d.argmax_m() == m
+
+    # m = +/-1/2 weigh the same at the equator; for j <= 5/2 the +1/2
+    # weight is the larger by a few units in the last place
+    @pytest.mark.parametrize("j", [0.5, 1.5, 2.5, 6.5, 50.5, 1000.5])
+    def test_equator_tie_of_half_integer_spin(self, j):
+        d = distribution(SpinCoherentState.from_j(j, math.pi / 2))
+        assert d.argmax_m() == -0.5
 
 
 class TestStirlingForm:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -118,12 +116,6 @@ class TestGratingSpec:
             GratingSpec(D, 0.3, 1)
         with pytest.raises(DomainError):
             GratingSpec(-D, 0.3, 16)
-
-    def test_phase_grating_transmits_everywhere(self):
-        g = GratingSpec(D, 0.3, 16, kind="phase", phase_shift=math.pi / 2)
-        x = np.linspace(-4 * D, 4 * D, 1001)
-        t = g.mask(x, tapered=False)
-        assert np.all(np.abs(np.abs(t) - 1.0) < 1e-12)
 
 
 def lau_config(l2_factor=1.0):
