@@ -10,7 +10,9 @@ spinor components are stacked on a leading axis.  A density matrix
 rho(x, x') is Hermitian, so it is held as one real matrix
 R = Re rho + Im rho, and :func:`liouville_step` steps it with real
 transforms of half its spectrum (the Liouville form, kinetic factor
-K(k) K*(k')).
+K(k) K*(k')).  Its inverse runs as two 1D passes, an in-place ``ifft`` of
+the columns and an ``irfft`` of the rows: scipy's ``irfftn`` would copy
+the spectrum into a fresh array for its first pass.
 
 A stepping loop holds its field before the trailing half kick, which joins
 the next step's leading one into one full kick; it is applied only where
@@ -389,23 +391,31 @@ def liouville_step(r, kin, kick=None):
     :class:`LiouvillePhase`) the step rho -> F^-1 (kappa o F rho) takes R's
     spectrum f = rfftn(R) to c o f + s o t exactly, where t(p, q) = f(q, p)
     is the spectrum of R^T, so one real transform pair of half the spectrum
-    does the work of a complex one.  ``kick`` (None for V = 0) returns the
-    kicked R.
+    does the work of a complex one.  The inverse is an in-place ``ifft``
+    along axis 0 and a 1D ``irfft`` along the last axis, not ``irfftn``,
+    whose axis-0 pass reads the spectrum into a fresh copy.
+    ``kick`` (None for V = 0) returns the kicked R.
     """
     if kick is not None:
         r = kick(r)
-    h = r.shape[0] // 2
+    n = r.shape[0]
+    h = n // 2
     f = _fft.rfftn(r)
-    # t(p, q) = f(q, p) is stored as it is for p <= n/2, and follows from
-    # f's symmetry f(q, p) = conj f(-q, n - p) for the rows p > n/2
-    t = kin.scratch
-    t[:h + 1] = f[:h + 1, :h + 1].T
-    np.conjugate(f[0, h - 1:0:-1], out=t[h + 1:, 0])
-    np.conjugate(f[:h - 1:-1, h - 1:0:-1].T, out=t[h + 1:, 1:])
+    # s o t is gathered straight into the buffer: t(p, q) = f(q, p) is
+    # stored as it is for p <= n/2, and follows from f's symmetry
+    # f(q, p) = conj f(-q, n - p) for the rows p > n/2, conjugated after
+    # the product (s is real)
+    t, s = kin.scratch, kin.sin
+    np.multiply(f[:h + 1, :h + 1].T, s[:h + 1], out=t[:h + 1])
+    np.multiply(f[0, h - 1:0:-1], s[h + 1:, 0], out=t[h + 1:, 0])
+    np.multiply(f[:h - 1:-1, h - 1:0:-1].T, s[h + 1:, 1:], out=t[h + 1:, 1:])
+    np.conjugate(t[h + 1:], out=t[h + 1:])
     f *= kin.cos
-    t *= kin.sin
     f += t
-    r = _fft.irfftn(f, s=r.shape, overwrite_x=True)
+    # each pass scales by 1/n, a power of two, so the result is irfftn's
+    # (one 1/n^2) bit for bit
+    f = _fft.ifft(f, axis=0, overwrite_x=True)
+    r = _fft.irfft(f, n=n)
     return r if kick is None else kick(r)
 
 

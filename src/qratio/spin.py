@@ -77,10 +77,13 @@ class SpinDistribution:
         return np.arange(self.two_j + 1) - self.two_j / 2.0
 
     def argmax_m(self):
-        """The m of the largest weight; among weights within ARGMAX_TIE of
-        it, the smallest |m|, then the smaller m, so that an exact tie is
-        not decided by rounding."""
-        tied = self.m_values[self.weights >= (1.0 - ARGMAX_TIE) * self.weights.max()]
+        """The m of the largest weight; among weights within a relative tie
+        of it, the smallest |m|, then the smaller m, so that an exact tie is
+        not decided by rounding.  The tie is ARGMAX_TIE, or the rounding of
+        the log-gamma weights, eps ln Gamma(2j + 1), where that is larger
+        (from j = 396.5 on)."""
+        tie = max(ARGMAX_TIE, np.finfo(float).eps * gammaln(self.two_j + 1.0))
+        tied = self.m_values[self.weights >= (1.0 - tie) * self.weights.max()]
         return float(min(tied, key=lambda m: (abs(m), m)))
 
     def mean_m(self):

@@ -116,10 +116,6 @@ class Carpet:
                           * np.exp(-1j * math.pi * self.wavelength * z * self.nu ** 2))
         return np.abs(field) ** 2
 
-    @property
-    def talbot_length(self):
-        return talbot_length(self.grating.period, self.wavelength)
-
 
 def propagate_carpet(grating, wavelength, z_max, z_steps):
     """Fresnel carpet I(x, z) for z in [0, z_max] in ``z_steps`` steps.

@@ -20,7 +20,7 @@ from qratio.errors import (BoundaryError, CoherenceUndefinedError, DomainError,
                            StepSizeError)
 from qratio.grid import (FreePotential, Grid, LinearPotential, WaveField,
                          ceiling_dt, half_kick, initialize_gaussian,
-                         kinetic_phase)
+                         kinetic_phase, liouville_phase, liouville_step)
 
 
 def split_state(grid, c1, c2, width=25e-9, separation=250e-9, momentum=0.0):
@@ -280,6 +280,43 @@ class TestPackedForm:
         assert np.min(kernel) < 0.9
         assert (np.max(np.abs(got.rho - expected))
                 <= 1e-13 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("potential", [None, LinearPotential(2e-13)],
+                             ids=["no-kick", "linear-kick"])
+    def test_step_matches_one_irfftn_bit_for_bit(self, n, potential):
+        g = Grid.make(n, 1e-6)
+        dt = 0.5 * ceiling_dt(g, ME)
+        kin = liouville_phase(g, ME, dt)
+        kernel = damping_kernel(g, self.env, dt)
+        kick = None
+        if potential is not None:
+            half = half_kick(potential.values(g), dt)
+            w = np.outer(half, half.conj())
+            kick = lambda r: w.real * r + w.imag * r.T
+
+        def one_irfftn(r):
+            # the gather, the products and one 2D inverse transform
+            if kick is not None:
+                r = kick(r)
+            h = n // 2
+            f = fft.rfftn(r)
+            t = np.empty_like(f)
+            t[:h + 1] = f[:h + 1, :h + 1].T
+            t[h + 1:, 0] = f[0, h - 1:0:-1].conj()
+            t[h + 1:, 1:] = f[:h - 1:-1, h - 1:0:-1].T.conj()
+            f *= kin.cos
+            t *= kin.sin
+            f += t
+            r = fft.irfftn(f, s=r.shape)
+            return r if kick is None else kick(r)
+
+        got = expected = DensityMatrix(g, random_hermitian(n, 5), ME).packed
+        for _ in range(3):
+            got = kernel * liouville_step(got, kin, kick)
+            expected = kernel * one_irfftn(expected)
+        # equal as bytes, signed zeros included
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [64, 512])
     def test_pack_then_unpack(self, n):

@@ -592,20 +592,22 @@ def free_axis_step():
     return 1
 
 
-@pytest.mark.parametrize("step,pair", [
-    # a density matrix's real R and the half spectrum n x (n/2 + 1) of it
-    (density_step, (("rfftn", (512, 512)), ("irfftn", (512, 257)))),
+@pytest.mark.parametrize("step,calls", [
+    # a density matrix's real R and the half spectrum n x (n/2 + 1) of it,
+    # inverted in two passes: the columns in place, then the rows
+    (density_step, (("rfftn", (512, 512)), ("ifft", (512, 257)),
+                    ("irfft", (512, 257)))),
     (spinor_step, (("fftn", (2, 64, 64)), ("ifftn", (2, 64, 64)))),
     (free_axis_step, (("fftn", (1, 2048)), ("ifftn", (1, 2048)))),
 ], ids=["density-512", "spinor-2x64x64", "free-axis-row-2048"])
-def test_every_transform_runs_on_one_thread(monkeypatch, step, pair):
+def test_every_transform_runs_on_one_thread(monkeypatch, step, calls):
     proxy = _CountingFFT(grid_module._fft)
     monkeypatch.setattr(grid_module, "_fft", proxy)
     pairs = step()
-    # the forward and inverse transform of the one Strang step, or of each
+    # the forward and inverse transforms of the one Strang step, or of each
     # H-application of the coupled spinor's expansion, on the default
     # single worker
-    for call in pair:
+    for call in calls:
         assert proxy.named.count(call) == pairs
     assert proxy.threaded == []
 

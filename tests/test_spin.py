@@ -107,11 +107,20 @@ class TestArgmaxM:
         assert d.argmax_m() == m
 
     # m = +/-1/2 weigh the same at the equator; for j <= 5/2 the +1/2
-    # weight is the larger by a few units in the last place
-    @pytest.mark.parametrize("j", [0.5, 1.5, 2.5, 6.5, 50.5, 1000.5])
+    # weight is the larger by a few units in the last place, and at
+    # j = 70000.5 and 199999.5 by 7.3e-12 and 2.9e-11 (relative), beyond
+    # ARGMAX_TIE but within the log-gamma rounding
+    @pytest.mark.parametrize("j", [0.5, 1.5, 2.5, 6.5, 50.5, 1000.5,
+                                   70000.5, 199999.5])
     def test_equator_tie_of_half_integer_spin(self, j):
         d = distribution(SpinCoherentState.from_j(j, math.pi / 2))
         assert d.argmax_m() == -0.5
+
+    # off the equator the two largest weights differ by 7.1e-6 (relative),
+    # far beyond the tie, so the largest weight alone decides
+    def test_large_spin_peak_is_not_a_tie(self):
+        d = distribution(SpinCoherentState.from_j(199999.5, math.pi / 4))
+        assert d.argmax_m() == float(d.m_values[np.argmax(d.weights)]) == 141421.5
 
 
 class TestStirlingForm:
