@@ -600,15 +600,30 @@ def ehrenfest_residual(trace, mass):
 _MAGIC = b"QRARRAY1"
 
 
+# an output encoded from an array (*.bin, *.pgm) is built this many bytes
+# of rows at a time
+BLOCK_BYTES = 1 << 20
+
+
 def field_array_bytes(data, spacings, origins):
-    """Serialized complex array in the documented little-endian layout."""
+    """Serialized 1D or 2D complex array in the documented little-endian
+    layout, as chunks: the header, then the payload, widened a few rows at
+    a time into one reused "<c16" block (the interleaved little-endian
+    (re, im) float64 payload), so a chunk holds its bytes only until the
+    next one is taken.
+    """
     data = np.asarray(data)
-    # "<c16" is the interleaved little-endian (re, im) float64 payload
-    return b"".join([_MAGIC,
-                     np.asarray((data.ndim,) + data.shape, dtype="<u4").tobytes(),
-                     np.asarray(spacings, dtype="<f8").tobytes(),
-                     np.asarray(origins, dtype="<f8").tobytes(),
-                     data.astype("<c16").tobytes()])
+    yield b"".join([_MAGIC,
+                    np.asarray((data.ndim,) + data.shape, dtype="<u4").tobytes(),
+                    np.asarray(spacings, dtype="<f8").tobytes(),
+                    np.asarray(origins, dtype="<f8").tobytes()])
+    rows = data.reshape(-1, 1) if data.ndim == 1 else data
+    step = max(1, BLOCK_BYTES // (16 * max(1, rows.shape[1])))
+    block = np.empty((min(step, len(rows)), rows.shape[1]), dtype="<c16")
+    for i in range(0, len(rows), step):
+        part = block[:len(rows) - i]
+        part[...] = rows[i:i + step]
+        yield part
 
 
 def read_field_array(path):

@@ -2,11 +2,14 @@
 
 Every run writes its data files (CSV/JSON/binary per FORMATS.md) plus a
 ``manifest.json`` with the tool version, config hash, wall time, drift
-summaries and per-file checksums.  The manifest is written atomically after
-all outputs; repeated runs of the same config produce byte-identical data
-files (the manifest's wall time is the only volatile field).
+summaries and per-file checksums.  Each output is streamed to its file and
+to SHA-256 in the same chunks, binary ones a block of rows at a time.  The
+manifest is written atomically after all outputs; repeated runs of the
+same config produce byte-identical data files (the manifest's wall time is
+the only volatile field).
 """
 
+import contextlib
 import hashlib
 import io
 import json
@@ -22,7 +25,8 @@ from .catalog import experiment_lookup
 from .constants import BOHR_MAGNETON, EV, HBAR
 from .core import (GaussianPacket, doubling_time, quantum_ratio)
 from .errors import ConfigError, DomainError, ResolutionError
-from .grid import Grid, ceiling_dt, field_array_bytes, initialize_gaussian
+from .grid import (BLOCK_BYTES, Grid, ceiling_dt, field_array_bytes,
+                   initialize_gaussian)
 from .spin import (SpinCoherentState, approximate_distribution,
                    classical_limit_diagnostics, distribution)
 from . import stern_gerlach as sg
@@ -62,13 +66,34 @@ def _json_bytes(obj):
 
 
 def _pgm_bytes(image):
-    """8-bit binary PGM of a non-negative 2D array, max-normalized."""
+    """8-bit binary PGM of a non-negative 2D array, max-normalized.  The
+    pixels are quantized as they are written, after ``run``'s errstate has
+    closed, so the extremes are quantized here first: every pixel lies
+    between theirs, and a value that would overflow or not cast (a
+    non-finite one, or one near the float maximum) is refused before any
+    file is written."""
     arr = np.asarray(image, dtype=float)
     peak = arr.max()
-    pix = np.zeros(arr.shape, dtype=np.uint8) if peak <= 0 else \
-        np.round(255.0 * arr / peak).astype(np.uint8)
-    head = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
-    return head + pix.tobytes()
+    if not peak <= 0:
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                np.round(255.0 * np.array([arr.min(), peak]) / peak
+                         ).astype(np.uint8)
+        except FloatingPointError:
+            raise DomainError("a PGM image holds a value it cannot scale "
+                              "to 8 bits (non-finite or near the float "
+                              "maximum)") from None
+    return _pgm_chunks(arr, peak)
+
+
+def _pgm_chunks(arr, peak):
+    """The header, then the pixels of a few rows at a time."""
+    yield f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
+    step = max(1, BLOCK_BYTES // (8 * max(1, arr.shape[1])))
+    for i in range(0, len(arr), step):
+        rows = arr[i:i + step]
+        yield np.zeros(rows.shape, dtype=np.uint8) if peak <= 0 else \
+            np.round(255.0 * rows / peak).astype(np.uint8)
 
 
 # the band histogram's canvas, in SVG user units
@@ -348,7 +373,7 @@ def _run_tunnel(cfg):
     files = {"transverse_profile.csv": _csv_bytes(("x_m", "density"), prof_rows)}
     if rep.final_density is not None:
         files["density.bin"] = field_array_bytes(
-            rep.final_density.astype(complex), grid.spacings, grid.origins)
+            rep.final_density, grid.spacings, grid.origins)
         files["density.pgm"] = _pgm_bytes(np.sqrt(rep.final_density))
     summary = {
         "mode": p["mode"],
@@ -379,7 +404,7 @@ def _run_talbot(cfg):
         shift_corr = tb.correlation_at_shift(carpet, lt, grating.period / 2.0)
         files = {
             "carpet.bin": field_array_bytes(
-                carpet.intensity.astype(complex),
+                carpet.intensity,
                 (carpet.z_values[1] - carpet.z_values[0],
                  carpet.x[1] - carpet.x[0]),
                 (0.0, carpet.x[0])),
@@ -475,6 +500,26 @@ _RUNNERS = {
 }
 
 
+def _unwritable(path, exc):
+    return ConfigError(f"cannot write {path!r}: {exc.strerror or exc}")
+
+
+def _write(path, payload):
+    """Write one output, bytes or an iterable of buffers each read before
+    the next is taken, and hash it in the same chunks; returns its size
+    and SHA-256."""
+    digest, size = hashlib.sha256(), 0
+    try:
+        with open(path, "wb") as fh:
+            for chunk in [payload] if isinstance(payload, bytes) else payload:
+                fh.write(chunk)
+                digest.update(chunk)
+                size += memoryview(chunk).nbytes
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+    return size, digest.hexdigest()
+
+
 def run(cfg, outdir):
     """Execute a validated config, write outputs + manifest into ``outdir``.
 
@@ -499,12 +544,8 @@ def run(cfg, outdir):
 
     entries = []
     for name in sorted(files):
-        payload = files[name]
-        path = os.path.join(outdir, name)
-        with open(path, "wb") as fh:
-            fh.write(payload)
-        entries.append({"name": name, "bytes": len(payload),
-                        "sha256": hashlib.sha256(payload).hexdigest()})
+        size, digest = _write(os.path.join(outdir, name), files[name])
+        entries.append({"name": name, "bytes": size, "sha256": digest})
 
     manifest = {
         "tool": "qratio",
@@ -516,10 +557,16 @@ def run(cfg, outdir):
         "drift": drift,
         "outputs": entries,
     }
+    text = _json_bytes(manifest)
+    path = os.path.join(outdir, "manifest.json")
     tmp = os.path.join(outdir, ".manifest.json.tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(_json_bytes(manifest))
-    os.replace(tmp, os.path.join(outdir, "manifest.json"))
-    return RunManifest(os.path.join(outdir, "manifest.json"),
-                       manifest["config_hash"], entries,
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise _unwritable(path, exc) from None
+    return RunManifest(path, manifest["config_hash"], entries,
                        manifest["wall_time_s"])

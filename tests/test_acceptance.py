@@ -293,13 +293,12 @@ def test_criterion_8_decoherence_engine():
                   f"bands={bands_ok}, {budget.elapsed:.1f}s")
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, preset_runs):
     diffs = []
     for preset in preset_names():
         cfg = parse_config(_preset_text(preset))
-        out_a = tmp_path / preset / "a"
-        out_b = tmp_path / preset / "b"
-        run_config(cfg, str(out_a))
+        out_a = preset_runs[preset][0]
+        out_b = tmp_path / preset
         run_config(cfg, str(out_b))
         names_a = sorted(p.name for p in out_a.iterdir())
         names_b = sorted(p.name for p in out_b.iterdir())

@@ -512,6 +512,19 @@ def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, under):
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("taken", ["summary.json", "manifest.json"])
+def test_an_unwritable_output_is_a_config_error(tmp_path, capsys, taken):
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    code = main(["ratio", "--preset", "Ag", "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "cannot write" in err["message"]
+    assert str(out / taken) in err["message"]
+    assert not (out / ".manifest.json.tmp").exists()
+    assert (out / taken).is_dir()
+
+
 @pytest.mark.parametrize("kind,preset,old,new", [
     ("sg", "sg-split", "points = 256 256", "points = 65536 65536"),
     ("talbot", "carpet-100nm", "open_fraction = 0.3", "open_fraction = 0.001"),
