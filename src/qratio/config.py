@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .units import parse_quantity
+from .units import SI_UNITS, parse_quantity
 
 KINDS = ("ratio", "diffuse", "spin-dist", "sg", "tunnel", "talbot", "decohere")
 
@@ -332,9 +332,7 @@ def _applies(required, params):
 def _format_value(v):
     if isinstance(v, str):
         return v
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, (int,)):
+    if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
         return repr(v)
@@ -349,11 +347,6 @@ def serialize_config(cfg):
     parse_config(serialize_config(c)) reproduces c exactly: serialized
     quantities carry their SI unit strings.
     """
-    si_unit = {
-        "length": "m", "mass": "kg", "time": "s", "speed": "m/s",
-        "energy": "J", "momentum": "kg*m/s", "field": "T", "gradient": "T/m",
-        "rate": "1/s", "angle": "rad", "spin": "", "dimensionless": "",
-    }
     lines = ["[scenario]", f"kind = {cfg.kind}", f"seed = {cfg.seed}"]
     if cfg.out:
         lines.append(f"out = {cfg.out}")
@@ -366,12 +359,11 @@ def serialize_config(cfg):
             if v is None:
                 continue
             dim = spec[key][0].partition(":")[0].partition(">")[0]
-            if dim not in si_unit:
+            unit = SI_UNITS.get(dim)
+            if unit is None:
                 lines.append(f"{key} = {_format_value(v)}")
             elif not math.isinf(v):
-                unit = si_unit[dim]
-                tail = f" {unit}" if unit else ""
-                lines.append(f"{key} = {v!r}{tail}")
+                lines.append(f"{key} = {v!r} {unit}")
 
     for name in sorted(schema):
         base = name[:-1] if name.endswith("*") else name

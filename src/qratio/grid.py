@@ -228,6 +228,19 @@ class ObservableTrace:
                 np.asarray(self.mean_momentum), np.asarray(self.widths))
 
 
+def check_band(momentum, width, dx, subject):
+    """The band rule: a Gaussian packet of width ``width`` at ``momentum``
+    holds wave numbers up to about |p|/hbar + 5/width, and past 90% of the
+    spectral band pi/dx they alias.  Raises :class:`ResolutionError`, led by
+    ``subject``, when they do not fit; a NaN momentum fails too."""
+    k_need = abs(momentum) / HBAR + 5.0 / width
+    k_nyquist = math.pi / dx
+    if not k_need <= 0.9 * k_nyquist:
+        raise ResolutionError(
+            f"{subject}: momentum content {k_need:.3e} rad/m exceeds 90% of "
+            f"the spectral band ({k_nyquist:.3e} rad/m); refine the grid")
+
+
 def initialize_gaussian(grid, packets):
     """Normalized Gaussian wave field; one GaussianPacket per axis.
 
@@ -259,12 +272,7 @@ def initialize_gaussian(grid, packets):
                 f"axis {ax}: packet support [{p.center - support:.3e}, "
                 f"{p.center + support:.3e}] m closer than 8 spacings "
                 f"({margin:.3e} m) to the boundary [{lo:.3e}, {hi:.3e}]")
-        k_need = abs(p.momentum) / HBAR + 5.0 / p.width
-        k_nyquist = math.pi / dx
-        if k_need > 0.9 * k_nyquist:
-            raise ResolutionError(
-                f"axis {ax}: momentum content {k_need:.3e} rad/m exceeds 90% of "
-                f"the spectral band ({k_nyquist:.3e} rad/m); refine the grid")
+        check_band(p.momentum, p.width, dx, f"axis {ax}")
         x = grid.axis(ax)
         comp = np.exp(-((x - p.center) / p.width) ** 2 + 1j * p.momentum * x / HBAR)
         psi *= comp.reshape([-1 if a == ax else 1 for a in range(grid.ndim)])

@@ -24,9 +24,9 @@ from . import __version__
 from .catalog import experiment_lookup
 from .constants import BOHR_MAGNETON, EV, HBAR
 from .core import (GaussianPacket, doubling_time, quantum_ratio)
-from .errors import ConfigError, DomainError, ResolutionError
-from .grid import (BLOCK_BYTES, Grid, ceiling_dt, field_array_bytes,
-                   initialize_gaussian)
+from .errors import ConfigError, DomainError
+from .grid import (BLOCK_BYTES, Grid, ceiling_dt, check_band,
+                   field_array_bytes, initialize_gaussian)
 from .spin import (SpinCoherentState, approximate_distribution,
                    classical_limit_diagnostics, distribution)
 from . import stern_gerlach as sg
@@ -200,17 +200,12 @@ def _trace_rows(trace):
 
 
 def _check_sg_kick(p, grid):
-    """initialize_gaussian's band rule for the final momentum mu_B b0 t of
-    either band along z (grid axis 1): past it the bands alias, and the run
-    would end in garbage."""
-    k_need = BOHR_MAGNETON * abs(p["b0"]) * p["duration"] / HBAR + 5.0 / p["width"]
-    k_nyquist = math.pi / grid.spacings[1]
-    if not k_need <= 0.9 * k_nyquist:
-        raise ResolutionError(
-            f"[sg] gradient 'b0' = {p['b0']:g} T/m over 'duration' = "
-            f"{p['duration']:g} s takes the momentum content to {k_need:.3e} "
-            f"rad/m, over 90% of the spectral band ({k_nyquist:.3e} rad/m); "
-            "refine the grid")
+    """The band rule for the final momentum mu_B b0 t of either band along z
+    (grid axis 1): past it the bands alias, and the run would end in
+    garbage."""
+    check_band(BOHR_MAGNETON * p["b0"] * p["duration"], p["width"],
+               grid.spacings[1], f"[sg] gradient 'b0' = {p['b0']:g} T/m over "
+               f"'duration' = {p['duration']:g} s")
 
 
 def _run_sg(cfg):

@@ -94,10 +94,10 @@ class SpinDistribution:
         return float(np.sqrt(((self.m_values - mu) ** 2) @ self.weights))
 
 
-def _log_weights(two_j, theta):
-    """log |c_k|^2 for interior theta; binomial(n=2j, p=cos^2(theta/2))."""
+def _log_weights(two_j, theta, k):
+    """log |c_k|^2 at index k, a number or an array, for interior theta;
+    binomial(n=2j, p=cos^2(theta/2))."""
     n = two_j
-    k = np.arange(n + 1)
     log_cos2 = 2.0 * np.log(np.cos(theta / 2.0))
     log_sin2 = 2.0 * np.log(np.sin(theta / 2.0))
     return (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
@@ -105,7 +105,9 @@ def _log_weights(two_j, theta):
 
 
 def coefficient(state, k):
-    """Projection amplitude c_k of the state on |j, m = -j + k>."""
+    """Projection amplitude c_k of the state on |j, m = -j + k>: the root
+    of the binomial weight :func:`distribution` reads, times the phase
+    e^{i(j-k)phi}."""
     n = state.two_j
     if not 0 <= k <= n:
         raise DomainError(f"index k must lie in [0, {n}], got {k}")
@@ -114,11 +116,9 @@ def coefficient(state, k):
         return 1.0 + 0.0j if k == n else 0.0j
     if state.theta == math.pi:
         return 1.0 + 0.0j if k == 0 else 0.0j
-    log_mag = (0.5 * (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0))
-               + k * math.log(math.cos(state.theta / 2.0))
-               + (n - k) * math.log(math.sin(state.theta / 2.0)))
     phase = (n / 2.0 - k) * state.phi
-    return math.exp(log_mag) * complex(math.cos(phase), math.sin(phase))
+    return (math.exp(0.5 * _log_weights(n, state.theta, k))
+            * complex(math.cos(phase), math.sin(phase)))
 
 
 def distribution(state):
@@ -128,26 +128,30 @@ def distribution(state):
         w = np.zeros(n + 1)
         w[n if state.theta == 0.0 else 0] = 1.0
         return SpinDistribution(n, w)
-    logw = _log_weights(n, state.theta)
+    logw = _log_weights(n, state.theta, np.arange(n + 1))
     shift = logw.max()
     w = np.exp(logw - shift)
     raw_sum = w.sum() * math.exp(shift)
     return SpinDistribution(n, w / w.sum(), abs(raw_sum - 1.0))
 
 
-def stirling_log_weight(j, theta, x):
+def stirling_log_weight(theta, x):
     """Large-spin log-weight density f(x), with |c_k|^2 ~ exp(2j f(k/2j)).
 
     f(x) = -x log x - (1-x) log(1-x)
            + 2x log cos(theta/2) + 2(1-x) log sin(theta/2)
 
-    f vanishes at the peak x0 = cos^2(theta/2) and is negative elsewhere.
+    f vanishes at the peak x0 = cos^2(theta/2) and is negative elsewhere;
+    it does not depend on j.  ``x`` may be a number or an array, every
+    value strictly inside (0, 1); :func:`approximate_distribution` reads
+    f on its whole k grid from here.
     """
-    if not 0.0 < x < 1.0:
+    x = np.asarray(x, dtype=float)
+    if not (0.0 < x.min() and x.max() < 1.0):
         raise DomainError(f"x must lie strictly inside (0, 1), got {x}")
     if not 0.0 < theta < math.pi:
         raise DomainError(f"theta must lie strictly inside (0, pi), got {theta}")
-    return (-x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
+    return (-x * np.log(x) - (1.0 - x) * np.log1p(-x)
             + 2.0 * x * math.log(math.cos(theta / 2.0))
             + 2.0 * (1.0 - x) * math.log(math.sin(theta / 2.0)))
 
@@ -161,12 +165,7 @@ def approximate_distribution(j, theta, phi=0.0):
     n = SpinCoherentState.from_j(j, theta, phi).two_j
     if n < 2:
         raise DomainError(f"approximation needs j >= 1 (interior k), got j = {n / 2}")
-    if not 0.0 < theta < math.pi:
-        raise DomainError("approximation needs theta strictly inside (0, pi)")
-    x = np.arange(1, n) / n
-    f = (-x * np.log(x) - (1.0 - x) * np.log1p(-x)
-         + 2.0 * x * math.log(math.cos(theta / 2.0))
-         + 2.0 * (1.0 - x) * math.log(math.sin(theta / 2.0)))
+    f = stirling_log_weight(theta, np.arange(1, n) / n)
     w = np.zeros(n + 1)
     w[1:n] = np.exp(n * (f - f.max()))
     raw = w.sum()

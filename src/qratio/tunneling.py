@@ -92,10 +92,11 @@ class GaussianBarrier:
 def turning_points(barrier, energy):
     """Outermost classical turning points of V(z) = E, or None above barrier.
 
-    A 4097-point scan brackets each root, and bisection narrows both
-    brackets to 1e-12 of the support width; rectangular barriers return
-    their edges directly.  A profile truncated where V > E turns there: the
-    cut-off is a step, so that support edge is the turning point.
+    Both barriers have them in closed form.  A rectangular barrier turns at
+    its edges.  A Gaussian one turns where height exp(-z^2 / 2 sigma^2) = E,
+    at z = +/- sigma sqrt(2 ln(height / E)), unless that lies past the
+    cut-off: the truncated profile steps from V > E to 0 there, so the
+    support edge +/- cutoff sigma is the turning point.
     """
     if energy <= 0.0:
         raise DomainError("energy must be positive")
@@ -103,24 +104,9 @@ def turning_points(barrier, energy):
         return None
     if isinstance(barrier, RectangularBarrier):
         return (-barrier.half_width, barrier.half_width)
-    lo, hi = barrier.support
-    zs = np.linspace(lo, hi, 4097)
-    idx = np.nonzero(barrier.value(zs) > energy)[0]
-    if idx.size == 0:
-        return None
-    # each bracket runs from a point with V <= E (out) to one with V > E
-    # (inn); a support edge with V > E is its own zero-width bracket
-    i, j = idx[0], idx[-1]
-    out = np.array([zs[max(i - 1, 0)], zs[min(j + 1, zs.size - 1)]])
-    inn = zs[[i, j]]
-    tol = 1e-12 * (hi - lo)
-    while np.max(np.abs(inn - out)) > tol:
-        mid = 0.5 * (out + inn)
-        above = barrier.value(mid) > energy
-        inn = np.where(above, mid, inn)
-        out = np.where(above, out, mid)
-    left, right = 0.5 * (out + inn)
-    return (float(left), float(right))
+    z = barrier.sigma * min(math.sqrt(2.0 * math.log(barrier.height / energy)),
+                            barrier.cutoff)
+    return (-z, z)
 
 
 @functools.cache
@@ -369,7 +355,7 @@ def energy_averaged_transmission(scenario):
     return float(np.dot(w, t) / w.sum())
 
 
-def run_tunnel_scenario(scenario, grid=None, env=None):
+def run_tunnel_scenario(scenario, grid, env=None):
     """Propagate the scenario through the barrier and report what crossed.
 
     V(z) does not depend on x: chi(z) steps through it on the z axis alone,
@@ -387,8 +373,6 @@ def run_tunnel_scenario(scenario, grid=None, env=None):
     """
     long_pkt = scenario.longitudinal
     mass = long_pkt.mass
-    if grid is None:
-        grid = default_scenario_grid(scenario)
     ceiling = kinetic_ceiling(grid, mass)
     if ceiling <= 0.0:
         raise DomainError(f"mass {mass:.3e} kg too large: the grid's kinetic "
@@ -472,10 +456,12 @@ def run_tunnel_scenario(scenario, grid=None, env=None):
     )
 
 
-def default_scenario_grid(scenario, points_z=2048, points_x=128,
+def default_scenario_grid(scenario, points_z, points_x,
                           lo_widths=5.5, hi_widths=9.5):
     """Grid sized for the scenario: incoming, reflected and transmitted
-    lobes fit in z with margins; transverse range fits both packets."""
+    lobes fit in z with margins; transverse range fits both packets.  The
+    point counts have no default here: the tunnel schema's [grid] points
+    holds it."""
     a = scenario.longitudinal.width
     z_lo = scenario.longitudinal.center - lo_widths * a
     z_hi = scenario.barrier.support[1] + hi_widths * a

@@ -65,6 +65,11 @@ _UNITS = {
     "deg": ("angle", math.pi / 180.0),
 }
 
+# dimension -> SI unit: the first unit of factor 1.0 listed for it (the
+# reversed walk lets "1/s" overwrite "Hz")
+SI_UNITS = {dim: unit for unit, (dim, factor) in reversed(_UNITS.items())
+            if factor == 1.0}
+
 DIMENSIONLESS = ("dimensionless", "angle", "spin")
 
 
@@ -79,7 +84,7 @@ def _parse_number(token, key, line):
             if den is None:
                 raise ValueError
             return num * math.pi / den
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ConfigError(f"cannot parse angle '{token}' for key '{key}'", line) from None
     if "/" in t:  # half-integer spins: "13/2"
         num, _, den = t.partition("/")

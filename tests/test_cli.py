@@ -76,6 +76,18 @@ def test_ratio_non_finite_quantity_rejected(tmp_path, capsys, value):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("spin-dist", "--j", "1", "--theta", "pi/0"),
+    ("ratio", "--Rq", "pi/0 m", "--L0", "1 m"),
+], ids=["theta", "Rq"])
+def test_pi_over_zero_is_a_config_error(tmp_path, capsys, argv):
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "pi/0" in err["message"]
+    assert not out.exists()
+
+
 def test_decohere_zero_steps_is_a_config_error(tmp_path, capsys):
     cfg = preset_copy(tmp_path, "decohere-split", ("steps = 200", "steps = 0"))
     code, out = run_cli(tmp_path, "decohere", "--config", cfg)

@@ -8,7 +8,7 @@ from qratio import catalog, runner
 from qratio.config import (_SIMPLE, SCENARIO, SCHEMAS, _type_parts,
                            parse_config, serialize_config)
 from qratio.errors import ConfigError
-from qratio.units import _UNITS, DIMENSIONLESS, parse_quantity
+from qratio.units import _UNITS, DIMENSIONLESS, SI_UNITS, parse_quantity
 
 
 class TestUnits:
@@ -50,6 +50,31 @@ class TestUnits:
         with pytest.raises(ConfigError) as err:
             parse_quantity(text, dim, key="x", line=3)
         assert "finite" in str(err.value) and "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["pi/0", "-pi/0", "2pi/0.0"])
+    def test_pi_over_zero_names_the_key(self, text):
+        with pytest.raises(ConfigError) as err:
+            parse_quantity(text, "angle", key="theta", line=4)
+        assert "'theta'" in str(err.value) and "line 4" in str(err.value)
+
+    def test_pi_over_zero_in_a_config(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[scenario]\nkind = spin-dist\n[spin]\nj = 1\n"
+                         "theta = pi/0\n")
+        assert "'theta'" in str(err.value) and "line 5" in str(err.value)
+
+    def test_si_unit_of_every_dimension(self):
+        # the table serialize_config once kept beside _UNITS; "" marks a
+        # dimension written as a bare number
+        table = {
+            "length": "m", "mass": "kg", "time": "s", "speed": "m/s",
+            "energy": "J", "momentum": "kg*m/s", "field": "T",
+            "gradient": "T/m", "rate": "1/s", "angle": "rad", "spin": "",
+            "dimensionless": "",
+        }
+        assert {dim: SI_UNITS.get(dim, "") for dim in table} == table
+        assert set(SI_UNITS) == {dim for dim, _ in _UNITS.values()}
+        assert all(_UNITS[unit] == (dim, 1.0) for dim, unit in SI_UNITS.items())
 
 
 class TestParseConfig:

@@ -100,6 +100,12 @@ class TestInitialize:
             initialize_gaussian(grid, GaussianPacket(0.0, 2e-7, 1e-24, ME))
         assert "spectral band" in str(err.value)
 
+    def test_nan_momentum_rejected(self):
+        grid = Grid.make(512, 4e-6)
+        with pytest.raises(ResolutionError) as err:
+            initialize_gaussian(grid, GaussianPacket(0.0, 2e-7, math.nan, ME))
+        assert "spectral band" in str(err.value)
+
     def test_2d_product(self):
         grid = Grid.make((64, 128), (1e-6, 2e-6))
         pk = GaussianPacket(0.0, 1e-7, 0.0, ME)

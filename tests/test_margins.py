@@ -1,4 +1,4 @@
-"""Margin pins for the density-matrix engine.
+"""Margin pins for the density-matrix engine and the Stern-Gerlach split.
 
 Criterion 8 and the bench checks bound rounding-level quantities 10^4 to
 10^11 times above what the engine measures, so a regression that made one
@@ -54,3 +54,11 @@ def test_decohere_split_trace_drift(tmp_path):
     run(parse_config(_preset_text("decohere-split")), str(tmp_path / "out"))
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["drift"]["trace_drift"] < 5e-14
+
+
+def test_sg_split_momentum_error(tmp_path):
+    # measured 2.3e-15 in the preset's summary; criterion 4 and the bench
+    # checks allow 1e-6
+    run(parse_config(_preset_text("sg-split")), str(tmp_path / "out"))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["pz_relative_error"] < 1e-14

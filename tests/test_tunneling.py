@@ -36,6 +36,28 @@ GAUSS_WKB = [
 ]
 
 
+def scanned_turning_points(barrier, energy):
+    """Oracle: a 100001-point scan of the support brackets the outermost
+    points with V > E, and bisection narrows each bracket to 1e-14 sigma."""
+    lo, hi = barrier.support
+    z = np.linspace(lo, hi, 100_001)
+    inside = np.nonzero(barrier.value(z) > energy)[0]
+    points = []
+    for i, step in ((inside[0], -1), (inside[-1], 1)):
+        if not 0 <= i + step < z.size:
+            points.append(z[i])     # V > E at the edge: the step turns there
+            continue
+        inn, out = z[i], z[i + step]
+        while abs(inn - out) > 1e-14 * barrier.sigma:
+            mid = 0.5 * (inn + out)
+            if barrier.value(mid) > energy:
+                inn = mid
+            else:
+                out = mid
+        points.append(0.5 * (inn + out))
+    return tuple(points)
+
+
 class TestTurningPoints:
     def test_rectangular_edges(self):
         assert turning_points(BENCH, 1.0 * EV) == (-0.25e-9, 0.25e-9)
@@ -60,6 +82,34 @@ class TestTurningPoints:
     def test_truncated_profile_turns_at_its_edges(self):
         # below V0 exp(-18), V > E at both cut-offs of the 6-sigma support
         assert turning_points(GAUSS, 1e-9 * EV) == GAUSS.support
+
+    @pytest.mark.parametrize("barrier", [
+        GAUSS, GaussianBarrier(2.0 * EV, 1e-10, cutoff=3.0),
+        GaussianBarrier(0.3 * EV, 5e-9, cutoff=4.5)])
+    @pytest.mark.parametrize("fraction", [0.9999, 0.9, 0.5, 0.1, 1e-3, 2e-4])
+    def test_gaussian_matches_a_dense_scan(self, barrier, fraction):
+        energy = fraction * barrier.height
+        z1, z2 = turning_points(barrier, energy)
+        assert z1 == -z2
+        o1, o2 = scanned_turning_points(barrier, energy)
+        assert abs(z1 - o1) <= 1e-12 * barrier.sigma
+        assert abs(z2 - o2) <= 1e-12 * barrier.sigma
+
+    @pytest.mark.parametrize("barrier", [
+        GAUSS, GaussianBarrier(2.0 * EV, 1e-10, cutoff=3.0)])
+    def test_gaussian_turns_at_the_cutoff_at_and_below_its_edge_value(
+            self, barrier):
+        edge = float(barrier.value(barrier.cutoff * barrier.sigma))
+        z1, z2 = turning_points(barrier, edge)
+        assert z1 == -z2
+        assert abs(z2 - barrier.support[1]) <= 1e-12 * barrier.sigma
+        for energy in (0.5 * edge, 1e-6 * edge):
+            assert turning_points(barrier, energy) == barrier.support
+            assert scanned_turning_points(barrier, energy) == barrier.support
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5])
+    def test_gaussian_at_or_above_its_top_has_none(self, fraction):
+        assert turning_points(GAUSS, fraction * GAUSS.height) is None
 
 
 class TestWkb:
