@@ -5,8 +5,10 @@ potential, a full kinetic step applied in Fourier space, and another half
 kick.  Both sub-steps are exactly unitary for real potentials, so the norm
 is conserved to rounding and forward/backward evolution inverts exactly.
 
-:func:`strang_step` is the one step of every wave-function engine:
-spinor components are stacked on a leading axis.  A density matrix
+:func:`strang_step` is the one step of every split-operator engine:
+spinor components are stacked on a leading axis.  A time-independent H
+(the coupled spinor, the tunnel's chi(z)) runs on
+:func:`chebyshev_propagate` instead, exact for any time.  A density matrix
 rho(x, x') is Hermitian, so it is held as one real matrix
 R = Re rho + Im rho, and :func:`liouville_step` steps it with real
 transforms of half its spectrum (the Liouville form, kinetic factor
@@ -27,8 +29,8 @@ field steps every axis.
 
 Boundaries are periodic; there are no absorbing layers.  Runs must be sized
 so that no appreciable probability reaches the grid edge, and a margin
-monitor checks every step of every wave-function run (and every chunk end
-of a coupled spinor run, see :mod:`qratio.stern_gerlach`) and aborts with
+monitor checks every step of every wave-function run (every expansion
+end of a Chebyshev run) and aborts with
 :class:`BoundaryError` before wraparound contaminates results.  It reads
 the held field: a kick, a per-point phase, keeps the summed margin mass.
 For a product field u b the margin mass is the sum of two exact parts: the
@@ -37,12 +39,14 @@ free axis's, the margin mass of u_t times |b|^2.  The sum is never below
 the mass in the union of the margins.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as _fft
+from scipy.special import jv
 
 from .constants import HBAR
 from .core import GaussianPacket
@@ -53,6 +57,13 @@ MAX_POINTS = 2 ** 22      # points per grid, all axes: 64 MiB per complex field
 SUPPORT_WIDTHS = 3.0      # packet support = center +/- 3 widths (|psi|^2 < 2e-8)
 BOUNDARY_MARGIN = 0.05    # outer fraction of each axis watched by the monitor
 BOUNDARY_TOLERANCE = 1e-6
+# H-applications per Chebyshev propagation (one transform pair each)
+MAX_APPLICATIONS = 200_000
+# the largest alpha = dE dt / 2 hbar of one Chebyshev expansion, since the
+# recurrence's rounding grows with the number of terms
+MAX_CHUNK_ALPHA = 100.0
+# Chebyshev terms are kept down to |J_k(alpha)| at this floor
+CHEBYSHEV_FLOOR = 1e-17
 
 
 def _is_pow2(n):
@@ -138,39 +149,20 @@ class FreePotential:
         return 0.0
 
 
-def _on_grid(fn, grid):
-    """fn of the open (``np.ix_``) coordinate axes, broadcast to the grid."""
-    return np.broadcast_to(fn(*grid.open_axes()), grid.points)
-
-
 class LinearPotential:
-    """V = slope * x_axis (constant force -slope along the given axis)."""
+    """V = slope * x_axis (constant force -slope along the given axis),
+    broadcast to the grid."""
 
     def __init__(self, slope, axis=0):
         self.slope = float(slope)
         self.axis = int(axis)
 
     def values(self, grid):
-        return _on_grid(lambda *x: self.slope * x[self.axis], grid)
+        return np.broadcast_to(self.slope * grid.open_axes()[self.axis],
+                               grid.points)
 
     def gradient(self, grid, axis):
         return self.slope if axis == self.axis else 0.0
-
-
-class SampledPotential:
-    """V given by a callable of the open (``np.ix_``) coordinate axes, whose
-    result is broadcast to the grid; its gradient is taken by central
-    differences on the grid."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def values(self, grid):
-        return _on_grid(self.fn, grid)
-
-    def gradient(self, grid, axis):
-        v = np.asarray(self.values(grid), dtype=float)
-        return np.gradient(v, grid.spacings[axis], axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +567,65 @@ def propagate(field, potential, dt, steps, record_every=0):
     out.norm_drift = max(field.norm_drift, abs(out.norm() - 1.0))
     out.trace = trace
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def chebyshev_coefficients(alpha):
+    """a_k = (2 - delta_k0) (-i)^k J_k(alpha), which expand
+    exp(-i alpha x) = sum_k a_k T_k(x) on [-1, 1], up to the last k >= 1
+    with |J_k(alpha)| >= CHEBYSHEV_FLOOR.  J_k(alpha) falls off faster
+    than exponentially once k > |alpha|, and is far below the floor by
+    k = 2 |alpha| + 64.  Cached, so read-only: equal expansions share it."""
+    j = jv(np.arange(int(2.0 * abs(alpha)) + 64), alpha)
+    # at least T_0 and T_1, even for alpha = 0
+    j = j[:max(2, np.flatnonzero(np.abs(j) >= CHEBYSHEV_FLOOR)[-1] + 1)]
+    a = (-1j) ** np.arange(len(j)) * j
+    a[1:] *= 2.0
+    a.flags.writeable = False
+    return a
+
+
+def chebyshev_propagate(psi, twice_h_norm, centre, half_width, dt, steps,
+                        check, time=0.0):
+    """exp(-i H dt / hbar) applied ``steps`` times to ``psi``, for a
+    time-independent H with its spectrum in centre +/- half_width;
+    ``twice_h_norm(p)`` returns 2 H_n p, H_n = (H - centre) / half_width,
+    as a fresh array.  Returns (psi, time + the run's length, H-applications).
+
+    Each interval is cut into the fewest equal chunks of alpha =
+    half_width dt_c / hbar <= MAX_CHUNK_ALPHA, each the expansion
+    exp(-i centre dt_c / hbar) sum_k a_k T_k(H_n) (Tal-Ezer and Kosloff,
+    J. Chem. Phys. 81, 3967 (1984)), exact up to rounding and the
+    CHEBYSHEV_FLOOR cut.  The H-applications are capped at MAX_APPLICATIONS
+    before the loop.  The margin monitor ``check(psi, t, chunk)`` runs at
+    chunk ends.
+    """
+    alpha = half_width * dt / HBAR
+    # every expansion applies H more than |alpha| times; that bound is
+    # compared as a float first, so an infinite alpha sizes no array
+    applications = math.inf
+    if steps * abs(alpha) <= MAX_APPLICATIONS:
+        chunks = max(1, math.ceil(abs(alpha) / MAX_CHUNK_ALPHA))
+        dt /= chunks
+        steps *= chunks
+        coeffs = chebyshev_coefficients(half_width * dt / HBAR)
+        applications = steps * (len(coeffs) - 1)
+    if applications > MAX_APPLICATIONS:
+        raise DomainError(f"{steps} chunks of {abs(dt):.3e} s take over "
+                          f"{MAX_APPLICATIONS} H-applications, the cap; shorten the run")
+    coeffs = coeffs * np.exp(-1j * centre * dt / HBAR)
+    for chunk in range(1, steps + 1):
+        # T_0 = 1, T_1 = H_n, T_k+1 = 2 H_n T_k - T_k-1
+        prev, cur = psi, 0.5 * twice_h_norm(psi)
+        psi = coeffs[0] * prev + coeffs[1] * cur
+        for a in coeffs[2:]:
+            nxt = twice_h_norm(cur)
+            nxt -= prev
+            prev, cur = cur, nxt
+            psi += a * cur
+        time += dt
+        check(psi, time, chunk)
+    return psi, time, applications
 
 
 def ehrenfest_residual(trace, mass):

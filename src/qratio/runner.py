@@ -25,8 +25,8 @@ from .catalog import experiment_lookup
 from .constants import BOHR_MAGNETON, EV, HBAR
 from .core import (GaussianPacket, doubling_time, quantum_ratio)
 from .errors import ConfigError, DomainError
-from .grid import (BLOCK_BYTES, Grid, ceiling_dt, check_band,
-                   field_array_bytes, initialize_gaussian)
+from .grid import (BLOCK_BYTES, MAX_APPLICATIONS, Grid, ceiling_dt,
+                   check_band, field_array_bytes, initialize_gaussian)
 from .spin import (SpinCoherentState, approximate_distribution,
                    classical_limit_diagnostics, distribution)
 from . import stern_gerlach as sg
@@ -281,9 +281,9 @@ def _run_sg(cfg):
     for config in configs:
         config.check_bias(y_max)
         # each Chebyshev expansion applies H more than alpha times
-        if not sg.coupled_alpha(spinor, config, p["duration"]) <= sg.MAX_APPLICATIONS:
+        if not sg.coupled_alpha(spinor, config, p["duration"]) <= MAX_APPLICATIONS:
             raise DomainError(f"[sg] 'duration' = {p['duration']:g} s takes over "
-                              f"{sg.MAX_APPLICATIONS} H-applications, the cap")
+                              f"{MAX_APPLICATIONS} H-applications, the cap")
     # after the caps, which name the cause of a run too long to make
     _check_sg_kick(p, grid)
     # the decoupled potentials read b0 alone: one reference serves every ratio
@@ -343,7 +343,7 @@ def _run_tunnel(cfg):
         for e, te in zip(energies, t_exact):
             rows.append((e / EV, tn.wkb_transmission(barrier, e, mass), float(te)))
         files = {"transmission.csv": _csv_bytes(("E_eV", "T_wkb", "T_exact"), rows)}
-        summary = {"points": len(rows), "barrier_height_eV": barrier.max_height / EV}
+        summary = {"points": len(rows), "barrier_height_eV": barrier.height / EV}
         return summary, files, {}
 
     beam = cfg.section("beam")

@@ -8,8 +8,8 @@ e^{+/- i mu_B B0 t/hbar} phase is removed analytically and never
 time-stepped).  ``propagate_coupled`` keeps the full 2x2 coupling,
 including the fast precession, and is used to validate that approximation.
 Its Hamiltonian is time-independent with an exactly bounded spectrum, so
-it is propagated by a Chebyshev expansion of exp(-i H t / hbar), exact to
-rounding, rather than by time steps that must resolve the precession.
+grid's Chebyshev propagator runs it, exact to rounding, on this module's
+2x2 H-application and spectrum, with no steps to resolve the precession.
 
 Large-spin beams are handled analytically: a spin-j coherent state splits
 into bands at deflections proportional to m with binomial weights |c_k|^2,
@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as _fft  # noqa: F401  kept: bench/tracer.py proxies it
-from scipy.special import jv
 
 from .constants import BOHR_MAGNETON, HBAR
 from .core import square
 from .errors import DomainError
 from .grid import (LinearPotential, WaveField, boundary_monitor,
-                   fourier_multiply, kinetic_ceiling, propagate)
+                   chebyshev_propagate, fourier_multiply, kinetic_ceiling,
+                   propagate)
 from .spin import SpinCoherentState, distribution
 
 # ratio |B0| / max|b0*y| above which the decoupled equations are trusted
@@ -35,21 +35,6 @@ MIN_FIELD_RATIO = 50.0
 # Strang steps per decoupled propagate call: [sg] steps, or the count
 # derived from the duration and the step ceiling
 MAX_STEPS = 200_000
-# H-applications per coupled propagate call, about as many FFT pairs as
-# MAX_STEPS Strang steps take
-MAX_APPLICATIONS = 200_000
-# the largest alpha = dE dt / 2 hbar of one Chebyshev expansion: a coupled
-# run is cut into the fewest chunks within it, since the recurrence's
-# rounding grows with the number of terms
-MAX_CHUNK_ALPHA = 100.0
-# Chebyshev terms are kept down to |J_k(alpha)| at this floor
-CHEBYSHEV_FLOOR = 1e-17
-
-
-def _check_steps(steps):
-    if not 1 <= steps <= MAX_STEPS:
-        raise DomainError(f"steps must be >= 1 and within the cap {MAX_STEPS}, "
-                          f"got {steps}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +98,9 @@ def propagate_decoupled(spinor, config, dt, steps, record_every=0):
     the last grid axis.  Components are never mixed; each conserves its own
     norm.
     """
-    _check_steps(steps)
+    if not 1 <= steps <= MAX_STEPS:
+        raise DomainError(f"steps must be >= 1 and within the cap {MAX_STEPS}, "
+                          f"got {steps}")
     v_up, v_down = gradient_potentials(config, spinor.up.grid.ndim - 1)
     up = propagate(spinor.up, v_up, dt, steps, record_every=record_every)
     down = propagate(spinor.down, v_down, dt, steps, record_every=record_every)
@@ -145,39 +132,12 @@ def coupled_alpha(spinor, config, t):
     return (e_max - e_min) * t / (2.0 * HBAR)
 
 
-def chebyshev_coefficients(alpha):
-    """a_k = (2 - delta_k0) (-i)^k J_k(alpha), which expand
-    exp(-i alpha x) = sum_k a_k T_k(x) on [-1, 1], up to the last k >= 1
-    with |J_k(alpha)| >= CHEBYSHEV_FLOOR.  J_k(alpha) falls off faster
-    than exponentially once k > |alpha|, and is far below the floor by
-    k = 2 |alpha| + 64."""
-    j = jv(np.arange(int(2.0 * abs(alpha)) + 64), alpha)
-    # at least T_0 and T_1, even for alpha = 0
-    j = j[:max(2, np.flatnonzero(np.abs(j) >= CHEBYSHEV_FLOOR)[-1] + 1)]
-    a = (-1j) ** np.arange(len(j)) * j
-    a[1:] *= 2.0
-    return a
-
-
 def propagate_coupled(spinor, config, dt, steps):
     """Full two-component evolution on a 2D (y, z) grid over ``steps``
-    intervals of length ``dt``.
-
-    H = hbar^2 k^2 / 2m - mu_B sigma.B with B = (0, -b0 y, B0 + b0 z) is
-    time-independent and its spectrum lies in [E_min, E_max] (see
-    :func:`coupled_alpha`).  Each interval is cut into the fewest equal
-    chunks of alpha = dE dt_c / 2 hbar <= MAX_CHUNK_ALPHA, and each chunk
-    applies the Chebyshev expansion exp(-i H dt_c / hbar) =
-    exp(-i E_c dt_c / hbar) sum_k a_k T_k(H_n), with E_c the centre of that
-    interval, H_n = (H - E_c) / (dE / 2) and a_k from
-    :func:`chebyshev_coefficients` (Tal-Ezer and Kosloff, J. Chem. Phys.
-    81, 3967 (1984)).  It is exact up to the truncation at
-    |J_k| < CHEBYSHEV_FLOOR and rounding, for any dt; each H-application is
-    one FFT pair and a pointwise 2x2 product.  The total count of
-    H-applications is capped at MAX_APPLICATIONS, checked before the loop.
-    The margin monitor runs at chunk ends.
-
-    Returns (spinor, applications), the number of H-applications.
+    intervals of length ``dt``: :func:`~qratio.grid.chebyshev_propagate` of
+    H = hbar^2 k^2 / 2m - mu_B sigma.B, spectrum in [E_min, E_max] (see
+    :func:`coupled_alpha`), each H-application one FFT pair and a pointwise
+    2x2 product.  Returns (spinor, applications), the H-application count.
     """
     grid = spinor.up.grid
     if grid.ndim != 2:
@@ -189,26 +149,11 @@ def propagate_coupled(spinor, config, dt, steps):
     b_y, b_z = _field(grid, config)
     e_min, e_max = _spectrum(grid, spinor.up.mass, b_y, b_z)
     half_width = 0.5 * (e_max - e_min)
-    alpha = half_width * dt / HBAR
-    # every expansion applies H more than |alpha| times; that bound is
-    # compared as a float first, so an infinite alpha sizes no array
-    applications = math.inf
-    if steps * abs(alpha) <= MAX_APPLICATIONS:
-        chunks = max(1, math.ceil(abs(alpha) / MAX_CHUNK_ALPHA))
-        dt /= chunks
-        steps *= chunks
-        coeffs = chebyshev_coefficients(half_width * dt / HBAR)
-        applications = steps * (len(coeffs) - 1)
-    if applications > MAX_APPLICATIONS:
-        raise DomainError(
-            f"{steps} chunks of {abs(dt):.3e} s take over {MAX_APPLICATIONS} "
-            f"H-applications, the cap; shorten the run")
-    coeffs = coeffs * np.exp(-1j * (e_min + half_width) * dt / HBAR)
+    centre = e_min + half_width
 
     # 2 H_n = 2 (H - E_c) / (dE / 2): the kinetic part and the shift act in
     # Fourier space, -mu_B sigma.B pointwise as diag * p + off * p[::-1]
-    kin = (HBAR ** 2 / spinor.up.mass * grid.k2()
-           - 2.0 * (e_min + half_width)) / half_width
+    kin = (HBAR ** 2 / spinor.up.mass * grid.k2() - 2.0 * centre) / half_width
     s = 2.0 * BOHR_MAGNETON / half_width
     diag = np.array([-s * b_z, s * b_z])
     off = np.array([1j * s * b_y, -1j * s * b_y])
@@ -220,21 +165,11 @@ def propagate_coupled(spinor, config, dt, steps):
         return out
 
     psi = np.array([spinor.c_up * spinor.up.psi, spinor.c_down * spinor.down.psi])
-    check = boundary_monitor(grid)
-    dv = grid.cell_volume
-    t = spinor.up.time
-    for chunk in range(1, steps + 1):
-        # T_0 = 1, T_1 = H_n, T_k+1 = 2 H_n T_k - T_k-1
-        prev, cur = psi, 0.5 * twice_h_norm(psi)
-        psi = coeffs[0] * prev + coeffs[1] * cur
-        for a in coeffs[2:]:
-            nxt = twice_h_norm(cur)
-            nxt -= prev
-            prev, cur = cur, nxt
-            psi += a * cur
-        t += dt
-        check(psi, t, chunk)
+    psi, t, applications = chebyshev_propagate(
+        psi, twice_h_norm, centre, half_width, dt, steps,
+        boundary_monitor(grid), spinor.up.time)
 
+    dv = grid.cell_volume
     psi_u, psi_d = psi
     p_up = float(np.sum(np.abs(psi_u) ** 2) * dv)
     p_down = float(np.sum(np.abs(psi_d) ** 2) * dv)

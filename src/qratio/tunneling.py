@@ -22,11 +22,11 @@ from .core import GaussianPacket
 from .decoherence import (apply_damping, coherence, diagonal_monitor,
                           propagate_density, pure_to_density, two_band_state)
 from .errors import ConvergenceError, DomainError
-from .grid import (FreePotential, Grid, SampledPotential, ceiling_dt,
-                   initialize_gaussian, kinetic_ceiling, propagate)
+from .grid import (MAX_APPLICATIONS, MAX_CHUNK_ALPHA, FreePotential, Grid,
+                   boundary_monitor, ceiling_dt, chebyshev_propagate,
+                   fourier_multiply, initialize_gaussian, kinetic_ceiling,
+                   propagate)
 
-# safety limit on Strang steps before the transmitted lobe must have cleared
-MAX_STEPS = 200_000
 # Gauss-Hermite nodes of the energy-averaged oracle (32 and 64 agree to 1e-13)
 HERMITE_NODES = 32
 # Gauss-Legendre nodes of the cosine-mapped WKB integral
@@ -54,10 +54,6 @@ class RectangularBarrier:
     def support(self):
         return (-self.half_width, self.half_width)
 
-    @property
-    def max_height(self):
-        return self.height
-
     def value(self, z):
         z = np.asarray(z, dtype=float)
         return np.where(np.abs(z) <= self.half_width, self.height, 0.0)
@@ -79,10 +75,6 @@ class GaussianBarrier:
     def support(self):
         return (-self.cutoff * self.sigma, self.cutoff * self.sigma)
 
-    @property
-    def max_height(self):
-        return self.height
-
     def value(self, z):
         z = np.asarray(z, dtype=float)
         v = self.height * np.exp(-0.5 * (z / self.sigma) ** 2)
@@ -100,7 +92,7 @@ def turning_points(barrier, energy):
     """
     if energy <= 0.0:
         raise DomainError("energy must be positive")
-    if energy >= barrier.max_height:
+    if energy >= barrier.height:
         return None
     if isinstance(barrier, RectangularBarrier):
         return (-barrier.half_width, barrier.half_width)
@@ -253,7 +245,7 @@ def exact_transmission(barrier, energy, mass, slices=8192, check=True):
         mids = 0.5 * (edges[:-1] + edges[1:])
         t = _transfer_transmission(barrier.value(mids), edges, energy, mass)
         if not np.all(np.isfinite(t)):
-            kappa = math.sqrt(2.0 * mass * max(barrier.max_height - energy.min(),
+            kappa = math.sqrt(2.0 * mass * max(barrier.height - energy.min(),
                                                0.0)) / HBAR
             raise DomainError(
                 f"barrier too opaque for the transfer matrix: kappa L = "
@@ -315,16 +307,16 @@ class TunnelScenario:
 
     @property
     def tunneling_regime(self):
-        return self.energy < self.barrier.max_height
+        return self.energy < self.barrier.height
 
 
 @dataclass
 class TunnelReport:
-    transmitted_fraction: float    # mass with z > barrier edge + 4 widths
-    reflected_fraction: float      # mirror window on the left
-    flux_sum: float                # everything right + left of the barrier
+    transmitted_fraction: float    # mass right of the barrier, z > sup[1]
+    reflected_fraction: float      # mass left of the barrier, z < sup[0]
+    flux_sum: float                # transmitted + reflected
     oracle_transmission: float     # energy average of exact_transmission
-    transverse_coherence: float    # at the two packet centers, z > threshold
+    transverse_coherence: float    # at the two packet centers
     input_coherence: float         # same estimator on the input state
     band_weights: tuple            # transmitted weight near each packet
     factorization_error: float     # L2 mismatch of transverse profile (pure)
@@ -358,42 +350,45 @@ def energy_averaged_transmission(scenario):
 def run_tunnel_scenario(scenario, grid, env=None):
     """Propagate the scenario through the barrier and report what crossed.
 
-    V(z) does not depend on x: chi(z) steps through it on the z axis alone,
-    at the kinetic ceiling of the 2D ``grid``, while one transverse density
-    matrix, |phi><phi| of the split state phi(x), spreads freely for as
-    long, its diagonal's margin watched every step.  Given an ``env``, an
-    :class:`~qratio.decoherence.EnvironmentSpec`, the run is decohered: the
-    environment damps that matrix first, acting before the barrier.  The
-    transmitted state is w_trans times that matrix.  Pure mode (no ``env``)
-    also steps phi, for the factorization error and the |chi|^2 |phi|^2
-    heatmap.
+    V(z) does not depend on x: chi(z) crosses it on the z axis alone, while
+    one transverse density matrix, |phi><phi| of the split state phi(x),
+    spreads freely for as long, its diagonal's margin watched every step.
+    Given an ``env``, an :class:`~qratio.decoherence.EnvironmentSpec`, the
+    run is decohered: the environment damps that matrix first, acting
+    before the barrier.  The transmitted state is w_trans times that
+    matrix.  Pure mode (no ``env``) also steps phi, for the factorization
+    error and the |chi|^2 |phi|^2 heatmap.
 
-    The transmitted window is z > a + 4 * (longitudinal width); the run
-    measures once the transmitted lobe's mean position passes it.
+    chi runs on :func:`~qratio.grid.chebyshev_propagate`, one expansion of
+    alpha = MAX_CHUNK_ALPHA per check, until the lobe past z_threshold =
+    sup[1] + 4a has its mean past z_threshold + a and the barrier holds
+    under 1e-7; then w_trans is the weight at z > sup[1], w_ref at z < sup[0].
     """
     long_pkt = scenario.longitudinal
     mass = long_pkt.mass
-    ceiling = kinetic_ceiling(grid, mass)
+    a = long_pkt.width
+    zgrid, xgrid = (Grid((n,), (e,), (o,)) for n, e, o
+                    in zip(grid.points, grid.extents, grid.origins))
+    ceiling = kinetic_ceiling(zgrid, mass)
     if ceiling <= 0.0:
         raise DomainError(f"mass {mass:.3e} kg too large: the grid's kinetic "
                           "ceiling underflows to 0, leaving no time step")
-    dt = 0.95 * (math.pi / 4.0) * HBAR / ceiling
-    v0 = long_pkt.momentum / mass
-    if not MAX_STEPS * v0 * dt >= 0.5 * long_pkt.width:    # v0 dt may be 0
-        raise ConvergenceError(
-            f"beam energy {scenario.energy / EV:.3e} eV too low: half a "
-            f"packet width takes over {MAX_STEPS} steps of {dt:.3e} s")
-    chunk = max(8, int(round(0.5 * long_pkt.width / (v0 * dt))))
     # the 1D oracle's blocks come and go before the runs hold their arrays
     oracle = energy_averaged_transmission(scenario)
-
+    zax = zgrid.axis(0)
+    v = scenario.barrier.value(zax)
+    half_width = 0.5 * (ceiling + float(v.max()))    # H in [0, 2 half_width]
     sup = scenario.barrier.support
-    z_threshold = sup[1] + 4.0 * long_pkt.width
+    z_threshold = sup[1] + 4.0 * a
+    # a flight of t = distance / v0 (v0 may be 0) takes over half_width t / hbar
+    if not (half_width * (z_threshold + a - long_pkt.center)
+            <= MAX_APPLICATIONS * HBAR * long_pkt.momentum / mass):
+        raise ConvergenceError(
+            f"beam energy {scenario.energy / EV:.3e} eV too low for the grid: "
+            f"its flight takes over {MAX_APPLICATIONS} H-applications")
 
     p1, p2 = scenario.transverse
-    zgrid, xgrid = (Grid((n,), (e,), (o,)) for n, e, o
-                    in zip(grid.points, grid.extents, grid.origins))
-    chi = initialize_gaussian(zgrid, long_pkt)
+    psi = initialize_gaussian(zgrid, long_pkt).psi
     phi = two_band_state(xgrid, scenario.c1, scenario.c2, (p1, p2))
     rho = pure_to_density(phi)
     in_coh = coherence(rho, p1.center, p2.center)
@@ -401,27 +396,41 @@ def run_tunnel_scenario(scenario, grid, env=None):
         rho = apply_damping(rho, env, 5.0 / env.rate_Lambda)
         rho.time = 0.0      # the flight starts once the damping is done
 
-    potential = SampledPotential(scenario.barrier.value)
-    zax = zgrid.axis(0)
+    # 2 H_n = 2 (H - E_c) / (dE / 2), with E_c = dE / 2 = half_width
+    kin = (HBAR ** 2 / mass * zgrid.k2() - 2.0 * half_width) / half_width
+    v_n = 2.0 / half_width * v
+
+    def twice_h_norm(p):
+        return fourier_multiply(p, kin) + v_n * p
+
+    # one expansion per check: alpha = half_width dt / hbar <= MAX_CHUNK_ALPHA
+    dt = MAX_CHUNK_ALPHA * HBAR / half_width
+    while half_width * dt / HBAR > MAX_CHUNK_ALPHA:
+        dt = math.nextafter(dt, 0.0)
+    check = boundary_monitor(zgrid)
     zsel = zax > z_threshold
     barrier_win = (zax >= sup[0]) & (zax <= sup[1])
-    for _ in range(MAX_STEPS // chunk):
-        chi = propagate(chi, potential, dt, chunk)
-        dens_z = chi.density() * zgrid.cell_volume
-        w_trans = float(dens_z[zsel].sum())
-        if w_trans > 1e-12:
-            z_mean = float((dens_z[zsel] * zax[zsel]).sum() / w_trans)
+    t, applications, n = 0.0, 0, 0
+    while applications + n <= MAX_APPLICATIONS:
+        psi, t, n = chebyshev_propagate(psi, twice_h_norm, half_width,
+                                        half_width, dt, 1, check, t)
+        applications += n
+        dens_z = np.abs(psi) ** 2 * zgrid.cell_volume
+        w_lobe = float(dens_z[zsel].sum())
+        if w_lobe > 1e-12:
+            z_mean = float((dens_z[zsel] * zax[zsel]).sum() / w_lobe)
             remnant = float(dens_z[barrier_win].sum())
-            if z_mean > z_threshold + long_pkt.width and remnant < 1e-7:
+            if z_mean > z_threshold + a and remnant < 1e-7:
                 break
     else:
-        raise ConvergenceError("transmitted lobe never cleared the barrier "
-                               f"window in {MAX_STEPS} steps; enlarge the grid")
+        raise ConvergenceError(
+            "transmitted lobe never cleared the barrier window in "
+            f"{applications} H-applications; enlarge the grid")
 
-    w_ref = float(dens_z[zax < sup[0] - 4.0 * long_pkt.width].sum())
-    flux_sum = float(dens_z[zax > sup[1]].sum() + dens_z[zax < sup[0]].sum())
-    steps_x = int(math.ceil(chi.time / ceiling_dt(xgrid, mass)))
-    tau = chi.time / steps_x
+    w_trans = float(dens_z[zax > sup[1]].sum())
+    w_ref = float(dens_z[zax < sup[0]].sum())
+    steps_x = int(math.ceil(t / ceiling_dt(xgrid, mass)))
+    tau = t / steps_x
     rho_x = propagate_density(rho, None, FreePotential(), tau, steps_x,
                               observe=diagonal_monitor(xgrid))
     n_x = rho_x.position_density()
@@ -431,7 +440,7 @@ def run_tunnel_scenario(scenario, grid, env=None):
     if env is None:
         n_free = propagate(phi, FreePotential(), tau, steps_x).density()
         # the heatmap takes |phi|^2, whose entries are never negative
-        final_density = np.outer(chi.density(), n_free)
+        final_density = np.outer(np.abs(psi) ** 2, n_free)
         n_free /= n_free.sum() * dx
         fact_err = float(np.linalg.norm(n_x - n_free) / np.linalg.norm(n_free))
     half = 0.5 * (p1.center + p2.center)
@@ -441,15 +450,16 @@ def run_tunnel_scenario(scenario, grid, env=None):
     return TunnelReport(
         transmitted_fraction=w_trans,
         reflected_fraction=w_ref,
-        flux_sum=flux_sum,
+        flux_sum=w_trans + w_ref,
         oracle_transmission=oracle,
         transverse_coherence=coherence(rho_x, p1.center, p2.center),
         input_coherence=in_coh,
         band_weights=bands,
         factorization_error=fact_err,
-        norm_drift=max(chi.norm_drift, abs(rho_x.trace() - 1.0)),
+        norm_drift=max(abs(math.sqrt(dens_z.sum()) - 1.0),
+                       abs(rho_x.trace() - 1.0)),
         tunneling_regime=scenario.tunneling_regime,
-        measure_time=chi.time,
+        measure_time=t,
         transverse_positions=np.asarray(xax),
         transverse_profile=w_trans * n_x,
         final_density=final_density,

@@ -73,10 +73,13 @@ SI_UNITS = {dim: unit for unit, (dim, factor) in reversed(_UNITS.items())
 DIMENSIONLESS = ("dimensionless", "angle", "spin")
 
 
-def _parse_number(token, key, line):
-    """Plain float, or a multiple/fraction of pi ('pi/4', '3pi/2', '0.5pi')."""
+def _parse_number(token, key, line, dimension):
+    """A float, or for an angle a multiple/fraction of pi ('pi/4', '3pi/2')."""
     t = token.strip()
     if "pi" in t:
+        if dimension != "angle":
+            raise ConfigError(f"key '{key}' takes pi only in an angle, not in "
+                              f"the {dimension} '{token}'", line)
         head, _, tail = t.partition("pi")
         try:
             num = float(head) if head not in ("", "+", "-") else float(head + "1")
@@ -108,7 +111,7 @@ def parse_quantity(text, dimension, key="value", line=None):
     parts = text.strip().split(None, 1)
     if not parts:
         raise ConfigError(f"empty value for key '{key}'", line)
-    value = _parse_number(parts[0], key, line)
+    value = _parse_number(parts[0], key, line, dimension)
     if len(parts) == 1:
         if dimension not in DIMENSIONLESS:
             raise ConfigError(f"key '{key}' needs a unit of {dimension} "

@@ -88,6 +88,19 @@ def test_pi_over_zero_is_a_config_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,key", [
+    (("ratio", "--Rq", "pi m", "--L0", "1 m"), "--Rq"),
+    (("ratio", "--Rq", "1 m", "--L0", "2pi/3 m"), "--L0"),
+], ids=["Rq", "L0"])
+def test_pi_is_refused_outside_angles(tmp_path, capsys, argv, key):
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and f"'{key}'" in err["message"]
+    assert "angle" in err["message"]
+    assert not out.exists()
+
+
 def test_decohere_zero_steps_is_a_config_error(tmp_path, capsys):
     cfg = preset_copy(tmp_path, "decohere-split", ("steps = 200", "steps = 0"))
     code, out = run_cli(tmp_path, "decohere", "--config", cfg)

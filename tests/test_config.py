@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from qratio import catalog, runner
+from qratio.cli import _preset_text
 from qratio.config import (_SIMPLE, SCENARIO, SCHEMAS, _type_parts,
                            parse_config, serialize_config)
 from qratio.errors import ConfigError
@@ -56,6 +57,20 @@ class TestUnits:
         with pytest.raises(ConfigError) as err:
             parse_quantity(text, "angle", key="theta", line=4)
         assert "'theta'" in str(err.value) and "line 4" in str(err.value)
+
+    @pytest.mark.parametrize("text,dim", [
+        ("pi m", "length"), ("2pi/3 eV", "energy"), ("pi/2", "spin"),
+        ("0.5pi", "dimensionless"),
+    ])
+    def test_pi_only_for_angles(self, text, dim):
+        with pytest.raises(ConfigError) as err:
+            parse_quantity(text, dim, key="x", line=2)
+        msg = str(err.value)
+        assert "'x'" in msg and "angle" in msg and "line 2" in msg
+
+    def test_pi_angle_in_a_preset(self):
+        cfg = parse_config(_preset_text("sg-bands-13half"))
+        assert cfg.section("sg")["theta"] == math.pi / 2
 
     def test_pi_over_zero_in_a_config(self):
         with pytest.raises(ConfigError) as err:

@@ -12,15 +12,31 @@ from qratio.errors import (BoundaryError, DomainError, ResolutionError,
                            StepSizeError)
 from qratio.decoherence import propagate_density, pure_to_density
 from qratio.grid import (BOUNDARY_TOLERANCE, MAX_POINTS, FreePotential, Grid,
-                         LinearPotential, SampledPotential, WaveField,
-                         boundary_monitor, ceiling_dt, ehrenfest_residual,
-                         field_array_bytes, half_kick, initialize_gaussian,
-                         kinetic_ceiling, kinetic_phase, observables, propagate,
+                         LinearPotential, WaveField, boundary_monitor,
+                         ceiling_dt, ehrenfest_residual, field_array_bytes,
+                         half_kick, initialize_gaussian, kinetic_ceiling,
+                         kinetic_phase, observables, propagate,
                          read_field_array, strang_step)
 from qratio.stern_gerlach import SGFieldConfig, SpinorField, propagate_coupled
 
 ME = 9.1093837015e-31
 FREE = FreePotential()
+
+
+class SampledPotential:
+    """V given by a callable of the open (``np.ix_``) coordinate axes, whose
+    result is broadcast to the grid; its gradient is taken by central
+    differences on the grid."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def values(self, grid):
+        return np.broadcast_to(self.fn(*grid.open_axes()), grid.points)
+
+    def gradient(self, grid, axis):
+        v = np.asarray(self.values(grid), dtype=float)
+        return np.gradient(v, grid.spacings[axis], axis=axis)
 
 
 def suggest_dt(grid, potential, mass):

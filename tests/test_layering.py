@@ -76,7 +76,7 @@ def test_internal_imports_are_acyclic():
             visit(name, [name])
 
 
-@pytest.mark.parametrize("name", ["stern_gerlach", "decoherence"])
+@pytest.mark.parametrize("name", ["stern_gerlach", "decoherence", "tunneling"])
 def test_only_grid_steps(name):
     # every transform of a step runs in grid: strang_step, the Chebyshev
     # expansion's fourier_multiply or the density matrix's liouville_step
@@ -97,6 +97,21 @@ def test_one_density_matrix_loop():
         f"decoherence.py calls liouville_step at lines {calls['liouville_step']}")
     assert not calls["strang_step"], (
         f"decoherence.py calls strang_step at lines {calls['strang_step']}")
+
+
+def test_one_chebyshev_loop():
+    # every Chebyshev expansion runs in grid.chebyshev_propagate: it alone
+    # calls chebyshev_coefficients, and no other module reads the Bessel
+    # function J_k that the recurrence's coefficients are made of
+    outside = sorted(name for name, tree in MODULES.items() if name != "grid"
+                     and {"chebyshev_coefficients", "jv"} & set(_names(tree)))
+    assert not outside, f"Chebyshev coefficients read in {outside}"
+    callers = [fn.name for fn in ast.walk(MODULES["grid"])
+               if isinstance(fn, ast.FunctionDef)
+               for n in ast.walk(fn) if isinstance(n, ast.Call)
+               and isinstance(n.func, ast.Name)
+               and n.func.id == "chebyshev_coefficients"]
+    assert callers == ["chebyshev_propagate"], callers
 
 
 def test_no_thread_count_parameters():

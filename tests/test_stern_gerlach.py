@@ -7,15 +7,16 @@ from qratio.catalog import catalog_lookup
 from qratio.constants import BOHR_MAGNETON as MUB, HBAR
 from qratio.core import Classification, GaussianPacket, quantum_ratio
 from qratio.errors import BoundaryError, DomainError
-from qratio.grid import (FreePotential, Grid, ceiling_dt, initialize_gaussian,
-                         kinetic_phase, observables, propagate, strang_step)
+from qratio.grid import (MAX_APPLICATIONS, MAX_CHUNK_ALPHA, FreePotential,
+                         Grid, ceiling_dt, chebyshev_coefficients,
+                         initialize_gaussian, kinetic_phase, observables,
+                         propagate, strang_step)
 from qratio.spin import SpinCoherentState, distribution
 from qratio import stern_gerlach
-from qratio.stern_gerlach import (MAX_APPLICATIONS, MAX_CHUNK_ALPHA,
-                                  SGFieldConfig, SpinorField, band_separation,
-                                  chebyshev_coefficients, coupled_alpha,
-                                  gradient_potentials, large_spin_bands,
-                                  propagate_coupled, propagate_decoupled)
+from qratio.stern_gerlach import (SGFieldConfig, SpinorField, band_separation,
+                                  coupled_alpha, gradient_potentials,
+                                  large_spin_bands, propagate_coupled,
+                                  propagate_decoupled)
 
 ME = 9.1093837015e-31
 

@@ -283,7 +283,7 @@ class TestScenario:
         assert rep.band_weights[0] == pytest.approx(0.36, abs=0.02 * 0.36)
         assert rep.band_weights[1] == pytest.approx(0.64, abs=0.02 * 0.64)
         assert rep.transmitted_fraction == pytest.approx(
-            rep.oracle_transmission, rel=0.2)
+            rep.oracle_transmission, rel=2e-5)
         assert abs(rep.flux_sum - 1.0) < 1e-6
 
     def test_transmission_tightens_as_momentum_spread_shrinks(self):
