@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft  # noqa: F401  kept: bench/tracer.py proxies it
+from numpy import fft as _fft  # noqa: F401  kept: bench/tracer.py proxies it
 
 from .constants import HBAR
 from .core import GaussianPacket

@@ -12,9 +12,17 @@ spinor components are stacked on a leading axis.  A time-independent H
 rho(x, x') is Hermitian, so it is held as one real matrix
 R = Re rho + Im rho, and :func:`liouville_step` steps it with real
 transforms of half its spectrum (the Liouville form, kinetic factor
-K(k) K*(k')).  Its inverse runs as two 1D passes, an in-place ``ifft`` of
-the columns and an ``irfft`` of the rows: scipy's ``irfftn`` would copy
-the spectrum into a fresh array for its first pass.
+K(k) K*(k')).  Its transforms run as two 1D passes each way, an ``rfft``
+of the rows and an in-place ``fft`` of the columns, and back an in-place
+``ifft`` of the columns and an ``irfft`` of the rows: numpy's ``rfftn``
+takes about twice as long, and ``irfftn`` transforms the columns into a
+fresh copy.
+
+Every transform is ``numpy.fft``, on one thread.  Its ``fftn`` transforms
+the axes last to first, so a transform over several axes passes them
+reversed, to run first to last: another order rounds differently, and
+moves output bytes.  The Chebyshev coefficients' Bessel functions are
+:func:`bessel_j`.
 
 A stepping loop holds its field before the trailing half kick, which joins
 the next step's leading one into one full kick; it is applied only where
@@ -45,8 +53,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
-from scipy.special import jv
+from numpy import fft as _fft
 
 from .constants import HBAR
 from .core import GaussianPacket
@@ -288,7 +295,8 @@ def observables(field, potential):
         widths.append(math.sqrt(2.0 * var))
         g = potential.gradient(grid, ax)
         force.append(-float(g) if np.ndim(g) == 0 else -float(np.sum(dens * g) * dv))
-    phi = _fft.fftn(field.psi)
+    s, axes = _first_to_last(field.psi.shape)
+    phi = _fft.fftn(field.psi, s=s, axes=axes)
     pdens = np.abs(phi) ** 2
     ptot = float(np.sum(pdens))
     mean_p = [HBAR * float(np.sum(pdens * k)) / ptot for k in grid.open_kaxes()]
@@ -341,8 +349,8 @@ def strang_step(psi, kin, kick=None):
     stack components.  ``kick`` (None for V = 0) returns the kicked field
     and may work in place.
 
-    The transforms run on one thread: on 2 shared vCPUs two threads slowed
-    2 x 64 x 64 spinors from 2.58 to 4.54 s.
+    The transforms run on one thread, numpy.fft's only mode: on 2 shared
+    vCPUs two threads slowed 2 x 64 x 64 spinors from 2.58 to 4.54 s.
     """
     if kick is not None:
         psi = kick(psi)
@@ -350,15 +358,29 @@ def strang_step(psi, kin, kick=None):
     return psi if kick is None else kick(psi)
 
 
-def fourier_multiply(psi, factor):
+def _first_to_last(shape):
+    """(s, axes) that make numpy's ``fftn``, which transforms its axes last
+    to first, transform the trailing axes of an array ending in ``shape``
+    first to last.  ``s`` is their unchanged lengths: given, it spares
+    numpy deriving them on every call."""
+    return shape[::-1], tuple(range(-1, -len(shape) - 1, -1))
+
+
+def fourier_multiply(psi, factor, out=None):
     """ifftn(fftn(psi) * factor) over the trailing ``factor.ndim`` axes: the
     one transform pair of every engine's step, on one thread (see
-    :func:`strang_step`).  Leading axes of ``psi`` may stack components."""
-    # axes= costs time on every call, so only stacked fields pass it
-    axes = {} if psi.ndim == factor.ndim else {"axes": tuple(range(-factor.ndim, 0))}
-    phi = _fft.fftn(psi, **axes)
+    :func:`strang_step`), written into ``out`` if given.  Leading axes of
+    ``psi`` may stack components."""
+    # a 1D factor takes the plain fft, which costs less per call than fftn;
+    # several axes run first to last (see the module docstring)
+    if factor.ndim == 1:
+        phi = _fft.fft(psi, out=out)
+        phi *= factor
+        return _fft.ifft(phi, out=phi)
+    s, axes = _first_to_last(psi.shape[psi.ndim - factor.ndim:])
+    phi = _fft.fftn(psi, s=s, axes=axes, out=out)
     phi *= factor
-    return _fft.ifftn(phi, overwrite_x=True, **axes)
+    return _fft.ifftn(phi, s=s, axes=axes, out=phi)
 
 
 @dataclass(frozen=True)
@@ -391,16 +413,18 @@ def liouville_step(r, kin, kick=None):
     :class:`LiouvillePhase`) the step rho -> F^-1 (kappa o F rho) takes R's
     spectrum f = rfftn(R) to c o f + s o t exactly, where t(p, q) = f(q, p)
     is the spectrum of R^T, so one real transform pair of half the spectrum
-    does the work of a complex one.  The inverse is an in-place ``ifft``
-    along axis 0 and a 1D ``irfft`` along the last axis, not ``irfftn``,
-    whose axis-0 pass reads the spectrum into a fresh copy.
+    does the work of a complex one.  The forward transform is an ``rfft``
+    along the last axis and an in-place ``fft`` along axis 0, the inverse
+    an in-place ``ifft`` along axis 0 and an ``irfft`` along the last axis
+    (see the module docstring).
     ``kick`` (None for V = 0) returns the kicked R.
     """
     if kick is not None:
         r = kick(r)
     n = r.shape[0]
     h = n // 2
-    f = _fft.rfftn(r)
+    f = _fft.rfft(r)
+    _fft.fft(f, axis=0, out=f)
     # s o t is gathered straight into the buffer: t(p, q) = f(q, p) is
     # stored as it is for p <= n/2, and follows from f's symmetry
     # f(q, p) = conj f(-q, n - p) for the rows p > n/2, conjugated after
@@ -412,9 +436,9 @@ def liouville_step(r, kin, kick=None):
     np.conjugate(t[h + 1:], out=t[h + 1:])
     f *= kin.cos
     f += t
-    # each pass scales by 1/n, a power of two, so the result is irfftn's
-    # (one 1/n^2) bit for bit
-    f = _fft.ifft(f, axis=0, overwrite_x=True)
+    # each pass scales by 1/n, a power of two, so the result is a 2D
+    # inverse's (one 1/n^2) bit for bit
+    _fft.ifft(f, axis=0, out=f)
     r = _fft.irfft(f, n=n)
     return r if kick is None else kick(r)
 
@@ -552,8 +576,8 @@ def propagate(field, potential, dt, steps, record_every=0):
         psi = strang_step(psi, kin)
         out.time += dt
         if free:
-            u_t = _fft.ifft(fu * np.exp(step * dt * phase), axis=0,
-                            overwrite_x=True)
+            u_t = fu * np.exp(step * dt * phase)
+            _fft.ifft(u_t, axis=0, out=u_t)
             e = u_t[edge]
             free_mass = float(np.vdot(e, e).real) * b2
         check(psi, out.time, step, free_mass)
@@ -569,6 +593,46 @@ def propagate(field, potential, dt, steps, record_every=0):
     return out
 
 
+# a running value of Miller's recurrence past this is scaled down by it
+_MILLER_RESCALE = 1e250
+# below this |alpha|, J_k(alpha) = (alpha/2)^k / k! to rounding: the next
+# term of the series is under alpha^2 / 4 < eps / 2 of it
+_BESSEL_SERIES_BELOW = 1e-8
+
+
+def bessel_j(alpha, count):
+    """J_k(alpha) for k = 0 .. count - 1, by Miller's backward recurrence
+    J_k-1 = (2k / alpha) J_k - J_k+1, normalized by J_0 + 2 sum_k J_2k = 1.
+
+    The recurrence starts from J_top+1 = 0, J_top = 1 at
+    top = max(count, 2 |alpha| + 64) + 16, where J_top / Y_top is far below
+    rounding, and is scaled down whenever it would overflow; the values it
+    leaves under the scale underflow to 0, far below any J_k kept.  Below
+    _BESSEL_SERIES_BELOW, where a step of the recurrence could overflow,
+    the series' leading term is J_k to rounding (J_k(0) is 1 at k = 0,
+    else 0).  J_k(-alpha) = (-1)^k J_k(alpha).
+    """
+    x = abs(float(alpha))
+    if x < _BESSEL_SERIES_BELOW:
+        j = np.cumprod(np.r_[1.0, 0.5 * x / np.arange(1.0, count)])
+    else:
+        top = max(count, 2 * int(x) + 64) + 16
+        j = [0.0] * (top + 1)
+        nxt, cur = 0.0, 1.0
+        j[top] = cur
+        for k in range(top, 0, -1):
+            nxt, cur = cur, 2.0 * k / x * cur - nxt
+            if abs(cur) > _MILLER_RESCALE:
+                nxt /= _MILLER_RESCALE
+                cur /= _MILLER_RESCALE
+                j[k:] = [v / _MILLER_RESCALE for v in j[k:]]
+            j[k - 1] = cur
+        j = np.array(j[:count]) / math.fsum([j[0]] + [2.0 * v for v in j[2::2]])
+    if alpha < 0.0:
+        j[1::2] *= -1.0
+    return j
+
+
 @functools.lru_cache(maxsize=16)
 def chebyshev_coefficients(alpha):
     """a_k = (2 - delta_k0) (-i)^k J_k(alpha), which expand
@@ -576,7 +640,7 @@ def chebyshev_coefficients(alpha):
     with |J_k(alpha)| >= CHEBYSHEV_FLOOR.  J_k(alpha) falls off faster
     than exponentially once k > |alpha|, and is far below the floor by
     k = 2 |alpha| + 64.  Cached, so read-only: equal expansions share it."""
-    j = jv(np.arange(int(2.0 * abs(alpha)) + 64), alpha)
+    j = bessel_j(alpha, int(2.0 * abs(alpha)) + 64)
     # at least T_0 and T_1, even for alpha = 0
     j = j[:max(2, np.flatnonzero(np.abs(j) >= CHEBYSHEV_FLOOR)[-1] + 1)]
     a = (-1j) ** np.arange(len(j)) * j
@@ -589,8 +653,9 @@ def chebyshev_propagate(psi, twice_h_norm, centre, half_width, dt, steps,
                         check, time=0.0):
     """exp(-i H dt / hbar) applied ``steps`` times to ``psi``, for a
     time-independent H with its spectrum in centre +/- half_width;
-    ``twice_h_norm(p)`` returns 2 H_n p, H_n = (H - centre) / half_width,
-    as a fresh array.  Returns (psi, time + the run's length, H-applications).
+    ``twice_h_norm(p, out)`` writes 2 H_n p, H_n = (H - centre) /
+    half_width, into the buffer ``out`` (never ``p``).  Returns
+    (psi, time + the run's length, H-applications); ``psi`` is kept.
 
     Each interval is cut into the fewest equal chunks of alpha =
     half_width dt_c / hbar <= MAX_CHUNK_ALPHA, each the expansion
@@ -614,17 +679,30 @@ def chebyshev_propagate(psi, twice_h_norm, centre, half_width, dt, steps,
         raise DomainError(f"{steps} chunks of {abs(dt):.3e} s take over "
                           f"{MAX_APPLICATIONS} H-applications, the cap; shorten the run")
     coeffs = coeffs * np.exp(-1j * centre * dt / HBAR)
+    # the loop runs in five buffers, so no term allocates: the sum, the
+    # term added to it and the recurrence's three, the first of them the
+    # chunk's start psi (T_0), copied here since its buffer is reused
+    psi = psi.copy()
+    total, term, cur, nxt = (np.empty_like(psi) for _ in range(4))
     for chunk in range(1, steps + 1):
         # T_0 = 1, T_1 = H_n, T_k+1 = 2 H_n T_k - T_k-1
-        prev, cur = psi, 0.5 * twice_h_norm(psi)
-        psi = coeffs[0] * prev + coeffs[1] * cur
+        prev = psi
+        twice_h_norm(prev, cur)
+        cur *= 0.5
+        np.multiply(coeffs[0], prev, out=total)
+        np.multiply(coeffs[1], cur, out=term)
+        total += term
         for a in coeffs[2:]:
-            nxt = twice_h_norm(cur)
+            twice_h_norm(cur, nxt)
             nxt -= prev
-            prev, cur = cur, nxt
-            psi += a * cur
+            prev, cur, nxt = cur, nxt, prev
+            np.multiply(a, cur, out=term)
+            total += term
         time += dt
-        check(psi, time, chunk)
+        check(total, time, chunk)
+        # the sum is the next chunk's T_0; the recurrence's buffers are all
+        # free, and one of them takes the next sum
+        psi, total = total, prev
     return psi, time, applications
 
 

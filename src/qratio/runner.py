@@ -158,10 +158,7 @@ def _run_spin_dist(cfg):
         dist = approximate_distribution(p["j"], p["theta"], p["phi"])
     else:
         dist = distribution(state)
-    m = dist.m_values
-    keep = dist.weights > 0.0
-    rows = [(int(k), float(mv), float(w))
-            for k, mv, w in zip(np.nonzero(keep)[0], m[keep], dist.weights[keep])]
+    rows = [(int(k), float(m), float(w)) for k, m, w in zip(*dist.nonzero())]
     diag = classical_limit_diagnostics(p["j"], p["theta"]) if state.two_j >= 1 else None
     summary = {"j": state.j, "theta": p["theta"], "phi": p["phi"],
                "mode": p["mode"],

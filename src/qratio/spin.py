@@ -19,13 +19,39 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
 _HALF_INT_TOL = 1e-9
 MAX_TWO_J = 2_000_000   # largest 2j accepted anywhere: j <= 10^6
 ARGMAX_TIE = 1e-12      # weights this close to the maximum (relative) tie
+# log Gamma takes the Stirling series from here on, math.lgamma below
+STIRLING_FROM = 16.0
+# B_2k / (2k (2k - 1)), k = 1..5: the series' terms in 1/x^(2k-1); the next
+# is under 1e-17 of log Gamma at x = 16
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# exp underflows to 0 below about -745.13: a log-weight more than this
+# under the peak's is outside the support, with room for its rounding
+UNDERFLOW_DEPTH = 750.0
+
+
+def log_gamma(x):
+    """log Gamma(x) for x > 0, a number or an array: math.lgamma below
+    STIRLING_FROM, elementwise, and the Stirling series
+    (x - 1/2) log x - x + log(2 pi)/2 + sum_k B_2k / (2k (2k - 1) x^(2k-1))
+    from there on, vectorized."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    small = x < STIRLING_FROM
+    out[small] = [math.lgamma(v) for v in x[small]]
+    big = x[~small]
+    z2 = 1.0 / (big * big)
+    series = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        series = series * z2 + c
+    out[~small] = (big - 0.5) * np.log(big) - big + _HALF_LOG_2PI + series / big
+    return out
 
 
 def _two_j(j):
@@ -76,22 +102,29 @@ class SpinDistribution:
     def m_values(self):
         return np.arange(self.two_j + 1) - self.two_j / 2.0
 
+    def nonzero(self):
+        """(k, m, weight) of the nonzero weights, which every statistic
+        reads: a large spin weighs exactly 0 off its support."""
+        k = np.flatnonzero(self.weights)
+        return k, k - self.two_j / 2.0, self.weights[k]
+
     def argmax_m(self):
         """The m of the largest weight; among weights within a relative tie
         of it, the smallest |m|, then the smaller m, so that an exact tie is
         not decided by rounding.  The tie is ARGMAX_TIE, or the rounding of
         the log-gamma weights, eps ln Gamma(2j + 1), where that is larger
         (from j = 396.5 on)."""
-        tie = max(ARGMAX_TIE, np.finfo(float).eps * gammaln(self.two_j + 1.0))
-        tied = self.m_values[self.weights >= (1.0 - tie) * self.weights.max()]
-        return float(min(tied, key=lambda m: (abs(m), m)))
+        tie = max(ARGMAX_TIE, np.finfo(float).eps * math.lgamma(self.two_j + 1.0))
+        _, m, w = self.nonzero()
+        return float(min(m[w >= (1.0 - tie) * w.max()], key=lambda m: (abs(m), m)))
 
     def mean_m(self):
-        return float(self.m_values @ self.weights)
+        _, m, w = self.nonzero()
+        return float(m @ w)
 
     def std_m(self):
-        mu = self.mean_m()
-        return float(np.sqrt(((self.m_values - mu) ** 2) @ self.weights))
+        _, m, w = self.nonzero()
+        return float(np.sqrt(((m - self.mean_m()) ** 2) @ w))
 
 
 def _log_weights(two_j, theta, k):
@@ -100,8 +133,37 @@ def _log_weights(two_j, theta, k):
     n = two_j
     log_cos2 = 2.0 * np.log(np.cos(theta / 2.0))
     log_sin2 = 2.0 * np.log(np.sin(theta / 2.0))
-    return (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    return (log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)
             + k * log_cos2 + (n - k) * log_sin2)
+
+
+def _support(log_weight, lo, hi, peak):
+    """(a, b): the k range a <= k <= b of [lo, hi] where exp of the
+    unimodal ``log_weight(k)`` less its maximum can be nonzero, that is
+    where it is at least log_weight(peak) - UNDERFLOW_DEPTH, found by
+    bisection on each side of ``peak``, a k near the maximum.  Every k
+    outside it weighs exactly 0."""
+    floor = log_weight(peak) - UNDERFLOW_DEPTH
+    a, b = lo, peak
+    while a < b:
+        mid = (a + b) // 2
+        if log_weight(mid) >= floor:
+            b = mid
+        else:
+            a = mid + 1
+    lo, b = peak, hi
+    while lo < b:
+        mid = (lo + b + 1) // 2
+        if log_weight(mid) >= floor:
+            lo = mid
+        else:
+            b = mid - 1
+    return a, b
+
+
+def _peak(n, theta, lo, hi):
+    """The k of [lo, hi] nearest the peak n cos^2(theta/2)."""
+    return min(hi, max(lo, round(n * math.cos(theta / 2.0) ** 2)))
 
 
 def coefficient(state, k):
@@ -122,17 +184,23 @@ def coefficient(state, k):
 
 
 def distribution(state):
-    """Exact |c_k|^2 distribution, renormalized (defect recorded)."""
+    """Exact |c_k|^2 distribution, renormalized (defect recorded).  The
+    weights are evaluated on their support alone; every other one is 0."""
     n = state.two_j
     if state.theta == 0.0 or state.theta == math.pi:
         w = np.zeros(n + 1)
         w[n if state.theta == 0.0 else 0] = 1.0
         return SpinDistribution(n, w)
-    logw = _log_weights(n, state.theta, np.arange(n + 1))
+    a, b = _support(lambda k: _log_weights(n, state.theta, k), 0, n,
+                    _peak(n, state.theta, 0, n))
+    logw = _log_weights(n, state.theta, np.arange(a, b + 1))
     shift = logw.max()
-    w = np.exp(logw - shift)
-    raw_sum = w.sum() * math.exp(shift)
-    return SpinDistribution(n, w / w.sum(), abs(raw_sum - 1.0))
+    w = np.zeros(n + 1)
+    on = w[a:b + 1]
+    np.exp(logw - shift, out=on)
+    total = on.sum()
+    on /= total
+    return SpinDistribution(n, w, abs(total * math.exp(shift) - 1.0))
 
 
 def stirling_log_weight(theta, x):
@@ -144,7 +212,7 @@ def stirling_log_weight(theta, x):
     f vanishes at the peak x0 = cos^2(theta/2) and is negative elsewhere;
     it does not depend on j.  ``x`` may be a number or an array, every
     value strictly inside (0, 1); :func:`approximate_distribution` reads
-    f on its whole k grid from here.
+    f on its k grid's support from here.
     """
     x = np.asarray(x, dtype=float)
     if not (0.0 < x.min() and x.max() < 1.0):
@@ -160,16 +228,20 @@ def approximate_distribution(j, theta, phi=0.0):
     """Large-spin approximation exp(2j f(k/2j)) on the k grid, normalized.
 
     This is the closed-form asymptotic used for very large spins in place
-    of the exact binomial; endpoints k = 0, 2j get weight zero.
+    of the exact binomial; endpoints k = 0, 2j get weight zero, and so does
+    every k off the support, where f is not evaluated.
     """
     n = SpinCoherentState.from_j(j, theta, phi).two_j
     if n < 2:
         raise DomainError(f"approximation needs j >= 1 (interior k), got j = {n / 2}")
-    f = stirling_log_weight(theta, np.arange(1, n) / n)
+    a, b = _support(lambda k: n * stirling_log_weight(theta, k / n), 1, n - 1,
+                    _peak(n, theta, 1, n - 1))
+    f = stirling_log_weight(theta, np.arange(a, b + 1) / n)
     w = np.zeros(n + 1)
-    w[1:n] = np.exp(n * (f - f.max()))
-    raw = w.sum()
-    return SpinDistribution(n, w / raw)
+    on = w[a:b + 1]
+    np.exp(n * (f - f.max()), out=on)
+    on /= on.sum()
+    return SpinDistribution(n, w)
 
 
 def saddle_point_peak(j, theta):

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft  # noqa: F401  kept: bench/tracer.py proxies it
+from numpy import fft as _fft  # noqa: F401  kept: bench/tracer.py proxies it
 
 from .constants import BOHR_MAGNETON, HBAR
 from .core import square
@@ -155,16 +155,21 @@ def propagate_coupled(spinor, config, dt, steps):
     # Fourier space, -mu_B sigma.B pointwise as diag * p + off * p[::-1]
     kin = (HBAR ** 2 / spinor.up.mass * grid.k2() - 2.0 * centre) / half_width
     s = 2.0 * BOHR_MAGNETON / half_width
-    diag = np.array([-s * b_z, s * b_z])
+    # complex once here: a product with the complex spinor would cast a
+    # real factor at every H-application, to the same values
+    kin = kin.astype(complex)
+    diag = np.array([-s * b_z, s * b_z], dtype=complex)
     off = np.array([1j * s * b_y, -1j * s * b_y])
 
-    def twice_h_norm(p):
-        out = fourier_multiply(p, kin)
-        out += diag * p
-        out += off * p[::-1]
+    psi = np.array([spinor.c_up * spinor.up.psi, spinor.c_down * spinor.down.psi])
+    scratch = np.empty_like(psi)
+
+    def twice_h_norm(p, out):
+        fourier_multiply(p, kin, out)
+        out += np.multiply(diag, p, out=scratch)
+        out += np.multiply(off, p[::-1], out=scratch)
         return out
 
-    psi = np.array([spinor.c_up * spinor.up.psi, spinor.c_down * spinor.down.psi])
     psi, t, applications = chebyshev_propagate(
         psi, twice_h_norm, centre, half_width, dt, steps,
         boundary_monitor(grid), spinor.up.time)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
+from numpy import fft as _fft
 
 from .core import square
 from .errors import DomainError

@@ -399,9 +399,16 @@ def run_tunnel_scenario(scenario, grid, env=None):
     # 2 H_n = 2 (H - E_c) / (dE / 2), with E_c = dE / 2 = half_width
     kin = (HBAR ** 2 / mass * zgrid.k2() - 2.0 * half_width) / half_width
     v_n = 2.0 / half_width * v
+    # complex once here: a product with a complex field would cast a real
+    # factor at every H-application, to the same values
+    kin, v_n = kin.astype(complex), v_n.astype(complex)
 
-    def twice_h_norm(p):
-        return fourier_multiply(p, kin) + v_n * p
+    scratch = np.empty_like(psi)
+
+    def twice_h_norm(p, out):
+        fourier_multiply(p, kin, out)
+        out += np.multiply(v_n, p, out=scratch)
+        return out
 
     # one expansion per check: alpha = half_width dt / hbar <= MAX_CHUNK_ALPHA
     dt = MAX_CHUNK_ALPHA * HBAR / half_width

@@ -140,7 +140,10 @@ def meshgrid_observables(field, potential):
     norm2 = float(np.sum(dens) * dv)
     xs = np.meshgrid(*map(grid.axis, range(grid.ndim)), indexing="ij")
     ks = np.meshgrid(*map(grid.kaxis, range(grid.ndim)), indexing="ij")
-    pdens = np.abs(grid_module._fft.fftn(field.psi)) ** 2
+    # the library's axis order, first to last (numpy.fft's fftn runs its
+    # axes last to first)
+    pdens = np.abs(grid_module._fft.fftn(
+        field.psi, axes=tuple(reversed(range(grid.ndim))))) ** 2
     mean_x, widths, force = [], [], []
     for ax, x in enumerate(xs):
         mx = float(np.sum(dens * x) * dv) / norm2
@@ -567,13 +570,16 @@ def test_steps_transform_only_the_coupled_axis(monkeypatch, record_every):
     propagate(f0, BARRIER, suggest_dt(ZX, BARRIER, ME), steps,
               record_every=record_every)
     n_z, n_x = ZX.points
-    # a product field steps its one coupled-axis row, and reads its free
-    # factor (transformed once before the loop) at every step
-    per_step = [c for c in proxy.calls if c == ((1, n_z), (-1,))]
+    # a product field steps its one coupled-axis row (a 1D fft and ifft
+    # along its last axis), and reads its free factor (transformed once
+    # before the loop) at every step
+    per_step = [c for c in proxy.calls if c == ((1, n_z), None)]
     free_axis = [c for c in proxy.calls if c == ((n_x, 1), 0)]
-    snapshots = [c for c in proxy.calls if c == ((n_z, n_x), None)]
+    snapshots = [c for c in proxy.calls if c == ((n_z, n_x), (-1, -2))]
     records = steps // record_every + 1 if record_every else 0
     assert len(per_step) == 2 * steps
+    assert proxy.named.count(("fft", (1, n_z))) == steps
+    assert proxy.named.count(("ifft", (1, n_z))) == steps
     assert len(free_axis) == steps + 1
     assert len(snapshots) == records
     assert len(proxy.calls) == len(per_step) + len(free_axis) + len(snapshots)
@@ -587,9 +593,9 @@ def test_non_product_field_transforms_the_full_grid(monkeypatch, record_every):
     propagate(rank2_field(), BARRIER, suggest_dt(ZX, BARRIER, ME), steps,
               record_every=record_every)
     # the transform pair of each step and one transform per snapshot, all
-    # on the full (n_z, n_x) grid
+    # on the full (n_z, n_x) grid, axis 0 first
     records = steps // record_every + 1 if record_every else 0
-    assert proxy.calls == [(ZX.points, None)] * (2 * steps + records)
+    assert proxy.calls == [(ZX.points, (-1, -2))] * (2 * steps + records)
 
 
 def density_step():
@@ -619,19 +625,20 @@ def free_axis_step():
 
 @pytest.mark.parametrize("step,calls", [
     # a density matrix's real R and the half spectrum n x (n/2 + 1) of it,
-    # inverted in two passes: the columns in place, then the rows
-    (density_step, (("rfftn", (512, 512)), ("ifft", (512, 257)),
-                    ("irfft", (512, 257)))),
+    # transformed in two passes each way: the rows, then the columns in
+    # place, and back the columns in place, then the rows
+    (density_step, (("rfft", (512, 512)), ("fft", (512, 257)),
+                    ("ifft", (512, 257)), ("irfft", (512, 257)))),
     (spinor_step, (("fftn", (2, 64, 64)), ("ifftn", (2, 64, 64)))),
-    (free_axis_step, (("fftn", (1, 2048)), ("ifftn", (1, 2048)))),
+    (free_axis_step, (("fft", (1, 2048)), ("ifft", (1, 2048)))),
 ], ids=["density-512", "spinor-2x64x64", "free-axis-row-2048"])
 def test_every_transform_runs_on_one_thread(monkeypatch, step, calls):
     proxy = _CountingFFT(grid_module._fft)
     monkeypatch.setattr(grid_module, "_fft", proxy)
     pairs = step()
     # the forward and inverse transforms of the one Strang step, or of each
-    # H-application of the coupled spinor's expansion, on the default
-    # single worker
+    # H-application of the coupled spinor's expansion; numpy.fft runs on
+    # one thread, and no call names workers
     for call in calls:
         assert proxy.named.count(call) == pairs
     assert proxy.threaded == []
@@ -753,3 +760,77 @@ class TestRowBasis:
         assert (np.max(np.abs(np.subtract(masses, want[:-1])))
                 <= 1e-9 * BOUNDARY_TOLERANCE)
         assert f"(step {len(want)})" in stop
+
+
+# ---------------------------------------------------------------------------
+# the Chebyshev propagator's numerics on numpy alone
+
+BESSEL_ALPHAS = ([0.0, 1e-3, 0.5, 1.0, 10.0, 57.3, 99.99999, 100.0]
+                 + list(np.random.default_rng(2027).uniform(0.0, 100.0, 200))
+                 + [-1e-3, -0.5, -10.0, -57.3, -100.0, 1e-9, -1e-300])
+
+
+def test_bessel_j_matches_scipy():
+    jv = pytest.importorskip("scipy.special").jv
+    for alpha in BESSEL_ALPHAS:
+        n = int(2.0 * abs(alpha)) + 64
+        err = np.abs(grid_module.bessel_j(alpha, n) - jv(np.arange(n), alpha))
+        assert err.max() <= 1e-14, alpha
+
+
+def test_bessel_j_at_zero_and_in_the_series_limit():
+    assert grid_module.bessel_j(0.0, 4).tolist() == [1.0, 0.0, 0.0, 0.0]
+    # J_k(alpha) = (alpha/2)^k / k! to rounding for tiny alpha
+    assert grid_module.bessel_j(-2e-9, 3).tolist() == [1.0, -1e-9, 0.5e-18]
+
+
+def textbook_propagate(psi, twice_h_norm, centre, half_width, dt, steps):
+    """The three-term recurrence as written, with a fresh array per term
+    (the chunking of :func:`~qratio.grid.chebyshev_propagate`)."""
+    chunks = max(1, math.ceil(abs(half_width * dt / HBAR)
+                              / grid_module.MAX_CHUNK_ALPHA))
+    dt /= chunks
+    coeffs = (grid_module.chebyshev_coefficients(half_width * dt / HBAR)
+              * np.exp(-1j * centre * dt / HBAR))
+    for _ in range(steps * chunks):
+        prev, cur = psi, 0.5 * twice_h_norm(psi, np.empty_like(psi))
+        psi = coeffs[0] * prev + coeffs[1] * cur
+        for a in coeffs[2:]:
+            nxt = twice_h_norm(cur, np.empty_like(cur)) - prev
+            prev, cur = cur, nxt
+            psi = psi + a * cur
+    return psi
+
+
+@pytest.mark.parametrize("shape", [(256,), (2, 64, 64)],
+                         ids=["1d", "stacked-2x64x64"])
+def test_buffered_recurrence_is_the_textbook_one_bit_for_bit(shape):
+    # 2 H_n = a kinetic factor in Fourier space, a pointwise potential and,
+    # for two stacked components, a pointwise coupling between them
+    points = shape[-2:]
+    grid = Grid.make(points, (1e-6,) * len(points))
+    k2 = grid.k2()
+    kin = 2.0 * k2 / k2.max() - 1.0
+    rng = np.random.default_rng(7)
+    v = rng.uniform(-0.5, 0.5, shape)
+    off = rng.uniform(-0.3, 0.3, shape) * 1j if len(shape) == 3 else None
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    psi /= np.linalg.norm(psi)
+
+    def twice_h_norm(p, out):
+        grid_module.fourier_multiply(p, kin, out)
+        out += v * p
+        if off is not None:
+            out += off * p[::-1]
+        return out
+
+    before = psi.copy()
+    dt, half_width = 1e-15, 150.0 * HBAR / 1e-15    # two chunks per step
+    got, t, _ = grid_module.chebyshev_propagate(
+        psi, twice_h_norm, 0.2 * half_width, half_width, dt, 2,
+        lambda p, t, chunk: None)
+    expected = textbook_propagate(psi, twice_h_norm, 0.2 * half_width,
+                                  half_width, dt, 2)
+    assert got.tobytes() == expected.tobytes()
+    assert psi.tobytes() == before.tobytes()      # the input is kept
+    assert t == 2 * dt

@@ -104,7 +104,7 @@ def test_one_chebyshev_loop():
     # calls chebyshev_coefficients, and no other module reads the Bessel
     # function J_k that the recurrence's coefficients are made of
     outside = sorted(name for name, tree in MODULES.items() if name != "grid"
-                     and {"chebyshev_coefficients", "jv"} & set(_names(tree)))
+                     and {"chebyshev_coefficients", "bessel_j"} & set(_names(tree)))
     assert not outside, f"Chebyshev coefficients read in {outside}"
     callers = [fn.name for fn in ast.walk(MODULES["grid"])
                if isinstance(fn, ast.FunctionDef)
@@ -115,7 +115,7 @@ def test_one_chebyshev_loop():
 
 
 def test_no_thread_count_parameters():
-    # every transform runs on scipy.fft's default single worker
+    # every transform runs on numpy.fft, which has one thread
     params = sorted(f"{name}.py:{fn.lineno}"
                     for name, tree in MODULES.items() for fn in ast.walk(tree)
                     if isinstance(fn, FUNCTIONS)
@@ -129,10 +129,11 @@ def test_no_thread_count_parameters():
     assert not passing, f"workers= passed at {passing}"
 
 
-def test_cli_imports_no_scipy_integrate_or_optimize():
-    # a fresh interpreter: this session's own imports would hide a regression
+def test_cli_imports_no_scipy():
+    # qratio runs on numpy alone; a fresh interpreter, since this session's
+    # own imports (scipy is a test oracle) would hide a regression
     code = ("import sys, qratio.cli; print(sorted(m for m in sys.modules if "
-            "m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+            "m == 'scipy' or m.startswith('scipy.')))")
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                          os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from qratio import spin
 from qratio.errors import DomainError
 from qratio.spin import (ARGMAX_TIE, SpinCoherentState, SpinDistribution,
                          approximate_distribution,
@@ -241,3 +242,71 @@ def test_state_validation():
         SpinCoherentState.from_j(1.0, 3.5)   # theta out of range
     with pytest.raises(DomainError):
         SpinCoherentState.from_j(-0.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# log Gamma on numpy and math alone, against scipy as an oracle
+
+def test_log_gamma_matches_scipy():
+    gammaln = pytest.importorskip("scipy.special").gammaln
+    x = np.concatenate([np.arange(1.0, 10 ** 6 + 1), np.arange(0.5, 20_000.0)])
+    got = spin.log_gamma(x)
+    small = x < spin.STIRLING_FROM
+    # below the threshold it is math.lgamma itself
+    assert got[small].tolist() == [math.lgamma(v) for v in x[small]]
+    # from there on, the Stirling series within a few eps of scipy
+    ref = gammaln(x[~small])
+    rel = np.abs(got[~small] - ref) / ref
+    assert rel.max() <= 4 * np.finfo(float).eps
+
+
+def test_log_gamma_is_exactly_zero_at_one_and_two():
+    assert spin.log_gamma([1.0, 2.0]).tolist() == [0.0, 0.0]
+    assert spin.log_gamma(1.0) == 0.0 and spin.log_gamma(2.0) == 0.0
+
+
+def test_log_gamma_takes_a_number():
+    assert spin.log_gamma(5.0) == math.lgamma(5.0)
+    assert spin.log_gamma(1e5) == spin.log_gamma([1e5])[0]
+
+
+# ---------------------------------------------------------------------------
+# weights are evaluated on their support alone
+
+SUPPORT_CASES = [(0.5, math.pi / 2), (0.5, 1e-3), (1.0, math.pi - 1e-3),
+                 (1.0, math.pi / 3), (6.5, 1e-9), (6.5, math.pi - 1e-9),
+                 (1000.0, math.pi / 4), (2e5, math.pi / 4), (2e5, 1e-4),
+                 (2e5, math.pi - 1e-4)]
+
+
+@pytest.mark.parametrize("j, theta", SUPPORT_CASES)
+def test_exact_weights_vanish_off_the_support(j, theta):
+    n = round(2 * j)
+    logw = spin._log_weights(n, theta, np.arange(n + 1))
+    full = np.exp(logw - logw.max())
+    a, b = spin._support(lambda k: spin._log_weights(n, theta, k), 0, n,
+                         spin._peak(n, theta, 0, n))
+    assert not full[:a].any() and not full[b + 1:].any()
+    # the sums differ in length, so subnormal weights may round apart
+    w = distribution(SpinCoherentState.from_j(j, theta)).weights
+    np.testing.assert_allclose(w, full / full.sum(), rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("j, theta", [c for c in SUPPORT_CASES if c[0] >= 1.0])
+def test_approximate_weights_vanish_off_the_support(j, theta):
+    n = round(2 * j)
+    f = stirling_log_weight(theta, np.arange(1, n) / n)
+    full = np.zeros(n + 1)
+    full[1:n] = np.exp(n * (f - f.max()))
+    a, b = spin._support(lambda k: n * stirling_log_weight(theta, k / n),
+                         1, n - 1, spin._peak(n, theta, 1, n - 1))
+    assert not full[:a].any() and not full[b + 1:].any()
+    w = approximate_distribution(j, theta).weights
+    np.testing.assert_allclose(w, full / full.sum(), rtol=1e-13, atol=1e-300)
+
+
+def test_support_of_a_flat_log_weight_is_the_whole_range():
+    assert spin._support(lambda k: 0.0, 3, 17, 9) == (3, 17)
+    # a peak at either end
+    assert spin._support(lambda k: -1000.0 * k, 0, 9, 0) == (0, 0)
+    assert spin._support(lambda k: 1000.0 * k, 0, 9, 9) == (9, 9)

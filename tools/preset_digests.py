@@ -22,7 +22,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy
 from numpy._core._multiarray_umath import __cpu_features__
 
 # a decimal number as the text outputs write it (repr floats, ints, %.2f)
@@ -34,8 +33,7 @@ def fingerprint():
     versions, the machine, the C library and the CPU features numpy's
     kernels dispatch on (its SIMD exp, sin and cos round differently)."""
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "machine": platform.machine(),
-            "system": platform.system(),
+            "machine": platform.machine(), "system": platform.system(),
             "libc": " ".join(platform.libc_ver()),
             "cpu_features": sorted(k for k, on in __cpu_features__.items()
                                    if on)}
