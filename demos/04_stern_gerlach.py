@@ -69,7 +69,7 @@ res = quantum_ratio(split, ag.size_L0)
 print(f"silver beam: split = {split * 1e3:.3f} mm, Q = {res.ratio:.2e} "
       f"({res.classification.value})")
 
-hist = large_spin_bands(2 * 10 ** 5, math.pi / 4, 0.0, sg1922, 0.0, ag.mass)
+hist = large_spin_bands(2 * 10 ** 5, math.pi / 4, sg1922, 0.0, ag.mass)
 k = np.argmax(hist.weights)
 print(f"spin 2e5 beam: brightest band at m = {hist.m_values[k]:.0f} "
       f"(j cos theta = {2e5 * math.cos(math.pi / 4):.0f}), "

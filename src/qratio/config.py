@@ -116,7 +116,6 @@ SCHEMAS = {
             "record_every": ("int>=0", False, 0),
             "j": ("spin", "sg.mode=bands", None),
             "theta": ("angle", "sg.mode=bands", None),
-            "phi": ("angle", False, 0.0),
             "region_length": ("length", "sg.mode=bands", None),
             "speed": ("speed", "sg.mode=bands", None),
             "drift_time": ("time", False, 0.0),

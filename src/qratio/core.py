@@ -137,3 +137,11 @@ def square(x, name):
         return x ** 2
     except OverflowError:
         raise DomainError(f"{name} {x:.3e} overflows when squared") from None
+
+
+def check_amplitudes(c1, c2):
+    """Raise :class:`DomainError` unless the two amplitudes of a split
+    state hold |c1|^2 + |c2|^2 = 1 to 1e-12; a NaN fails too."""
+    total = abs(c1) ** 2 + abs(c2) ** 2
+    if not abs(total - 1.0) <= 1e-12:
+        raise DomainError(f"|c1|^2 + |c2|^2 = {total} must equal 1")

@@ -15,10 +15,12 @@ decohered but still fully quantum mechanical.
 
 A density matrix is held as one real matrix R = Re rho + Im rho: rho is
 Hermitian, so Re rho is symmetric and Im rho antisymmetric, and R carries
-both.  One loop, :func:`propagate_density`, steps every density matrix:
-a Strang step of both indices (:func:`~qratio.grid.liouville_step`, real
-transforms of half the spectrum), then the damping kernel, both built once
-per call.  Every state it holds is Hermitian exactly, by construction.
+both.  One loop, :func:`propagate_density`, steps every density matrix
+in free flight: the free step of both indices
+(:func:`~qratio.grid.liouville_step`, real transforms of half the
+spectrum), then the damping kernel, both built once per call;
+:func:`apply_damping` is the kernel alone.  Every state is Hermitian
+exactly, by construction.
 """
 
 import copy
@@ -29,13 +31,13 @@ import numpy as np
 from numpy import fft as _fft  # noqa: F401  kept: bench/tracer.py proxies it
 
 from .constants import HBAR
-from .core import GaussianPacket
+from .core import GaussianPacket, check_amplitudes
 from .errors import CoherenceUndefinedError, DomainError
-from .grid import (FreePotential, WaveField, boundary_monitor, half_kick,
+from .grid import (FreePotential, WaveField, boundary_monitor,
                    initialize_gaussian, liouville_phase, liouville_step,
                    propagate)
 
-MAX_STEPS = 100_000     # Trotter steps per scenario run, and history samples
+MAX_STEPS = 100_000     # density-matrix steps per run, and history samples
 
 
 @dataclass(frozen=True)
@@ -135,37 +137,31 @@ def damping_kernel(grid, env, duration):
 
 
 def apply_damping(rho, env, duration):
-    """Pure localization over ``duration`` (no Hamiltonian): exact one-shot."""
-    return propagate_density(rho, env, None, duration, 1)
+    """Pure localization over ``duration`` (no Hamiltonian): the exact
+    kernel, once.  ``rho`` is not changed."""
+    state = rho.copy()
+    state.packed *= damping_kernel(state.grid, env, duration)
+    state.time += duration
+    return state
 
 
-def propagate_density(rho, env, potential, dt, steps, observe=None):
-    """Evolve ``steps`` Trotter steps of size ``dt``: a Strang step of both
-    indices (the Liouville form, kinetic factor K(k) K*(k'); K is even in
-    k, so U^H = F K* F^-1), then elementwise damping, both on the packed
-    R = Re rho + Im rho.  A half kick w_ij = h_i h_j* takes R to
-    Re w o R + Im w o R^T, and the real, symmetric damping kernel D to
-    D o R.  ``env=None`` leaves out the damping, ``potential=None`` the
-    Hamiltonian.  ``observe(state, step)`` sees steps 1 .. ``steps``; every
+def propagate_density(rho, env, dt, steps, observe=None):
+    """Evolve ``steps`` Trotter steps of size ``dt`` of free flight under
+    localization: the free step of both indices (the Liouville form,
+    kinetic factor K(k) K*(k'); K is even in k, so U^H = F K* F^-1), then
+    elementwise damping, both on the packed R = Re rho + Im rho; the real,
+    symmetric damping kernel D takes R to D o R.  ``env=None`` leaves out
+    the damping.  ``observe(state, step)`` sees steps 1 .. ``steps``; every
     state is Hermitian exactly.  ``rho`` is not changed.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    if potential is None and observe is None:
-        dt, steps = steps * dt, 1       # damping alone: one exact kernel
     state = rho.copy()
     del rho     # a caller that let go of the input frees it here
-    kin = kick = None
-    if potential is not None:
-        kin = liouville_phase(state.grid, state.mass, dt)
-        half = half_kick(potential.values(state.grid), dt)
-        if half is not None:
-            w = np.outer(half, half.conj())
-            kick = lambda r: w.real * r + w.imag * r.T
+    kin = liouville_phase(state.grid, state.mass, dt)
     kernel = None if env is None else damping_kernel(state.grid, env, dt)
     for step in range(1, steps + 1):
-        if kin is not None:
-            state.packed = liouville_step(state.packed, kin, kick)
+        state.packed = liouville_step(state.packed, kin)
         if kernel is not None:
             state.packed *= kernel
         state.time += dt
@@ -183,14 +179,14 @@ def diagonal_monitor(grid):
         np.sqrt(np.maximum(state.position_density(), 0.0)), state.time, step)
 
 
-def _apply_unitary(rho, potential, dt):
-    """rho' = U rho U^H with U one Strang step."""
-    return propagate_density(rho, None, potential, dt, 1)
+def _apply_unitary(rho, dt):
+    """rho' = U rho U^H with U one free step."""
+    return propagate_density(rho, None, dt, 1)
 
 
-def decohere_step(rho, env, potential, dt):
+def decohere_step(rho, env, dt):
     """One Trotter step of :func:`propagate_density`."""
-    return propagate_density(rho, env, potential, dt, 1)
+    return propagate_density(rho, env, dt, 1)
 
 
 def coherence(rho, x1, x2):
@@ -297,8 +293,7 @@ def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
     as in the pure run while the off-diagonal block dies.  Returns a
     :class:`BandIntensityReport` comparing against the undamped reference.
     """
-    if not abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) <= 1e-12:
-        raise DomainError("|c1|^2 + |c2|^2 must equal 1")
+    check_amplitudes(c1, c2)
     if separation < 4.0 * packet_width:
         raise DomainError("bands must be separated by >> their width")
     if not 1 <= steps <= MAX_STEPS:
@@ -313,7 +308,6 @@ def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
     dt = duration / steps
     x = grid.axis(0)
     x1, x2 = -0.5 * separation, +0.5 * separation
-    free = FreePotential()
     dx = grid.spacings[0]
 
     def band_weights(diag):
@@ -334,12 +328,12 @@ def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
 
     # the initial matrix is built twice rather than held through the loop
     record(pure_to_density(field), 0)
-    rho = propagate_density(pure_to_density(field), env, free, dt, steps,
+    rho = propagate_density(pure_to_density(field), env, dt, steps,
                             observe=record)
 
     # the damping leaves the diagonal alone and diag(U rho U^H) = |U psi|^2,
     # so the undamped reference needs only the wave function
-    pure = propagate(field, free, dt, steps)
+    pure = propagate(field, FreePotential(), dt, steps)
 
     return BandIntensityReport(
         intensities=band_weights(rho.position_density()),

@@ -5,11 +5,12 @@ potential, a full kinetic step applied in Fourier space, and another half
 kick.  Both sub-steps are exactly unitary for real potentials, so the norm
 is conserved to rounding and forward/backward evolution inverts exactly.
 
-:func:`strang_step` is the one step of every split-operator engine:
-spinor components are stacked on a leading axis.  A time-independent H
-(the coupled spinor, the tunnel's chi(z)) runs on
-:func:`chebyshev_propagate` instead, exact for any time.  A density matrix
-rho(x, x') is Hermitian, so it is held as one real matrix
+:func:`propagate` steps a wave function.  A time-independent H (the
+coupled spinor, the tunnel's chi(z)) runs on :func:`chebyshev_propagate`
+instead, exact for any time.  Both apply the kinetic part with
+:func:`fourier_multiply`, the one transform pair of every engine's step,
+with spinor components stacked on a leading axis.  A density matrix
+rho(x, x') flies freely: it is Hermitian, so it is held as one real matrix
 R = Re rho + Im rho, and :func:`liouville_step` steps it with real
 transforms of half its spectrum (the Liouville form, kinetic factor
 K(k) K*(k')).  Its transforms run as two 1D passes each way, an ``rfft``
@@ -342,22 +343,6 @@ def half_kick(v, dt):
     return np.exp(v * (-0.5j * dt / HBAR))
 
 
-def strang_step(psi, kin, kick=None):
-    """Half kick, kinetic phase ``kin`` in Fourier space, half kick.
-
-    Transforms run over the trailing ``kin.ndim`` axes, so leading axes may
-    stack components.  ``kick`` (None for V = 0) returns the kicked field
-    and may work in place.
-
-    The transforms run on one thread, numpy.fft's only mode: on 2 shared
-    vCPUs two threads slowed 2 x 64 x 64 spinors from 2.58 to 4.54 s.
-    """
-    if kick is not None:
-        psi = kick(psi)
-    psi = fourier_multiply(psi, kin)
-    return psi if kick is None else kick(psi)
-
-
 def _first_to_last(shape):
     """(s, axes) that make numpy's ``fftn``, which transforms its axes last
     to first, transform the trailing axes of an array ending in ``shape``
@@ -368,9 +353,12 @@ def _first_to_last(shape):
 
 def fourier_multiply(psi, factor, out=None):
     """ifftn(fftn(psi) * factor) over the trailing ``factor.ndim`` axes: the
-    one transform pair of every engine's step, on one thread (see
-    :func:`strang_step`), written into ``out`` if given.  Leading axes of
-    ``psi`` may stack components."""
+    one transform pair of every engine's step, written into ``out`` if
+    given.  Leading axes of ``psi`` may stack components.
+
+    The transforms run on one thread, numpy.fft's only mode: on 2 shared
+    vCPUs two threads slowed 2 x 64 x 64 spinors from 2.58 to 4.54 s.
+    """
     # a 1D factor takes the plain fft, which costs less per call than fftn;
     # several axes run first to last (see the module docstring)
     if factor.ndim == 1:
@@ -405,8 +393,8 @@ def liouville_phase(grid, mass, dt):
                           np.empty_like(kappa))
 
 
-def liouville_step(r, kin, kick=None):
-    """One Strang step of a density matrix held as R = Re rho + Im rho.
+def liouville_step(r, kin):
+    """One free step of a density matrix held as R = Re rho + Im rho.
 
     rho is Hermitian, so Re rho is symmetric and Im rho antisymmetric, and
     rho = (R + R^T)/2 + i (R - R^T)/2.  With kappa = c + i s (``kin``, a
@@ -417,10 +405,7 @@ def liouville_step(r, kin, kick=None):
     along the last axis and an in-place ``fft`` along axis 0, the inverse
     an in-place ``ifft`` along axis 0 and an ``irfft`` along the last axis
     (see the module docstring).
-    ``kick`` (None for V = 0) returns the kicked R.
     """
-    if kick is not None:
-        r = kick(r)
     n = r.shape[0]
     h = n // 2
     f = _fft.rfft(r)
@@ -439,8 +424,7 @@ def liouville_step(r, kin, kick=None):
     # each pass scales by 1/n, a power of two, so the result is a 2D
     # inverse's (one 1/n^2) bit for bit
     _fft.ifft(f, axis=0, out=f)
-    r = _fft.irfft(f, n=n)
-    return r if kick is None else kick(r)
+    return _fft.irfft(f, n=n)
 
 
 def _margin_width(n):
@@ -573,7 +557,7 @@ def propagate(field, potential, dt, steps, record_every=0):
     for step in range(1, steps + 1):
         if half is not None:
             psi *= half if step == 1 else full
-        psi = strang_step(psi, kin)
+        psi = fourier_multiply(psi, kin)
         out.time += dt
         if free:
             u_t = fu * np.exp(step * dt * phase)

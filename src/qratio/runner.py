@@ -210,7 +210,7 @@ def _run_sg(cfg):
     mode = p["mode"]
     if mode == "bands":
         config = sg.SGFieldConfig(0.0, p["b0"], p["region_length"], p["speed"])
-        hist = sg.large_spin_bands(p["j"], p["theta"], p["phi"], config,
+        hist = sg.large_spin_bands(p["j"], p["theta"], config,
                                    p["drift_time"], p["mass"])
         rows = list(zip(hist.m_values, hist.deflections, hist.weights))
         m_peak = p["j"] * math.cos(p["theta"])

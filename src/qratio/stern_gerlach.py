@@ -23,7 +23,7 @@ import numpy as np
 from numpy import fft as _fft  # noqa: F401  kept: bench/tracer.py proxies it
 
 from .constants import BOHR_MAGNETON, HBAR
-from .core import square
+from .core import check_amplitudes, square
 from .errors import DomainError
 from .grid import (LinearPotential, WaveField, boundary_monitor,
                    chebyshev_propagate, fourier_multiply, kinetic_ceiling,
@@ -77,9 +77,7 @@ class SpinorField:
     c_down: complex
 
     def __post_init__(self):
-        s = abs(self.c_up) ** 2 + abs(self.c_down) ** 2
-        if abs(s - 1.0) > 1e-12:
-            raise DomainError(f"|c_up|^2 + |c_down|^2 = {s} != 1")
+        check_amplitudes(self.c_up, self.c_down)
 
     def densities(self):
         """Spin-weighted position densities (n_up, n_down)."""
@@ -213,15 +211,16 @@ class BandHistogram:
         return float(self.weights @ self.deflections)
 
 
-def large_spin_bands(j, theta, phi, config, drift_time, mass):
-    """Deflection histogram of a spin-j coherent beam.
+def large_spin_bands(j, theta, config, drift_time, mass):
+    """Deflection histogram of a spin-j coherent beam polarized at polar
+    angle ``theta``.
 
     Band k (m = -j + k) feels the linear-potential force (m/j) * moment * b0,
     with the full-polarization moment 2j mu_B, so that j = 1/2 reproduces
     the single-Bohr-magneton force.  Weights are exactly the spin-coherent
-    J_z distribution.
+    J_z distribution, which the azimuth phi does not change.
     """
-    state = SpinCoherentState.from_j(j, theta, phi)
+    state = SpinCoherentState.from_j(j, theta)
     if mass <= 0.0:
         raise DomainError("mass must be positive")
     jj = state.two_j / 2.0

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import EV, HBAR
-from .core import GaussianPacket
-from .decoherence import (apply_damping, coherence, diagonal_monitor,
-                          propagate_density, pure_to_density, two_band_state)
+from .core import GaussianPacket, check_amplitudes
+from .decoherence import (MAX_STEPS, apply_damping, coherence,
+                          diagonal_monitor, propagate_density,
+                          pure_to_density, two_band_state)
 from .errors import ConvergenceError, DomainError
 from .grid import (MAX_APPLICATIONS, MAX_CHUNK_ALPHA, FreePotential, Grid,
                    boundary_monitor, ceiling_dt, chebyshev_propagate,
@@ -34,6 +35,10 @@ WKB_NODES = 96
 # transfer-matrix block: slices x energies built and reduced at a time
 BLOCK_SLICES = 256
 BLOCK_ENERGIES = 32
+# the default grid's z range, in longitudinal widths a behind the packet's
+# start and past the barrier
+GRID_WIDTHS_BEHIND = 5.5
+GRID_WIDTHS_PAST = 9.5
 
 # ---------------------------------------------------------------------------
 # barrier profiles
@@ -294,8 +299,7 @@ class TunnelScenario:
     barrier: object
 
     def __post_init__(self):
-        if abs(abs(self.c1) ** 2 + abs(self.c2) ** 2 - 1.0) > 1e-12:
-            raise DomainError("|c1|^2 + |c2|^2 must equal 1")
+        check_amplitudes(self.c1, self.c2)
         p1, p2 = self.transverse
         sep = abs(p1.center - p2.center)
         if sep < 4.0 * max(p1.width, p2.width):
@@ -436,9 +440,16 @@ def run_tunnel_scenario(scenario, grid, env=None):
 
     w_trans = float(dens_z[zax > sup[1]].sum())
     w_ref = float(dens_z[zax < sup[0]].sum())
-    steps_x = int(math.ceil(t / ceiling_dt(xgrid, mass)))
+    # compared as a float first, so a flight too long to step sizes nothing
+    steps_x = t / ceiling_dt(xgrid, mass)
+    if not steps_x <= MAX_STEPS:
+        raise DomainError(
+            f"the transverse flight of {t:.3e} s takes {steps_x:.4g} "
+            f"density-matrix steps on the x grid, over the cap of {MAX_STEPS}; "
+            "use fewer [grid] points along x or a wider transverse_width")
+    steps_x = math.ceil(steps_x)
     tau = t / steps_x
-    rho_x = propagate_density(rho, None, FreePotential(), tau, steps_x,
+    rho_x = propagate_density(rho, None, tau, steps_x,
                               observe=diagonal_monitor(xgrid))
     n_x = rho_x.position_density()
     xax = xgrid.axis(0)
@@ -473,15 +484,14 @@ def run_tunnel_scenario(scenario, grid, env=None):
     )
 
 
-def default_scenario_grid(scenario, points_z, points_x,
-                          lo_widths=5.5, hi_widths=9.5):
+def default_scenario_grid(scenario, points_z, points_x):
     """Grid sized for the scenario: incoming, reflected and transmitted
     lobes fit in z with margins; transverse range fits both packets.  The
     point counts have no default here: the tunnel schema's [grid] points
     holds it."""
     a = scenario.longitudinal.width
-    z_lo = scenario.longitudinal.center - lo_widths * a
-    z_hi = scenario.barrier.support[1] + hi_widths * a
+    z_lo = scenario.longitudinal.center - GRID_WIDTHS_BEHIND * a
+    z_hi = scenario.barrier.support[1] + GRID_WIDTHS_PAST * a
     p1, p2 = scenario.transverse
     extent_x = abs(p1.center - p2.center) + 10.0 * max(p1.width, p2.width)
     return Grid.make((points_z, points_x),

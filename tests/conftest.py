@@ -10,7 +10,7 @@ from qratio.constants import ELECTRON_MASS
 from qratio.core import GaussianPacket
 from qratio.decoherence import (EnvironmentSpec, propagate_density,
                                 pure_to_density)
-from qratio.grid import FreePotential, Grid, WaveField, initialize_gaussian
+from qratio.grid import Grid, WaveField, initialize_gaussian
 from qratio.runner import run
 
 
@@ -40,6 +40,6 @@ def criterion_8_free_run():
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.cell_volume)
     rho = pure_to_density(WaveField(grid, psi, ELECTRON_MASS))
     dt = (5.0 / env.rate_Lambda) / 1000
-    state = propagate_density(rho, env, FreePotential(), dt, 1000)
+    state = propagate_density(rho, env, dt, 1000)
     return SimpleNamespace(grid=grid, env=env, width=width, sep=sep, rho=rho,
                            dt=dt, state=state)

@@ -6,11 +6,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from qratio import runner
+from qratio import runner, tunneling
 from qratio.cli import main, preset_names
 from qratio.constants import ELECTRON_MASS, EV, HBAR
 from qratio.errors import DomainError
-from qratio.grid import read_field_array
+from qratio.grid import chebyshev_propagate, read_field_array
 
 
 def run_cli(tmp_path, *argv):
@@ -313,6 +313,46 @@ def test_slow_beam_is_a_convergence_error(tmp_path, capsys, energy):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConvergenceError"
     assert "beam energy" in err["message"]
+    assert not out.exists()
+
+
+def test_tunnel_transverse_flight_over_the_cap(tmp_path, capsys, monkeypatch):
+    # 1 nm packets 4 nm apart on 1024 x points: tunnel-pure's flight would
+    # take 2,974,156 steps of a 1024^2 density matrix, about 16 h.  It is
+    # refused once the z run has timed the flight, before any x step
+    z_runs = []
+
+    def z_run(*args, **kwargs):
+        z_runs.append(1)
+        return chebyshev_propagate(*args, **kwargs)
+
+    def x_run(*args, **kwargs):
+        raise AssertionError("a transverse step ran")
+
+    monkeypatch.setattr(tunneling, "chebyshev_propagate", z_run)
+    monkeypatch.setattr(tunneling, "propagate_density", x_run)
+    cfg = preset_copy(tmp_path, "tunnel-pure",
+                      ("transverse_width = 36 nm", "transverse_width = 1 nm"),
+                      ("separation = 150 nm", "separation = 4 nm"),
+                      ("points = 2048 64", "points = 2048 1024"))
+    code, out = run_cli(tmp_path, "tunnel", "--config", cfg)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert "2.974e+06 density-matrix steps" in err["message"]
+    assert "cap" in err["message"] and "[grid] points" in err["message"]
+    assert "transverse_width" in err["message"]
+    assert z_runs and not out.exists()
+
+
+def test_sg_phi_is_not_a_key(tmp_path, capsys):
+    # the bands' J_z weights do not depend on the azimuth phi
+    cfg = preset_copy(tmp_path, "sg-bands-13half",
+                      ("theta = pi/2", "theta = pi/2\nphi = 0.3"))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "'phi'" in err["message"]
     assert not out.exists()
 
 

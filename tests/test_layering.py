@@ -78,8 +78,9 @@ def test_internal_imports_are_acyclic():
 
 @pytest.mark.parametrize("name", ["stern_gerlach", "decoherence", "tunneling"])
 def test_only_grid_steps(name):
-    # every transform of a step runs in grid: strang_step, the Chebyshev
-    # expansion's fourier_multiply or the density matrix's liouville_step
+    # every transform of a step runs in grid: the fourier_multiply of
+    # propagate and of the Chebyshev expansion, or the density matrix's
+    # liouville_step
     uses = sorted({n.lineno for n in ast.walk(MODULES[name])
                    if isinstance(n, ast.Name) and n.id == "_fft"})
     assert not uses, f"{name}.py uses _fft at lines {uses}"
@@ -87,16 +88,30 @@ def test_only_grid_steps(name):
 
 def test_one_density_matrix_loop():
     # every density-matrix step runs in decoherence.propagate_density, as
-    # the one packed step of grid, and no complex n^2 path steps beside it
-    calls = {name: sorted(n.lineno for n in ast.walk(MODULES["decoherence"])
-                          if isinstance(n, ast.Call)
-                          and isinstance(n.func, ast.Name)
-                          and n.func.id == name)
-             for name in ("liouville_step", "strang_step")}
-    assert len(calls["liouville_step"]) == 1, (
-        f"decoherence.py calls liouville_step at lines {calls['liouville_step']}")
-    assert not calls["strang_step"], (
-        f"decoherence.py calls strang_step at lines {calls['strang_step']}")
+    # the one packed step of grid
+    calls = sorted(n.lineno for n in ast.walk(MODULES["decoherence"])
+                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "liouville_step")
+    assert len(calls) == 1, f"decoherence.py calls liouville_step at lines {calls}"
+
+
+def _parameters(module, function):
+    fn, = (fn for fn in ast.walk(MODULES[module])
+           if isinstance(fn, ast.FunctionDef) and fn.name == function)
+    return [a.arg for a in fn.args.posonlyargs + fn.args.args
+            + fn.args.kwonlyargs]
+
+
+def test_density_matrices_fly_freely():
+    # a density matrix only ever flies freely: no potential, no kick, and
+    # no kicked Strang step beside fourier_multiply, which steps the wave
+    # functions' kinetic part
+    assert _parameters("decoherence", "propagate_density") == [
+        "rho", "env", "dt", "steps", "observe"]
+    assert _parameters("grid", "liouville_step") == ["r", "kin"]
+    named = sorted(path.name for path in PACKAGE.glob("*.py")
+                   if "strang_step" in path.read_text(encoding="utf-8"))
+    assert not named, f"strang_step is named in {named}"
 
 
 def test_one_chebyshev_loop():

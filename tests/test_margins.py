@@ -61,3 +61,11 @@ def test_tunnel_pure_flux_sum(preset_runs):
     # measured 2.5e-13 off 1; criterion 6 and the bench checks allow 1e-6
     s = preset_file(preset_runs, "tunnel-pure", "summary.json")
     assert abs(s["flux_sum"] - 1.0) < 1.3e-12
+
+
+def test_tunnel_pure_factorization_error(preset_runs):
+    # measured 8.26e-16 between the free density-matrix flight's and the
+    # wave-function flight's transverse profiles; criterion 6 allows 1e-6
+    s = preset_file(preset_runs, "tunnel-pure", "summary.json")
+    assert s["factorization_error"] < 4e-15
+

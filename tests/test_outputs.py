@@ -4,6 +4,8 @@ and every preset's outputs match the committed ledger."""
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -199,3 +201,23 @@ def test_ledger_gaps_are_found():
     assert _gaps(ledger, {"p": {"a.csv": dict(entry, count=5)}}, exact=False)
     assert _gaps(ledger, {"p": {}, "q": {}}, exact=True) == [
         "presets ['p', 'q'] != ['p']", "p: files [] != ['a.csv']"]
+
+
+@pytest.mark.parametrize("tree", ["missing", "presets-only"])
+def test_ledger_refuses_a_root_that_is_not_a_qratio_tree(tmp_path, tree):
+    # a ledger of no presets, or of the presets of one tree run by another
+    # tree's qratio, would compare cmp-equal to the wrong thing
+    root = tmp_path / "root"
+    if tree == "presets-only":
+        presets = root / "src" / "qratio" / "presets"
+        presets.mkdir(parents=True)
+        (presets / "Ag.cfg").write_text(_preset_text("Ag"), encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, preset_digests.__file__, str(root)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode != 0 and done.stdout == ""
+    assert ("not a qratio tree" if tree == "missing" else
+            f"not from {root / 'src'}") in done.stderr
+

@@ -9,8 +9,8 @@ from qratio.core import Classification, GaussianPacket, quantum_ratio
 from qratio.errors import BoundaryError, DomainError
 from qratio.grid import (MAX_APPLICATIONS, MAX_CHUNK_ALPHA, FreePotential,
                          Grid, ceiling_dt, chebyshev_coefficients,
-                         initialize_gaussian, kinetic_phase, observables,
-                         propagate, strang_step)
+                         fourier_multiply, initialize_gaussian, kinetic_phase,
+                         observables, propagate)
 from qratio.spin import SpinCoherentState, distribution
 from qratio import stern_gerlach
 from qratio.stern_gerlach import (SGFieldConfig, SpinorField, band_separation,
@@ -76,7 +76,8 @@ def strang_coupled(spinor, config, dt, steps):
     kin = kinetic_phase(grid, spinor.up.mass, dt)
     psi = stacked(spinor)
     for _ in range(steps):
-        psi = strang_step(psi, kin, lambda p: np.einsum("ij...,j...->i...", u, p))
+        psi = np.einsum("ij...,j...->i...", u, psi)
+        psi = np.einsum("ij...,j...->i...", u, fourier_multiply(psi, kin))
     return psi
 
 
@@ -87,6 +88,13 @@ def run_pair(grid, spinor, config, duration):
     decoupled = propagate_decoupled(spinor, config, duration / steps, steps)
     return coupled, decoupled, density_gap(grid, stacked(coupled),
                                            stacked(decoupled))
+
+
+@pytest.mark.parametrize("c_up,c_down", [(math.nan, 0.5), (0.6, math.nan),
+                                          (math.inf, 0.0)])
+def test_non_finite_spin_amplitudes_rejected(c_up, c_down):
+    with pytest.raises(DomainError, match="must equal 1"):
+        spinor_1d(c_up, c_down)
 
 
 class TestDecoupled:
@@ -287,18 +295,19 @@ class TestLargeSpinBands:
 
     def test_spin_half_weights(self):
         theta = 1.1
-        hist = large_spin_bands(0.5, theta, 0.0, self.config, 0.0, self.mass_ag)
+        hist = large_spin_bands(0.5, theta, self.config, 0.0, self.mass_ag)
         assert hist.weights[1] == pytest.approx(math.cos(theta / 2) ** 2, rel=1e-12)
         assert hist.weights[0] == pytest.approx(math.sin(theta / 2) ** 2, rel=1e-12)
 
     def test_13_half_band_count_and_symmetry(self):
-        hist = large_spin_bands(6.5, math.pi / 2, 0.0, self.config, 0.0,
+        hist = large_spin_bands(6.5, math.pi / 2, self.config, 0.0,
                                 self.mass_ag)
         assert len(hist.m_values) == 14
         assert np.allclose(hist.weights, hist.weights[::-1], atol=1e-15)
 
     def test_weights_match_distribution_exactly(self):
-        hist = large_spin_bands(8.0, 0.8, 0.3, self.config, 0.0, self.mass_ag)
+        # at any azimuth: the J_z weights do not depend on phi
+        hist = large_spin_bands(8.0, 0.8, self.config, 0.0, self.mass_ag)
         dist = distribution(SpinCoherentState.from_j(8.0, 0.8, 0.3))
         assert np.array_equal(hist.weights, dist.weights)
         assert abs(hist.weights.sum() - 1.0) < 1e-9
@@ -306,7 +315,7 @@ class TestLargeSpinBands:
     def test_large_spin_classical_trajectory(self):
         j = 2 * 10 ** 5
         theta = math.pi / 4
-        hist = large_spin_bands(j, theta, 0.0, self.config, 0.0, self.mass_ag)
+        hist = large_spin_bands(j, theta, self.config, 0.0, self.mass_ag)
         # mean deflection sits on the m = j cos(theta) classical trajectory
         k = np.argmin(np.abs(hist.m_values - j * math.cos(theta)))
         z_classical = hist.deflections[k]
@@ -319,7 +328,7 @@ class TestLargeSpinBands:
 
     def test_spin_capped(self):
         with pytest.raises(DomainError):
-            large_spin_bands(2e6, 1.0, 0.0, self.config, 0.0, self.mass_ag)
+            large_spin_bands(2e6, 1.0, self.config, 0.0, self.mass_ag)
 
 
 class TestHistoricalSilver:

@@ -243,6 +243,12 @@ class TestScenario:
         assert scen.tunneling_regime
         assert scen.energy == pytest.approx(1.0 * EV, rel=1e-12)
 
+    @pytest.mark.parametrize("c1,c2", [(math.nan, 0.8), (0.6, math.nan),
+                                       (math.inf, 0.8)])
+    def test_non_finite_amplitudes_rejected(self, c1, c2):
+        with pytest.raises(DomainError, match="must equal 1"):
+            make_scenario(c1=c1, c2=c2)
+
     def test_energy_average_close_to_central_value_for_narrow_spread(self):
         scen = make_scenario()
         avg = energy_averaged_transmission(scen)
@@ -293,8 +299,13 @@ class TestScenario:
         devs = []
         for width in (12e-9, 36e-9):
             scen = make_scenario(width=width)
-            grid = default_scenario_grid(scen, points_z=2048, points_x=64,
-                                         lo_widths=10.0, hi_widths=14.0)
+            # the default transverse axis, and room in z for the wider
+            # packet: 10 widths behind its start, 14 past the barrier
+            narrow = default_scenario_grid(scen, points_z=2048, points_x=64)
+            z_lo = scen.longitudinal.center - 10.0 * width
+            z_hi = scen.barrier.support[1] + 14.0 * width
+            grid = Grid.make((2048, 64), (z_hi - z_lo, narrow.extents[1]),
+                             centers=(0.5 * (z_lo + z_hi), 0.0))
             rep = run_tunnel_scenario(scen, grid=grid, env=env)
             central = exact_transmission(scen.barrier, scen.energy, ME,
                                          check=False)

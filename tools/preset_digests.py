@@ -64,15 +64,24 @@ def file_entry(path):
 
 def run_presets(root, outroot):
     """Run every bundled preset of the tree at ``root`` into
-    ``outroot/<preset>``; returns ``{preset: manifest}``."""
+    ``outroot/<preset>``; returns ``{preset: manifest}``.  Exits with a
+    message unless ``root`` is a qratio tree with presets and qratio is
+    imported from its ``src``: an empty ledger, or one of another tree,
+    would compare equal to the wrong thing."""
     src = Path(root).resolve() / "src"
+    presets = sorted((src / "qratio" / "presets").glob("*.cfg"))
+    if not presets:
+        sys.exit(f"{root}: not a qratio tree, no src/qratio/presets/*.cfg")
     sys.path.insert(0, str(src))
+    import qratio
     from qratio.config import parse_config
     from qratio.runner import run
 
+    if not Path(qratio.__file__).resolve().is_relative_to(src):
+        sys.exit(f"qratio was imported from {qratio.__file__}, not from {src}")
     return {path.stem: run(parse_config(path.read_text(encoding="utf-8")),
                            str(Path(outroot) / path.stem))
-            for path in sorted((src / "qratio" / "presets").glob("*.cfg"))}
+            for path in presets}
 
 
 def ledger(root):
