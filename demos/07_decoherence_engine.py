@@ -21,6 +21,7 @@ grid = Grid.make(512, 1e-6)
 env = EnvironmentSpec(lambda_env=60e-9, rate_Lambda=2e13)
 rep = decohered_sg_scenario(c1=0.6, c2=0.8, env=env, grid=grid,
                             packet_width=25e-9, separation=250e-9, mass=ME,
+                            momentum=0.0, duration=5.0 / env.rate_Lambda,
                             steps=200)
 
 print(f"bands after t = 5/Lambda: {rep.intensities[0]:.6f} : "

@@ -1,8 +1,8 @@
 """Particle and experiment catalog.
 
 The catalog ships as a versioned structured-text file (``data/catalog.txt``)
-and is loaded once at import of this module.  Users can layer additional
-files with the same schema on top via :func:`load_catalog`.
+and is loaded once at import of this module; :func:`parse_catalog` reads
+any text of the same schema.
 """
 
 from dataclasses import dataclass
@@ -90,38 +90,27 @@ def parse_catalog(text):
     return records
 
 
-def load_catalog(extra_paths=()):
-    """Load the bundled catalog, then merge user files (later wins by name)."""
-    text = resources.files("qratio").joinpath("data/catalog.txt").read_text()
-    records = parse_catalog(text)
-    for path in extra_paths:
-        with open(path, encoding="utf-8") as fh:
-            records.update(parse_catalog(fh.read()))
-    return records
+CATALOG = parse_catalog(
+    resources.files("qratio").joinpath("data/catalog.txt").read_text())
 
 
-CATALOG = load_catalog()
-
-
-def catalog_lookup(name, catalog=None):
+def catalog_lookup(name):
     """Return the ParticleSpec or ExperimentRecord registered under ``name``."""
-    cat = CATALOG if catalog is None else catalog
     try:
-        return cat[name]
+        return CATALOG[name]
     except KeyError:
-        known = ", ".join(sorted(cat))
+        known = ", ".join(sorted(CATALOG))
         raise CatalogKeyError(
             f"unknown catalog entry {name!r}; available: {known}") from None
 
 
-def experiment_lookup(name, catalog=None):
+def experiment_lookup(name):
     """Return the ExperimentRecord registered under ``name``."""
-    rec = catalog_lookup(name, catalog)
+    rec = catalog_lookup(name)
     if not isinstance(rec, ExperimentRecord):
         raise ConfigError(f"catalog entry {name!r} is not an experiment record")
     return rec
 
 
-def experiment_names(catalog=None):
-    cat = CATALOG if catalog is None else catalog
-    return [n for n, r in cat.items() if isinstance(r, ExperimentRecord)]
+def experiment_names():
+    return [n for n, r in CATALOG.items() if isinstance(r, ExperimentRecord)]

@@ -10,10 +10,12 @@ Subcommands mirror the scenario kinds:
     qratio talbot --preset carpet-100nm
     qratio decohere --preset decohere-split
 
-Each run takes --config FILE or --preset NAME (searched in
-$QRATIO_PRESET_PATH, then the bundled presets), writes its outputs under
---out (default runs/<preset-or-config-name>), and exits nonzero with an
-error JSON on stderr if anything fails.
+Each run takes --config FILE, --preset NAME (searched in
+$QRATIO_PRESET_PATH, then the bundled presets) or inline flags: ratio
+--Rq/--L0, spin-dist --j/--theta [--approx] and tunnel
+--barrier/--energy-sweep [--mass].  It writes its outputs under --out
+(default runs/<preset-or-config-name>), and exits nonzero with an error
+JSON on stderr if anything fails.
 """
 
 import argparse
@@ -57,8 +59,6 @@ def _inline_config(args):
     if args.command == "spin-dist" and args.j is not None and args.theta is not None:
         lines = ["[scenario]", "kind = spin-dist", "[spin]",
                  f"j = {args.j}", f"theta = {args.theta}"]
-        if args.phi:
-            lines.append(f"phi = {args.phi}")
         if args.approx:
             lines.append("mode = approx")
         return "\n".join(lines) + "\n"
@@ -150,7 +150,6 @@ def build_parser():
         if kind == "spin-dist":
             p.add_argument("--j", help="spin, e.g. 13/2")
             p.add_argument("--theta", help="polar angle, e.g. pi/4")
-            p.add_argument("--phi", help="azimuth (default 0)")
             p.add_argument("--approx", action="store_true",
                            help="use the large-spin closed form")
         if kind == "tunnel":

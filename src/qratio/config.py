@@ -98,7 +98,6 @@ SCHEMAS = {
         "spin": {
             "j": ("spin", True, None),
             "theta": ("angle", True, None),
-            "phi": ("angle", False, 0.0),
             "mode": ("choice:exact|approx", False, "exact"),
         },
     },
@@ -116,8 +115,8 @@ SCHEMAS = {
             "record_every": ("int>=0", False, 0),
             "j": ("spin", "sg.mode=bands", None),
             "theta": ("angle", "sg.mode=bands", None),
-            "region_length": ("length", "sg.mode=bands", None),
-            "speed": ("speed", "sg.mode=bands", None),
+            "region_length": ("length>0", "sg.mode=bands", None),
+            "speed": ("speed>0", "sg.mode=bands", None),
             "drift_time": ("time", False, 0.0),
         },
         "grid": {
@@ -210,7 +209,6 @@ SCHEMAS = {
 
 SCENARIO = {                # the header section of every file
     "kind": ("choice:" + "|".join(KINDS), True, None),
-    "seed": ("int", False, 0),
     "out": ("str", False, None),
 }
 
@@ -218,7 +216,6 @@ SCENARIO = {                # the header section of every file
 @dataclass
 class ScenarioConfig:
     kind: str
-    seed: int
     out: str | None
     params: dict            # section -> dict | list of dicts (repeated)
     canonical: str = ""     # round-trippable serialized text
@@ -294,7 +291,7 @@ def parse_config(text):
     for name, values, line in checked:
         _check_required(name, specs[name], values, line, params)
 
-    cfg = ScenarioConfig(kind, header["seed"], header["out"], params)
+    cfg = ScenarioConfig(kind, header["out"], params)
     cfg.canonical = serialize_config(cfg)
     return cfg
 
@@ -346,7 +343,7 @@ def serialize_config(cfg):
     parse_config(serialize_config(c)) reproduces c exactly: serialized
     quantities carry their SI unit strings.
     """
-    lines = ["[scenario]", f"kind = {cfg.kind}", f"seed = {cfg.seed}"]
+    lines = ["[scenario]", f"kind = {cfg.kind}"]
     if cfg.out:
         lines.append(f"out = {cfg.out}")
     schema = SCHEMAS[cfg.kind]

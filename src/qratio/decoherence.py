@@ -227,7 +227,7 @@ class TimescaleReport:
 
 
 def timescale_report(packet_width, separation, env, transit_length,
-                     transit_speed, mass, tau_diss=math.inf):
+                     transit_speed, mass, tau_diss):
     """Check the hierarchy under which per-packet dynamics stays pure.
 
     tau_dec is evaluated at the configured separation, tau_diff = m a^2/hbar,
@@ -285,7 +285,7 @@ def two_band_state(grid, c1, c2, packets):
 
 
 def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
-                          momentum=0.0, duration=None, steps=200):
+                          momentum, duration, steps):
     """Two deflected bands c1|left> + c2|right> under localization.
 
     The packets fly apart with -/+ ``momentum`` while the environment damps
@@ -298,8 +298,6 @@ def decohered_sg_scenario(c1, c2, env, grid, packet_width, separation, mass,
         raise DomainError("bands must be separated by >> their width")
     if not 1 <= steps <= MAX_STEPS:
         raise DomainError(f"steps must be >= 1 and within the cap {MAX_STEPS}")
-    if duration is None:
-        duration = 5.0 / env.rate_Lambda
 
     field = two_band_state(grid, c1, c2, (
         GaussianPacket(-0.5 * separation, packet_width, -momentum, mass),

@@ -27,8 +27,7 @@ from .core import (GaussianPacket, doubling_time, quantum_ratio)
 from .errors import ConfigError, DomainError
 from .grid import (BLOCK_BYTES, MAX_APPLICATIONS, Grid, ceiling_dt,
                    check_band, field_array_bytes, initialize_gaussian)
-from .spin import (SpinCoherentState, approximate_distribution,
-                   classical_limit_diagnostics, distribution)
+from .spin import SpinCoherentState, approximate_distribution, distribution
 from . import stern_gerlach as sg
 from . import talbot as tb
 from . import tunneling as tn
@@ -153,17 +152,15 @@ def _run_diffuse(cfg):
 
 def _run_spin_dist(cfg):
     p = cfg.section("spin")
-    state = SpinCoherentState.from_j(p["j"], p["theta"], p["phi"])
-    if p["mode"] == "approx":
-        dist = approximate_distribution(p["j"], p["theta"], p["phi"])
-    else:
-        dist = distribution(state)
+    state = SpinCoherentState.from_j(p["j"], p["theta"])
+    exact = distribution(state)
+    dist = (approximate_distribution(p["j"], p["theta"])
+            if p["mode"] == "approx" else exact)
     rows = [(int(k), float(m), float(w)) for k, m, w in zip(*dist.nonzero())]
-    diag = classical_limit_diagnostics(p["j"], p["theta"]) if state.two_j >= 1 else None
-    summary = {"j": state.j, "theta": p["theta"], "phi": p["phi"],
-               "mode": p["mode"],
+    # the exact width in either mode, as classical_limit_diagnostics reads it
+    summary = {"j": state.j, "theta": p["theta"], "mode": p["mode"],
                "argmax_m": dist.argmax_m(),
-               "relative_width": diag.relative_width if diag else 0.0,
+               "relative_width": exact.std_m() / state.j if state.two_j else 0.0,
                "normalization_defect": dist.normalization_defect}
     files = {"distribution.csv": _csv_bytes(("k", "m", "weight"), rows)}
     return summary, files, {}
@@ -209,9 +206,9 @@ def _run_sg(cfg):
     p = cfg.section("sg")
     mode = p["mode"]
     if mode == "bands":
-        config = sg.SGFieldConfig(0.0, p["b0"], p["region_length"], p["speed"])
-        hist = sg.large_spin_bands(p["j"], p["theta"], config,
-                                   p["drift_time"], p["mass"])
+        hist = sg.large_spin_bands(
+            p["j"], p["theta"], sg.SGFieldConfig(0.0, p["b0"]),
+            p["region_length"] / p["speed"], p["drift_time"], p["mass"])
         rows = list(zip(hist.m_values, hist.deflections, hist.weights))
         m_peak = p["j"] * math.cos(p["theta"])
         files = {"bands.csv": _csv_bytes(("m", "z_m", "weight"), rows),
@@ -241,7 +238,7 @@ def _run_sg(cfg):
                 f"{p['duration']:g} s gives a momentum kick of {kick:.3e} "
                 "N s, under 1e-6 hbar/'width', where the momentum check "
                 "reads rounding")
-        config = sg.SGFieldConfig(0.0, p["b0"], p["duration"], 1.0)
+        config = sg.SGFieldConfig(0.0, p["b0"])
         steps = p["steps"]
         dt = p["duration"] / steps
         rec = p["record_every"] or max(1, steps // 32)
@@ -258,7 +255,7 @@ def _run_sg(cfg):
         summary = {"duration_s": p["duration"], "steps": steps,
                    "pz_relative_error": pz_err,
                    "band_separation_m": sg.band_separation(
-                       config, p["mass"], 0.0)}
+                       config, p["mass"], p["duration"])}
         drift = {"norm_drift_up": out.up.norm_drift,
                  "norm_drift_down": out.down.norm_drift}
         return summary, files, drift
@@ -273,7 +270,7 @@ def _run_sg(cfg):
         raise DomainError(f"[sg] 'duration' = {p['duration']:g} s takes over "
                           f"{sg.MAX_STEPS} decoupled steps, the cap")
     steps_d = max(1, math.ceil(steps_d))
-    configs = [sg.SGFieldConfig(r * p["b0"] * y_max, p["b0"], p["duration"], 1.0)
+    configs = [sg.SGFieldConfig(r * p["b0"] * y_max, p["b0"])
                for r in p["bias_ratios"]]
     for config in configs:
         config.check_bias(y_max)
@@ -543,7 +540,6 @@ def run(cfg, outdir):
         "tool": "qratio",
         "version": __version__,
         "kind": cfg.kind,
-        "seed": cfg.seed,
         "config_hash": hashlib.sha256(cfg.canonical.encode()).hexdigest(),
         "wall_time_s": time.time() - started,
         "drift": drift,

@@ -224,14 +224,14 @@ def stirling_log_weight(theta, x):
             + 2.0 * (1.0 - x) * math.log(math.sin(theta / 2.0)))
 
 
-def approximate_distribution(j, theta, phi=0.0):
+def approximate_distribution(j, theta):
     """Large-spin approximation exp(2j f(k/2j)) on the k grid, normalized.
 
     This is the closed-form asymptotic used for very large spins in place
     of the exact binomial; endpoints k = 0, 2j get weight zero, and so does
     every k off the support, where f is not evaluated.
     """
-    n = SpinCoherentState.from_j(j, theta, phi).two_j
+    n = SpinCoherentState.from_j(j, theta).two_j
     if n < 2:
         raise DomainError(f"approximation needs j >= 1 (interior k), got j = {n / 2}")
     a, b = _support(lambda k: n * stirling_log_weight(theta, k / n), 1, n - 1,

@@ -39,21 +39,10 @@ MAX_STEPS = 200_000
 
 @dataclass(frozen=True)
 class SGFieldConfig:
-    """Magnet parameters: bias field B0 (T), gradient b0 (T/m), length of
-    the field region (m) and the beam's transit speed (m/s)."""
+    """Magnet field: bias field B0 (T) and gradient b0 (T/m)."""
 
     field_B0: float
     gradient_b0: float
-    region_length: float
-    transit_speed: float
-
-    def __post_init__(self):
-        if self.region_length <= 0.0 or self.transit_speed <= 0.0:
-            raise DomainError("region length and transit speed must be positive")
-
-    @property
-    def transit_time(self):
-        return self.region_length / self.transit_speed
 
     def check_bias(self, y_max):
         if abs(self.field_B0) < MIN_FIELD_RATIO * abs(self.gradient_b0 * y_max):
@@ -194,11 +183,10 @@ def band_deflection(force, mass, transit_time, drift_time):
             + acc * transit_time * drift_time)
 
 
-def band_separation(config, mass, drift_time=0.0):
-    """Distance between the two spin-1/2 bands after transit plus drift."""
-    tau = config.transit_time
-    return 2.0 * band_deflection(BOHR_MAGNETON * config.gradient_b0, mass, tau,
-                                 drift_time)
+def band_separation(config, mass, transit_time):
+    """Distance between the two spin-1/2 bands at the magnet's exit."""
+    return 2.0 * band_deflection(BOHR_MAGNETON * config.gradient_b0, mass,
+                                 transit_time, 0.0)
 
 
 @dataclass(frozen=True)
@@ -211,9 +199,10 @@ class BandHistogram:
         return float(self.weights @ self.deflections)
 
 
-def large_spin_bands(j, theta, config, drift_time, mass):
+def large_spin_bands(j, theta, config, transit_time, drift_time, mass):
     """Deflection histogram of a spin-j coherent beam polarized at polar
-    angle ``theta``.
+    angle ``theta``, after ``transit_time`` in the magnet and ``drift_time``
+    of free flight.
 
     Band k (m = -j + k) feels the linear-potential force (m/j) * moment * b0,
     with the full-polarization moment 2j mu_B, so that j = 1/2 reproduces
@@ -228,6 +217,5 @@ def large_spin_bands(j, theta, config, drift_time, mass):
     dist = distribution(state)
     m_values = dist.m_values
     forces = (m_values / jj) * moment * config.gradient_b0 if jj > 0 else m_values * 0.0
-    tau = config.transit_time
-    z = band_deflection(forces, mass, tau, drift_time)
+    z = band_deflection(forces, mass, transit_time, drift_time)
     return BandHistogram(m_values, z, dist.weights)

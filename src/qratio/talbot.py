@@ -224,14 +224,13 @@ def _source_points(grating):
     return (centers[:, None] + sub[None, :]).ravel()
 
 
-def lau_scan(config, offsets, rng=None):
+def lau_scan(config, offsets):
     """Scanned total flux through G3 for each vertical offset.
 
     Each source point on G1 illuminates G2 with a paraxial spherical wave;
     the diffracted intensity at the G3 plane is masked by the shifted G3 and
     integrated.  Sources are mutually incoherent: intensities add, so the
-    result is invariant under any per-source phase (``rng`` injects random
-    phases to make that property testable).
+    result is invariant under any per-source phase.
     """
     offsets = np.asarray(offsets, dtype=float)
     g2 = config.diffraction_grating
@@ -245,8 +244,6 @@ def lau_scan(config, offsets, rng=None):
     total = np.zeros(x.size)
     for x_s in sources:
         u = np.exp(1j * k * (x - x_s) ** 2 / (2.0 * config.distance_L1)) * mask2
-        if rng is not None:
-            u = u * np.exp(2j * math.pi * rng.random())
         total += np.abs(_fft.ifft(_fft.fft(u) * kernel)) ** 2
     flux = np.empty(offsets.size)
     g3 = config.scan_grating

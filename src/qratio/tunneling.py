@@ -39,6 +39,8 @@ BLOCK_ENERGIES = 32
 # start and past the barrier
 GRID_WIDTHS_BEHIND = 5.5
 GRID_WIDTHS_PAST = 9.5
+# a Gaussian barrier is truncated this many sigmas from its centre
+CUTOFF_SIGMAS = 6.0
 
 # ---------------------------------------------------------------------------
 # barrier profiles
@@ -66,24 +68,24 @@ class RectangularBarrier:
 
 @dataclass(frozen=True)
 class GaussianBarrier:
-    """V = height * exp(-z^2 / (2 sigma^2)), truncated at +/- cutoff sigmas."""
+    """V = height * exp(-z^2 / (2 sigma^2)), truncated at +/- CUTOFF_SIGMAS
+    sigmas."""
 
     height: float
     sigma: float
-    cutoff: float = 6.0
 
     def __post_init__(self):
-        if self.height <= 0.0 or self.sigma <= 0.0 or self.cutoff <= 0.0:
+        if self.height <= 0.0 or self.sigma <= 0.0:
             raise DomainError("barrier parameters must be positive")
 
     @property
     def support(self):
-        return (-self.cutoff * self.sigma, self.cutoff * self.sigma)
+        return (-CUTOFF_SIGMAS * self.sigma, CUTOFF_SIGMAS * self.sigma)
 
     def value(self, z):
         z = np.asarray(z, dtype=float)
         v = self.height * np.exp(-0.5 * (z / self.sigma) ** 2)
-        return np.where(np.abs(z) <= self.cutoff * self.sigma, v, 0.0)
+        return np.where(np.abs(z) <= CUTOFF_SIGMAS * self.sigma, v, 0.0)
 
 
 def turning_points(barrier, energy):
@@ -93,7 +95,7 @@ def turning_points(barrier, energy):
     its edges.  A Gaussian one turns where height exp(-z^2 / 2 sigma^2) = E,
     at z = +/- sigma sqrt(2 ln(height / E)), unless that lies past the
     cut-off: the truncated profile steps from V > E to 0 there, so the
-    support edge +/- cutoff sigma is the turning point.
+    support edge +/- CUTOFF_SIGMAS sigma is the turning point.
     """
     if energy <= 0.0:
         raise DomainError("energy must be positive")
@@ -102,7 +104,7 @@ def turning_points(barrier, energy):
     if isinstance(barrier, RectangularBarrier):
         return (-barrier.half_width, barrier.half_width)
     z = barrier.sigma * min(math.sqrt(2.0 * math.log(barrier.height / energy)),
-                            barrier.cutoff)
+                            CUTOFF_SIGMAS)
     return (-z, z)
 
 

@@ -1,9 +1,10 @@
+from importlib import resources
+
 import pytest
 
 from qratio import catalog
 from qratio.catalog import (CATALOG, ExperimentRecord, ParticleSpec,
-                            catalog_lookup, experiment_names, load_catalog,
-                            parse_catalog)
+                            catalog_lookup, experiment_names, parse_catalog)
 from qratio.constants import ATOMIC_MASS_UNIT, KG_PER_MEV_C2
 from qratio.core import Classification, quantum_ratio
 from qratio.errors import CatalogKeyError, ConfigError, DomainError
@@ -107,7 +108,8 @@ def test_bounds_leave_the_bundled_catalog_unchanged(monkeypatch):
                         for key, (vtype, required, default) in spec.items()}
                  for kind, spec in catalog.SCHEMA.items()}
     monkeypatch.setattr(catalog, "SCHEMA", unbounded)
-    assert load_catalog() == CATALOG
+    text = resources.files("qratio").joinpath("data/catalog.txt").read_text()
+    assert parse_catalog(text) == CATALOG
 
 
 @pytest.mark.parametrize("make", [

@@ -356,6 +356,48 @@ def test_sg_phi_is_not_a_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,preset,old,new,key", [
+    # every scenario is deterministic: a seed would only be echoed
+    ("ratio", "Ag", "kind = ratio", "kind = ratio\nseed = 3", "seed"),
+    # the J_z weights do not depend on the azimuth phi
+    ("spin-dist", "spin-13half-pi4", "theta = pi/4", "theta = pi/4\nphi = 0.3",
+     "phi"),
+], ids=["scenario-seed", "spin-phi"])
+def test_inert_keys_are_unknown(tmp_path, capsys, kind, preset, old, new, key):
+    cfg = preset_copy(tmp_path, preset, (old, new))
+    code, out = run_cli(tmp_path, kind, "--config", cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "unknown keys" in err["message"] and f"'{key}'" in err["message"]
+    assert not out.exists()
+
+
+def test_spin_dist_phi_flag_is_a_usage_error(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "spin-dist", "--j", "13/2", "--theta", "pi/4",
+                        "--phi", "1")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "--phi" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ("region_length = 3.5 cm", "region_length = 0 cm", "region_length"),
+    ("speed = 600 m/s", "speed = 0 m/s", "speed"),
+    ("speed = 600 m/s", "speed = -600 m/s", "speed"),
+], ids=["region-length-zero", "speed-zero", "speed-negative"])
+def test_sg_transit_needs_positive_length_and_speed(tmp_path, capsys, old, new,
+                                                   key):
+    cfg = preset_copy(tmp_path, "sg-bands-13half", (old, new))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert f"'{key}' must be > 0" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,preset,section,old,key", [
     ("decohere", "decohere-split", "[decohere]", None, "c1"),
     ("sg", "sg-split", "[sg]", None, "c_up"),

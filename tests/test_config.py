@@ -162,7 +162,7 @@ class TestParseConfig:
             parse_config("[scenario]\nkind = ratio\nkind = ratio\n")
 
     def test_round_trip(self):
-        text = ("[scenario]\nkind = decohere\nseed = 3\n"
+        text = ("[scenario]\nkind = decohere\nout = runs/round-trip\n"
                 "[decohere]\nmass = 9.1e-31 kg\nwidth = 25 nm\n"
                 "separation = 0.25 um\nsteps = 17\n"
                 "[environment]\nwavelength = 60 nm\nrate = 2e13 1/s\n"
@@ -170,7 +170,7 @@ class TestParseConfig:
         cfg = parse_config(text)
         cfg2 = parse_config(serialize_config(cfg))
         assert cfg2.params == cfg.params
-        assert cfg2.kind == cfg.kind and cfg2.seed == cfg.seed
+        assert cfg2.kind == cfg.kind and cfg2.out == cfg.out
         assert serialize_config(cfg2) == serialize_config(cfg)
 
     def test_comments_and_blank_lines_ignored(self):
@@ -262,7 +262,7 @@ SG = "[scenario]\nkind = sg\n[sg]\nmass = 1 kg\nb0 = 1 T/m\n"
     ("[scenario]\nkind = talbot\n[talbot]\nmode = lau\nwavelength = 1 nm\n"
      "[grating]\nperiod = 1 um\n[lau]\nsource_slits = 1\n", "source_slits"),
     # the [scenario] header
-    ("[scenario]\nseed = 1\n", "kind"),
+    ("[scenario]\nout = x\n", "kind"),
     ("[scenario]\nkind = ratio\nseed = x\n", "seed"),
     ("[scenario]\nkind = ratio\nwhere = here\n", "where"),
 ])

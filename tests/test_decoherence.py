@@ -368,7 +368,8 @@ class TestTimescales:
     def test_wavelength_ordering_violated(self):
         rep = timescale_report(packet_width=1e-8, separation=5e-8,
                                env=self.env, transit_length=1e-4,
-                               transit_speed=1e3, mass=1e-22)
+                               transit_speed=1e3, mass=1e-22,
+                               tau_diss=math.inf)
         assert not rep.cond_wavelength
         assert rep.verdict == ORDERING_VIOLATED
 
@@ -380,18 +381,20 @@ class TestTimescales:
         assert rep.verdict == RANDOM_MOTION
 
     def test_times_positive(self):
-        rep = timescale_report(1e-8, 1e-5, self.env, 1e-4, 1e3, 1e-22)
+        rep = timescale_report(1e-8, 1e-5, self.env, 1e-4, 1e3, 1e-22,
+                               math.inf)
         assert rep.tau_dec > 0 and rep.tau_trans > 0 and rep.tau_diff > 0
         assert math.isinf(rep.tau_diss)
 
 
 class TestDecoheredBands:
     env = EnvironmentSpec(lambda_env=60e-9, rate_Lambda=2e13)
+    duration = 5.0 / env.rate_Lambda
 
     def test_equal_split(self, grid):
         rep = decohered_sg_scenario(1 / math.sqrt(2), 1 / math.sqrt(2),
-                                    self.env, grid, 25e-9, 250e-9, ME,
-                                    steps=80)
+                                    self.env, grid, 25e-9, 250e-9, ME, 0.0,
+                                    self.duration, 80)
         assert rep.intensities[0] == pytest.approx(0.5, abs=1e-3)
         assert rep.intensities[1] == pytest.approx(0.5, abs=1e-3)
         assert rep.coherence < 0.05
@@ -399,7 +402,7 @@ class TestDecoheredBands:
 
     def test_single_band_untouched(self, grid):
         rep = decohered_sg_scenario(1.0, 0.0, self.env, grid, 25e-9, 250e-9,
-                                    ME, steps=40)
+                                    ME, 0.0, self.duration, 40)
         assert rep.intensities[0] == pytest.approx(1.0, abs=1e-6)
         assert rep.intensities[1] == pytest.approx(0.0, abs=1e-6)
 
@@ -410,14 +413,14 @@ class TestDecoheredBands:
             # slower rates mean longer runs; keep dt inside the kinetic bound
             steps = max(40, int(math.ceil((5.0 / rate) / 1.5e-14)))
             rep = decohered_sg_scenario(0.6, 0.8, env, grid, 25e-9, 250e-9,
-                                        ME, steps=steps)
+                                        ME, 0.0, 5.0 / rate, steps)
             ratios.append(rep.intensities[0] / rep.intensities[1])
         for r in ratios:
             assert r == pytest.approx(0.36 / 0.64, rel=1e-4)
 
     def test_matches_pure_band_weights(self, grid):
         rep = decohered_sg_scenario(0.6, 0.8, self.env, grid, 25e-9, 250e-9,
-                                    ME, steps=60)
+                                    ME, 0.0, self.duration, 60)
         assert rep.intensities[0] == pytest.approx(rep.pure_intensities[0],
                                                    abs=1e-3)
         assert rep.intensities[1] == pytest.approx(rep.pure_intensities[1],
@@ -447,12 +450,14 @@ class TestDecoheredBands:
 
     def test_amplitude_normalization_checked(self, grid):
         with pytest.raises(DomainError):
-            decohered_sg_scenario(1.0, 1.0, self.env, grid, 25e-9, 250e-9, ME)
+            decohered_sg_scenario(1.0, 1.0, self.env, grid, 25e-9, 250e-9, ME,
+                                  0.0, self.duration, 200)
 
     @pytest.mark.parametrize("c1,c2", [(math.nan, 0.8), (0.6, math.inf)])
     def test_non_finite_amplitudes_rejected(self, grid, c1, c2):
         with pytest.raises(DomainError):
-            decohered_sg_scenario(c1, c2, self.env, grid, 25e-9, 250e-9, ME)
+            decohered_sg_scenario(c1, c2, self.env, grid, 25e-9, 250e-9, ME,
+                                  0.0, self.duration, 200)
 
     def test_density_matrix_run_watches_its_margin(self, grid, monkeypatch):
         # the bands fly 330 nm out, into the outer 5% of the 1 um grid; the
@@ -492,7 +497,7 @@ def test_scenario_steps_cap_checked_before_allocating(grid):
     try:
         with pytest.raises(DomainError, match="cap"):
             decohered_sg_scenario(0.6, 0.8, env, grid, 25e-9, 250e-9, ME,
-                                  steps=MAX_STEPS + 1)
+                                  0.0, 5.0 / env.rate_Lambda, MAX_STEPS + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -617,7 +617,7 @@ def spinor_step():
     c = 1.0 / math.sqrt(2.0)
     spinor = SpinorField(initialize_gaussian(g, (pk, pk)),
                          initialize_gaussian(g, (pk, pk)), c, c)
-    config = SGFieldConfig(200 * 5e-7, 1.0, 1e-9, 1.0)
+    config = SGFieldConfig(200 * 5e-7, 1.0)
     return propagate_coupled(spinor, config, ceiling_dt(g, ME), 1)[1]   # H-applications
 
 

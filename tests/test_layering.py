@@ -204,3 +204,75 @@ def test_every_function_is_used_or_kept():
                 unused.append(f"{name}.py:{fn.lineno} {fn.name}")
     assert not unused, f"functions no package code uses: {unused}"
     assert set(KEPT) <= defined, f"kept but gone: {sorted(set(KEPT) - defined)}"
+
+
+# parameters with a default that no package call passes, each with the
+# reason it stays
+UNPASSED = {
+    "cli.main.argv": "hook: the console script calls main() with none",
+    "tunneling.exact_transmission.slices": "oracle: its resolution, which "
+                                           "tests vary",
+    "spin.SpinCoherentState.from_j.phi": "public API: the azimuth that "
+                                         "coefficient reads",
+}
+
+
+def _defaulted():
+    """``(key, called as, parameters, defaulted)`` of every function and
+    method: the parameters a call fills, so without a method's self or
+    cls, and those with a default.  A class's ``__init__`` is called as
+    the class."""
+    for module, tree in MODULES.items():
+        owner = {id(fn): cls for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args]
+            cls = owner.get(id(fn))
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in fn.decorator_list)
+            if cls is not None and not static:
+                params = params[1:]
+            defaulted = params[len(params) - len(args.defaults):] if \
+                args.defaults else []
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults) if d]
+            params += [a.arg for a in args.kwonlyargs]
+            key = f"{module}.{cls.name + '.' if cls else ''}{fn.name}"
+            called = cls.name if cls and fn.name == "__init__" else fn.name
+            yield key, called, params, defaulted
+
+
+def _calls():
+    """name -> ``(positional count, keywords, unpacks)`` of every package
+    call by that bare or attribute name."""
+    calls = {}
+    for tree in MODULES.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            unpacks = (any(isinstance(a, ast.Starred) for a in call.args)
+                       or any(k.arg is None for k in call.keywords))
+            calls.setdefault(name, []).append(
+                (len(call.args), {k.arg for k in call.keywords}, unpacks))
+    return calls
+
+
+def test_every_default_is_passed_or_kept():
+    # a default no package call overrides restates a value in a second
+    # place, or keeps a knob nothing turns
+    calls = _calls()
+    unpassed = []
+    for key, called, params, defaulted in _defaulted():
+        for name in defaulted:
+            i = params.index(name)
+            if not any(unpacks or count > i or name in keywords
+                       for count, keywords, unpacks in calls.get(called, [])):
+                unpassed.append(f"{key}.{name}")
+    extra = sorted(set(unpassed) - UNPASSED.keys())
+    assert not extra, f"defaults no package call passes: {extra}"
+    gone = sorted(UNPASSED.keys() - set(unpassed))
+    assert not gone, f"kept but passed or gone: {gone}"

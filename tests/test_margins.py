@@ -1,5 +1,5 @@
 """Margin pins for the density-matrix engine, the Stern-Gerlach split and
-the tunnel.
+run, and the tunnel.
 
 Criterion 8 and the bench checks bound rounding-level quantities 10^4 to
 10^11 times above what the engine measures, so a regression that made one
@@ -10,9 +10,13 @@ The criteria keep their own bounds.
 """
 
 import json
+import math
 
-from qratio.constants import ELECTRON_MASS as ME
+import numpy as np
+
+from qratio.constants import BOHR_MAGNETON as MUB, ELECTRON_MASS as ME, EV
 from qratio.decoherence import decohered_sg_scenario
+from qratio.tunneling import RectangularBarrier, exact_transmission
 
 
 def test_criterion_8_trace_defect(criterion_8_free_run):
@@ -26,9 +30,47 @@ def test_criterion_8_band_gap(criterion_8_free_run):
     # criterion 8 allows 1e-3
     c8 = criterion_8_free_run
     rep = decohered_sg_scenario(0.6, 0.8, c8.env, c8.grid, c8.width, c8.sep,
-                                ME, steps=200)
+                                ME, 0.0, 5.0 / c8.env.rate_Lambda, 200)
     gap = max(abs(a - b) for a, b in zip(rep.intensities, rep.pure_intensities))
     assert gap < 7e-14
+
+
+def test_criterion_4_momentum_error(criterion_4_decoupled_run):
+    # measured 3.95e-14 of mu_B b0 t over the recorded steps; criterion 4
+    # allows 1e-6
+    run4 = criterion_4_decoupled_run
+    slope = MUB * run4.b0
+    up, down = run4.out.up.trace, run4.out.down.trace
+    gap = max(max(abs(pu[1] - slope * t), abs(pd[1] + slope * t))
+              for t, pu, pd in zip(up.times, up.mean_momentum,
+                                   down.mean_momentum))
+    assert gap / (slope * run4.out.up.time) < 2e-13
+
+
+def test_criterion_4_reversal(criterion_4_decoupled_run):
+    # measured 1.16e-14, the L2 gap after 40 steps out and 40 back on
+    # 1024 x 1024 points; criterion 4 allows 1e-8
+    run4 = criterion_4_decoupled_run
+    for back, start in ((run4.back.up, run4.start.up),
+                        (run4.back.down, run4.start.down)):
+        gap = math.sqrt(float(np.sum(np.abs(back.psi - start.psi) ** 2))
+                        * run4.grid.cell_volume)
+        assert gap < 6e-14
+
+
+def test_criterion_4_drift_per_step(criterion_4_decoupled_run):
+    # measured 3.9e-17 per step; criterion 4 allows 1e-10
+    run4 = criterion_4_decoupled_run
+    for field in (run4.out.up, run4.out.down):
+        assert field.norm_drift / run4.steps < 2e-16
+
+
+def test_criterion_6_exact_transmission():
+    # measured 1.99e-12 between the transfer matrix and the closed form
+    # through criterion 6's 2 eV, 0.5 nm barrier at 1 eV; criterion 6
+    # allows 1e-6
+    t = exact_transmission(RectangularBarrier(2.0 * EV, 0.25e-9), 1.0 * EV, ME)
+    assert abs(t / 0.0235471199188269 - 1.0) < 1e-11
 
 
 def preset_file(preset_runs, preset, name):
@@ -69,3 +111,10 @@ def test_tunnel_pure_factorization_error(preset_runs):
     s = preset_file(preset_runs, "tunnel-pure", "summary.json")
     assert s["factorization_error"] < 4e-15
 
+
+def test_tunnel_decohered_band_weights(preset_runs):
+    # measured 1.87e-5 and 1.05e-5 off |c1|^2 = 0.36 and |c2|^2 = 0.64;
+    # criterion 6 allows 2e-2
+    s = preset_file(preset_runs, "tunnel-decohered", "summary.json")
+    for weight, share in zip(s["band_weights"], (0.36, 0.64)):
+        assert abs(weight / share - 1.0) < 1e-4

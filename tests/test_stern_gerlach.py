@@ -13,10 +13,10 @@ from qratio.grid import (MAX_APPLICATIONS, MAX_CHUNK_ALPHA, FreePotential,
                          observables, propagate)
 from qratio.spin import SpinCoherentState, distribution
 from qratio import stern_gerlach
-from qratio.stern_gerlach import (SGFieldConfig, SpinorField, band_separation,
-                                  coupled_alpha, gradient_potentials,
-                                  large_spin_bands, propagate_coupled,
-                                  propagate_decoupled)
+from qratio.stern_gerlach import (SGFieldConfig, SpinorField, band_deflection,
+                                  band_separation, coupled_alpha,
+                                  gradient_potentials, large_spin_bands,
+                                  propagate_coupled, propagate_decoupled)
 
 ME = 9.1093837015e-31
 
@@ -43,7 +43,7 @@ def desk_config(grid, width, ratio=200.0, transit_fraction=0.4):
     duration = transit_fraction * tau_diff
     b0 = 2 * ME * (width / 8) / (MUB * duration ** 2)
     y_max = grid.extents[0] / 2
-    return SGFieldConfig(ratio * b0 * y_max, b0, duration, 1.0), duration
+    return SGFieldConfig(ratio * b0 * y_max, b0), duration
 
 
 def precession_dt(config):
@@ -100,7 +100,7 @@ def test_non_finite_spin_amplitudes_rejected(c_up, c_down):
 class TestDecoupled:
     def test_single_component_momentum_kick(self):
         grid, sp = spinor_1d(1.0, 0.0)
-        config = SGFieldConfig(1.0, 5e8, 1e-12, 1.0)
+        config = SGFieldConfig(1.0, 5e8)
         steps = 400
         dt = 2e-12 / steps
         out = propagate_decoupled(sp, config, dt, steps)
@@ -110,7 +110,7 @@ class TestDecoupled:
 
     def test_mirror_symmetry(self):
         grid, sp = spinor_1d(1 / math.sqrt(2), 1 / math.sqrt(2))
-        config = SGFieldConfig(1.0, 5e8, 1e-12, 1.0)
+        config = SGFieldConfig(1.0, 5e8)
         out = propagate_decoupled(sp, config, 5e-15, 300)
         dens_up = out.up.density()
         dens_down = out.down.density()
@@ -120,7 +120,7 @@ class TestDecoupled:
 
     def test_component_norms_conserved(self):
         grid, sp = spinor_1d(0.6, 0.8)
-        config = SGFieldConfig(1.0, 5e8, 1e-12, 1.0)
+        config = SGFieldConfig(1.0, 5e8)
         out = propagate_decoupled(sp, config, 5e-15, 200)
         assert out.up.norm_drift < 1e-10 * 200
         assert out.down.norm_drift < 1e-10 * 200
@@ -133,7 +133,7 @@ class TestDecoupled:
         b0 = 4e8
         tau = 1.2e-12
         steps = 300
-        config = SGFieldConfig(1.0, b0, tau, 1.0)
+        config = SGFieldConfig(1.0, b0)
         out = propagate_decoupled(sp, config, tau / steps, steps)
         t_drift = 0.8e-12
         drift_steps = 200
@@ -142,7 +142,7 @@ class TestDecoupled:
                          drift_steps)
         dz = (observables(up, FreePotential()).mean_position[0]
               - observables(down, FreePotential()).mean_position[0])
-        expected = band_separation(config, ME, t_drift)
+        expected = 2.0 * band_deflection(MUB * b0, ME, tau, t_drift)
         assert dz == pytest.approx(expected, rel=1e-9)
 
     def test_kinetic_ceiling_step_gives_the_fine_step_densities(self):
@@ -160,7 +160,7 @@ class TestDecoupled:
             assert np.abs(x - y).sum() * grid.cell_volume <= 1e-10
 
     def test_potentials_have_opposite_signs(self):
-        v_up, v_down = gradient_potentials(SGFieldConfig(1.0, 5e8, 1e-12, 1.0), 0)
+        v_up, v_down = gradient_potentials(SGFieldConfig(1.0, 5e8), 0)
         assert v_up.slope == -v_down.slope
         assert v_up.slope < 0.0
 
@@ -168,7 +168,7 @@ class TestDecoupled:
 class TestCoupled:
     def test_zero_gradient_keeps_populations(self):
         grid, sp = spinor_2d()
-        config = SGFieldConfig(5.0, 0.0, 1e-12, 1.0)
+        config = SGFieldConfig(5.0, 0.0)
         out = sp
         for _ in range(4):
             out, _ = propagate_coupled(out, config, 1e-13, 1)
@@ -249,13 +249,13 @@ class TestCoupled:
 
     def test_requires_2d(self):
         grid, sp = spinor_1d()
-        config = SGFieldConfig(10.0, 1e4, 1e-12, 1.0)
+        config = SGFieldConfig(10.0, 1e4)
         with pytest.raises(DomainError):
             propagate_coupled(sp, config, 1e-16, 1)
 
     def test_bias_floor_enforced(self):
         grid, sp = spinor_2d()
-        config = SGFieldConfig(1e-6, 1e6, 1e-12, 1.0)
+        config = SGFieldConfig(1e-6, 1e6)
         with pytest.raises(DomainError) as err:
             propagate_coupled(sp, config, 1e-18, 1)
         assert "B0" in str(err.value)
@@ -280,7 +280,7 @@ class TestCoupled:
         c = 1 / math.sqrt(2)
         sp = SpinorField(initialize_gaussian(grid, (at_rest, moving)),
                          initialize_gaussian(grid, (at_rest, moving)), c, c)
-        config = SGFieldConfig(5.0, 0.0, 1e-12, 1.0)
+        config = SGFieldConfig(5.0, 0.0)
         duration = 2000 * precession_dt(config)
         assert coupled_alpha(sp, config, duration) > MAX_CHUNK_ALPHA
         with pytest.raises(BoundaryError) as err:
@@ -290,24 +290,27 @@ class TestCoupled:
 
 
 class TestLargeSpinBands:
-    config = SGFieldConfig(0.1, 1000.0, 0.035, 600.0)
+    config = SGFieldConfig(0.1, 1000.0)
+    transit = 0.035 / 600.0   # 3.5 cm at 600 m/s
     mass_ag = catalog_lookup("Ag").mass
 
     def test_spin_half_weights(self):
         theta = 1.1
-        hist = large_spin_bands(0.5, theta, self.config, 0.0, self.mass_ag)
+        hist = large_spin_bands(0.5, theta, self.config, self.transit, 0.0,
+                                self.mass_ag)
         assert hist.weights[1] == pytest.approx(math.cos(theta / 2) ** 2, rel=1e-12)
         assert hist.weights[0] == pytest.approx(math.sin(theta / 2) ** 2, rel=1e-12)
 
     def test_13_half_band_count_and_symmetry(self):
-        hist = large_spin_bands(6.5, math.pi / 2, self.config, 0.0,
-                                self.mass_ag)
+        hist = large_spin_bands(6.5, math.pi / 2, self.config, self.transit,
+                                0.0, self.mass_ag)
         assert len(hist.m_values) == 14
         assert np.allclose(hist.weights, hist.weights[::-1], atol=1e-15)
 
     def test_weights_match_distribution_exactly(self):
         # at any azimuth: the J_z weights do not depend on phi
-        hist = large_spin_bands(8.0, 0.8, self.config, 0.0, self.mass_ag)
+        hist = large_spin_bands(8.0, 0.8, self.config, self.transit, 0.0,
+                                self.mass_ag)
         dist = distribution(SpinCoherentState.from_j(8.0, 0.8, 0.3))
         assert np.array_equal(hist.weights, dist.weights)
         assert abs(hist.weights.sum() - 1.0) < 1e-9
@@ -315,7 +318,8 @@ class TestLargeSpinBands:
     def test_large_spin_classical_trajectory(self):
         j = 2 * 10 ** 5
         theta = math.pi / 4
-        hist = large_spin_bands(j, theta, self.config, 0.0, self.mass_ag)
+        hist = large_spin_bands(j, theta, self.config, self.transit, 0.0,
+                                self.mass_ag)
         # mean deflection sits on the m = j cos(theta) classical trajectory
         k = np.argmin(np.abs(hist.m_values - j * math.cos(theta)))
         z_classical = hist.deflections[k]
@@ -328,7 +332,8 @@ class TestLargeSpinBands:
 
     def test_spin_capped(self):
         with pytest.raises(DomainError):
-            large_spin_bands(2e6, 1.0, self.config, 0.0, self.mass_ag)
+            large_spin_bands(2e6, 1.0, self.config, self.transit, 0.0,
+                             self.mass_ag)
 
 
 class TestHistoricalSilver:
@@ -336,8 +341,8 @@ class TestHistoricalSilver:
         # 10 T/cm over 3.5 cm at 600 m/s splits a silver beam by ~0.2 mm,
         # about a million times the atom's 1.4 angstrom size
         ag = catalog_lookup("Ag")
-        config = SGFieldConfig(0.1, 1000.0, 0.035, 600.0)
-        split = band_separation(config, ag.mass, 0.0)
+        config = SGFieldConfig(0.1, 1000.0)
+        split = band_separation(config, ag.mass, 0.035 / 600.0)
         assert split == pytest.approx(0.2e-3, rel=0.15)
         res = quantum_ratio(split, ag.size_L0)
         assert res.classification is Classification.QUANTUM

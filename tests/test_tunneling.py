@@ -9,7 +9,7 @@ from qratio.core import GaussianPacket
 from qratio.decoherence import EnvironmentSpec
 from qratio.errors import BoundaryError, ConvergenceError, DomainError
 from qratio.grid import Grid
-from qratio.tunneling import (HERMITE_NODES, GaussianBarrier,
+from qratio.tunneling import (CUTOFF_SIGMAS, HERMITE_NODES, GaussianBarrier,
                               RectangularBarrier, TunnelScenario,
                               default_scenario_grid,
                               energy_averaged_transmission,
@@ -84,9 +84,11 @@ class TestTurningPoints:
         assert turning_points(GAUSS, 1e-9 * EV) == GAUSS.support
 
     @pytest.mark.parametrize("barrier", [
-        GAUSS, GaussianBarrier(2.0 * EV, 1e-10, cutoff=3.0),
-        GaussianBarrier(0.3 * EV, 5e-9, cutoff=4.5)])
-    @pytest.mark.parametrize("fraction", [0.9999, 0.9, 0.5, 0.1, 1e-3, 2e-4])
+        GAUSS, GaussianBarrier(2.0 * EV, 1e-10),
+        GaussianBarrier(0.3 * EV, 5e-9)])
+    # 1e-9 lies below the edge value exp(-CUTOFF_SIGMAS^2 / 2) = 1.5e-8
+    @pytest.mark.parametrize("fraction", [0.9999, 0.9, 0.5, 0.1, 1e-3, 2e-4,
+                                          1e-9])
     def test_gaussian_matches_a_dense_scan(self, barrier, fraction):
         energy = fraction * barrier.height
         z1, z2 = turning_points(barrier, energy)
@@ -96,10 +98,10 @@ class TestTurningPoints:
         assert abs(z2 - o2) <= 1e-12 * barrier.sigma
 
     @pytest.mark.parametrize("barrier", [
-        GAUSS, GaussianBarrier(2.0 * EV, 1e-10, cutoff=3.0)])
+        GAUSS, GaussianBarrier(2.0 * EV, 1e-10)])
     def test_gaussian_turns_at_the_cutoff_at_and_below_its_edge_value(
             self, barrier):
-        edge = float(barrier.value(barrier.cutoff * barrier.sigma))
+        edge = float(barrier.value(CUTOFF_SIGMAS * barrier.sigma))
         z1, z2 = turning_points(barrier, edge)
         assert z1 == -z2
         assert abs(z2 - barrier.support[1]) <= 1e-12 * barrier.sigma
@@ -173,7 +175,8 @@ class TestExact:
         assert np.all(np.diff(t) > 0)
 
     def test_slice_convergence_guard(self):
-        sharp = GaussianBarrier(2.0 * EV, 1e-11, cutoff=60.0)
+        # 85 slices per sigma: doubling moves T by 5.1e-7
+        sharp = GaussianBarrier(2.0 * EV, 1e-10)
         with pytest.raises(ConvergenceError):
             exact_transmission(sharp, 1.0 * EV, ME, slices=1024)
 
