@@ -11,8 +11,6 @@ combinatorics.
 
 import math
 
-import numpy as np
-
 from qratio import SpinCoherentState, classical_limit_diagnostics, distribution
 from qratio.spin import approximate_distribution, saddle_point_peak
 

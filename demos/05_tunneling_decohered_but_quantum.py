@@ -10,8 +10,6 @@ packets with weights |c1|^2 : |c2|^2, decohered yet entirely quantum.
 
 import math
 
-import numpy as np
-
 from qratio import GaussianPacket
 from qratio.constants import ELECTRON_MASS as ME, EV
 from qratio.decoherence import EnvironmentSpec

@@ -108,11 +108,9 @@ SCHEMAS = {
             "b0": ("gradient", True, None),
             "width": ("length", "sg.mode=decoupled|coupled-check", None),
             "duration": ("time", "sg.mode=decoupled|coupled-check", None),
-            "steps": ("int>=1", False, 200),
             "c_up": ("float", False, _C1),
             "c_down": ("float", False, None),
             "bias_ratios": ("floats", "sg.mode=coupled-check", None),
-            "record_every": ("int>=0", False, 0),
             "j": ("spin", "sg.mode=bands", None),
             "theta": ("angle", "sg.mode=bands", None),
             "region_length": ("length>0", "sg.mode=bands", None),
@@ -160,20 +158,20 @@ SCHEMAS = {
     "talbot": {
         "talbot": {
             "mode": ("choice:carpet|lau", True, None),
-            "wavelength": ("length", True, None),
+            "wavelength": ("length>0", True, None),
         },
         "grating": {
-            "period": ("length", True, None),
+            "period": ("length>0", True, None),
             "open_fraction": ("float", False, 0.3),
-            "slits": ("int", False, 64),
+            "slits": ("int>=2", False, 64),
         },
         "carpet": {
-            "z_max_talbot": ("float", False, 2.2),
-            "z_steps": ("int", False, 200),
+            "z_max_talbot": ("float>0", False, 2.2),
+            "z_steps": ("int>=1", False, 200),
         },
         "lau": {
-            "L1_talbot": ("float", False, 1.0),
-            "L2_talbot": ("float", False, 1.0),
+            "L1_talbot": ("float>0", False, 1.0),
+            "L2_talbot": ("float>0", False, 1.0),
             "source_slits": ("int>=2", False, 16),
             "source_open_fraction": ("float", False, 0.3),
             "scan_open_fraction": ("float", False, 0.3),

@@ -25,27 +25,21 @@ reversed, to run first to last: another order rounds differently, and
 moves output bytes.  The Chebyshev coefficients' Bessel functions are
 :func:`bessel_j`.
 
-A stepping loop holds its field before the trailing half kick, which joins
-the next step's leading one into one full kick; it is applied only where
-the field is observed (records and the return).
-
-On a grid axis along which V is constant, the kinetic factor commutes with
-every other factor of the step, so a product field psi = u b, with u a
-unit vector on the free axis and b on the coupled one, stays a product:
-:func:`propagate` steps only b, and reads u exactly as
-u_t = F^-1 exp(-i hbar k_f^2 t / 2m) F u where it is needed.  Any other
+On axis 0 of a 2D grid along which V is constant, the kinetic factor
+commutes with every other factor of the step, so a product field
+psi = u b, with u a unit vector on axis 0 and b on axis 1, stays a
+product: :func:`propagate` steps only the row b, and reads u exactly as
+u_t = F^-1 exp(-i hbar k_0^2 t / 2m) F u where it is needed.  Any other
 field steps every axis.
 
 Boundaries are periodic; there are no absorbing layers.  Runs must be sized
 so that no appreciable probability reaches the grid edge, and a margin
 monitor checks every step of every wave-function run (every expansion
-end of a Chebyshev run) and aborts with
-:class:`BoundaryError` before wraparound contaminates results.  It reads
-the held field: a kick, a per-point phase, keeps the summed margin mass.
-For a product field u b the margin mass is the sum of two exact parts: the
-coupled axis's margin, read off the stepped b (u is a unit vector), and the
-free axis's, the margin mass of u_t times |b|^2.  The sum is never below
-the mass in the union of the margins.
+end of a Chebyshev run) and aborts with :class:`BoundaryError` before
+wraparound contaminates results.  For a product field u b the margin mass
+is the sum of two exact parts: axis 1's margin, read off the stepped b (u
+is a unit vector), and axis 0's, the margin mass of u_t times |b|^2.  The
+sum is never below the mass in the union of the margins.
 """
 
 import functools
@@ -463,26 +457,11 @@ def boundary_monitor(grid, free=()):
     return check
 
 
-# A grid has at most two axes, so a potential that varies along one axis
-# leaves at most one free: the helpers below take free = () or (f,).
-
-def _free_axes(grid, v):
-    """Grid axes along which the potential values ``v`` are exactly
-    constant; () when V varies along none or along no axis at all, since
-    the full kinetic step then treats every axis alike."""
-    if np.ndim(v) != grid.ndim:
-        return ()
-    free = tuple(a for a in range(grid.ndim) if np.array_equal(
-        v, np.broadcast_to(v[(slice(None),) * a + (slice(1),)], v.shape)))
-    return () if len(free) == grid.ndim else free
-
-
 def _product_split(psi):
-    """(u, b) with ``psi`` = u b for the free-axis-major field ``psi``
-    (n_free x n_coupled): u, n_free x 1, is its unit column with the most
-    mass and b = u^+ psi.  None unless the mass psi - u b leaves is at most
-    (max(n_free, n_coupled) eps)^2 of the total, that is unless ``psi`` is
-    a product to rounding."""
+    """(u, b) with ``psi`` = u b for the 2D field ``psi`` (n0 x n1): u,
+    n0 x 1, is its unit column with the most mass and b = u^+ psi.  None
+    unless the mass psi - u b leaves is at most (max(n0, n1) eps)^2 of the
+    total, that is unless ``psi`` is a product to rounding."""
     n, m = psi.shape
     mass = np.sum(np.abs(psi) ** 2, axis=0)
     u = psi[:, [int(np.argmax(mass))]]
@@ -502,51 +481,35 @@ def propagate(field, potential, dt, steps, record_every=0):
     state, into an :class:`ObservableTrace` held as the ``.trace`` attribute
     of the returned field (None otherwise).
 
-    An axis along which V is constant is free: its kinetic factor commutes
-    with every other factor of the step.  A field that is a product u b of
-    a unit vector u on the free axis and b on the coupled one (see
-    :func:`_product_split`) is split once, only b is stepped, and u is
-    read exactly at each step as u_t = F^-1 exp(-i hbar k_f^2 t / 2m) F u:
-    the free axis's margin mass is u_t's times |b|^2, and the field is
-    u_t b where it is observed (records and the return).  Any other field
-    steps every axis.  Each step applies one full kick; the last step's
-    trailing half kick is applied where the field is observed too.
+    Each step is a half kick, the kinetic step and a half kick.  On a 2D
+    grid whose V is constant along axis 0, that axis's kinetic factor
+    commutes with every other factor of the step: a field that is a product
+    u b of a unit vector u on axis 0 and a row b (see
+    :func:`_product_split`) is split once, only b is stepped, and u is read
+    exactly at each step as u_t = F^-1 exp(-i hbar k_0^2 t / 2m) F u: axis
+    0's margin mass is u_t's times |b|^2, and the field is u_t b where it
+    is observed (records and the return).  Any other field steps every axis.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
     grid = field.grid
     v = potential.values(grid)
-    free = _free_axes(grid, v)
-    # a grid with a free axis has two; the split field is free-axis-major
-    flip = free == (1,)
-    split = _product_split(field.psi.T if flip else field.psi) if free else None
+    split = None
+    if np.ndim(v) == 2 and np.array_equal(v, np.broadcast_to(v[:1], v.shape)):
+        split = _product_split(field.psi)
     if split is None:
         free, psi = (), field.psi.copy()
     else:
-        u, psi = split
-        v = (v.T if flip else v)[:1]
+        free, (u, psi), v = (0,), split, v[:1]
         fu = _fft.fft(u, axis=0)
-        phase = 1j * (grid.kaxis(free[0]) ** 2 * (-0.5 * HBAR / field.mass))[:, None]
+        phase = 1j * (grid.kaxis(0) ** 2 * (-0.5 * HBAR / field.mass))[:, None]
         w = _margin_width(len(u))
         edge = np.r_[:w, len(u) - w:len(u)]
         # |b|^2 dv, which the unitary steps keep
         b2 = float(np.vdot(psi, psi).real) * grid.cell_volume
-    coupled = tuple(a for a in range(grid.ndim) if a not in free)
-    kin = kinetic_phase(grid, field.mass, dt, coupled)
-    # the held field lacks its trailing half kick, which joins the next
-    # step's leading one into one full kick
-    half, full = half_kick(v, dt), half_kick(v, 2.0 * dt)
+    kin = kinetic_phase(grid, field.mass, dt, (1,) if free else None)
+    half = half_kick(v, dt)
     check = boundary_monitor(grid, free)
-
-    def observe(psi, u_t):
-        """The held field in grid order, with its trailing half kick and,
-        for a split field, its free factor ``u_t``; ``psi`` is not changed."""
-        if half is not None:
-            psi = psi * half
-        if not free:
-            return psi
-        psi = u_t @ psi
-        return psi.T if flip else psi
 
     out = WaveField(grid, field.psi, field.mass, field.time, field.norm_drift)
     trace = ObservableTrace() if record_every else None
@@ -556,8 +519,10 @@ def propagate(field, potential, dt, steps, record_every=0):
     u_t, free_mass = None, 0.0
     for step in range(1, steps + 1):
         if half is not None:
-            psi *= half if step == 1 else full
+            psi *= half
         psi = fourier_multiply(psi, kin)
+        if half is not None:
+            psi *= half
         out.time += dt
         if free:
             u_t = fu * np.exp(step * dt * phase)
@@ -566,10 +531,10 @@ def propagate(field, potential, dt, steps, record_every=0):
             free_mass = float(np.vdot(e, e).real) * b2
         check(psi, out.time, step, free_mass)
         if record_every and step % record_every == 0 and step < steps:
-            out.psi = observe(psi, u_t)
+            out.psi = u_t @ psi if free else psi
             trace.append(out.time, observables(out, potential))
 
-    out.psi = observe(psi, u_t)
+    out.psi = u_t @ psi if free else psi
     if record_every:
         trace.append(out.time, observables(out, potential))
     out.norm_drift = max(field.norm_drift, abs(out.norm() - 1.0))

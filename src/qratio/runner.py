@@ -202,6 +202,20 @@ def _check_sg_kick(p, grid):
                f"'duration' = {p['duration']:g} s")
 
 
+def _decoupled_steps(p, grid):
+    """Strang steps of a decoupled run, in either mode: the spectral
+    ceiling's count, rounded up to a multiple of 32 so that its trace
+    records 33 evenly spaced samples.  Strang splitting is exact up to a
+    global phase in a linear potential, so the count does not set the
+    accuracy.  It is compared with the cap as a float, which may be inf,
+    before ``ceil``."""
+    count = p["duration"] / ceiling_dt(grid, p["mass"])
+    if not count <= sg.MAX_STEPS:
+        raise DomainError(f"[sg] 'duration' = {p['duration']:g} s takes over "
+                          f"{sg.MAX_STEPS} decoupled steps, the cap")
+    return 32 * max(1, math.ceil(count / 32))
+
+
 def _run_sg(cfg):
     p = cfg.section("sg")
     mode = p["mode"]
@@ -209,10 +223,13 @@ def _run_sg(cfg):
         hist = sg.large_spin_bands(
             p["j"], p["theta"], sg.SGFieldConfig(0.0, p["b0"]),
             p["region_length"] / p["speed"], p["drift_time"], p["mass"])
-        rows = list(zip(hist.m_values, hist.deflections, hist.weights))
+        # the bands that carry weight, as distribution.csv lists them
+        nz = np.flatnonzero(hist.weights)
+        rows = list(zip(hist.m_values[nz], hist.deflections[nz],
+                        hist.weights[nz]))
         m_peak = p["j"] * math.cos(p["theta"])
         files = {"bands.csv": _csv_bytes(("m", "z_m", "weight"), rows),
-                 "bands.svg": _svg_bands(hist.m_values, hist.weights)}
+                 "bands.svg": _svg_bands(hist.m_values[nz], hist.weights[nz])}
         summary = {"j": p["j"], "theta": p["theta"],
                    "mean_deflection_m": hist.mean_deflection(),
                    "classical_m": m_peak, "total_weight": float(hist.weights.sum())}
@@ -221,11 +238,12 @@ def _run_sg(cfg):
     if p["b0"] == 0.0:
         raise DomainError(f"[sg] {mode} needs a nonzero gradient 'b0'")
     grid = _sg_grid(cfg)
-    pkt = GaussianPacket(0.0, p["width"], 0.0, p["mass"])
     c_up, c_down = _amplitudes(cfg, "sg", "c_up", "c_down")
-    up = initialize_gaussian(grid, (pkt, pkt))
-    down = initialize_gaussian(grid, (pkt, pkt))
-    spinor = sg.SpinorField(up, down, c_up, c_down)
+    steps = _decoupled_steps(p, grid)
+    dt = p["duration"] / steps
+    pkt = GaussianPacket(0.0, p["width"], 0.0, p["mass"])
+    start = initialize_gaussian(grid, (pkt, pkt))
+    spinor = sg.SpinorField(start, start, c_up, c_down)
 
     if mode == "decoupled":
         _check_sg_kick(p, grid)
@@ -239,10 +257,8 @@ def _run_sg(cfg):
                 "N s, under 1e-6 hbar/'width', where the momentum check "
                 "reads rounding")
         config = sg.SGFieldConfig(0.0, p["b0"])
-        steps = p["steps"]
-        dt = p["duration"] / steps
-        rec = p["record_every"] or max(1, steps // 32)
-        out = sg.propagate_decoupled(spinor, config, dt, steps, record_every=rec)
+        out = sg.propagate_decoupled(spinor, config, dt, steps,
+                                     record_every=steps // 32)
         slope = BOHR_MAGNETON * p["b0"]
         t_end = out.up.time
         tr_u, tr_d = out.up.trace, out.down.trace
@@ -262,14 +278,6 @@ def _run_sg(cfg):
 
     # coupled-check
     y_max = grid.extents[0] / 2.0
-    # Strang splitting is exact up to a global phase for a linear
-    # potential, so the decoupled reference runs at the spectral ceiling;
-    # counts are compared as floats, which may be inf, before int()
-    steps_d = p["duration"] / ceiling_dt(grid, p["mass"])
-    if not steps_d <= sg.MAX_STEPS:
-        raise DomainError(f"[sg] 'duration' = {p['duration']:g} s takes over "
-                          f"{sg.MAX_STEPS} decoupled steps, the cap")
-    steps_d = max(1, math.ceil(steps_d))
     configs = [sg.SGFieldConfig(r * p["b0"] * y_max, p["b0"])
                for r in p["bias_ratios"]]
     for config in configs:
@@ -281,11 +289,11 @@ def _run_sg(cfg):
     # after the caps, which name the cause of a run too long to make
     _check_sg_kick(p, grid)
     # the decoupled potentials read b0 alone: one reference serves every ratio
-    decp = sg.propagate_decoupled(spinor, configs[0], p["duration"] / steps_d,
-                                  steps_d)
+    decp = sg.propagate_decoupled(spinor, configs[0], dt, steps)
     nu_d, nd_d = decp.densities()
     results = []
-    drift = {}
+    drift = {"norm_drift_decoupled_up": decp.up.norm_drift,
+             "norm_drift_decoupled_down": decp.down.norm_drift}
     for r, config in zip(p["bias_ratios"], configs):
         coup, applications = sg.propagate_coupled(spinor, config, p["duration"], 1)
         nu_c, nd_c = coup.densities()
@@ -293,12 +301,10 @@ def _run_sg(cfg):
                    * grid.cell_volume)
         transfer = abs(abs(coup.c_up) ** 2 - abs(spinor.c_up) ** 2)
         results.append({"bias_ratio": r, "B0_T": config.field_B0,
-                        "steps": applications, "decoupled_steps": steps_d,
+                        "steps": applications, "decoupled_steps": steps,
                         "l1_density_deviation": l1,
                         "population_transfer": transfer})
         drift[f"norm_drift_ratio_{r:g}"] = coup.up.norm_drift
-        drift[f"norm_drift_decoupled_up_ratio_{r:g}"] = decp.up.norm_drift
-        drift[f"norm_drift_decoupled_down_ratio_{r:g}"] = decp.down.norm_drift
     files = {"comparison.csv": _csv_bytes(
         ("bias_ratio", "B0_T", "steps", "l1_density_deviation",
          "population_transfer"),

@@ -32,8 +32,8 @@ from .spin import SpinCoherentState, distribution
 
 # ratio |B0| / max|b0*y| above which the decoupled equations are trusted
 MIN_FIELD_RATIO = 50.0
-# Strang steps per decoupled propagate call: [sg] steps, or the count
-# derived from the duration and the step ceiling
+# Strang steps per decoupled propagate call, such as the count an [sg]
+# run derives from its duration and the spectral step ceiling
 MAX_STEPS = 200_000
 
 

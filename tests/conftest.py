@@ -9,8 +9,8 @@ from qratio.cli import _preset_text, preset_names
 from qratio.config import parse_config
 from qratio.constants import ELECTRON_MASS, HBAR
 from qratio.core import GaussianPacket
-from qratio.decoherence import (EnvironmentSpec, propagate_density,
-                                pure_to_density)
+from qratio.decoherence import (EnvironmentSpec, decohered_sg_scenario,
+                                propagate_density, pure_to_density)
 from qratio.grid import Grid, WaveField, initialize_gaussian, kinetic_ceiling
 from qratio.runner import run
 from qratio.stern_gerlach import SGFieldConfig, SpinorField, propagate_decoupled
@@ -27,10 +27,13 @@ def preset_runs(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def criterion_8_free_run():
-    """Criterion 8's engine set-up and its 1,000-step damped free run, made
-    once: two 25 nm packets 250 nm apart on 512 points over 1 um as the
-    density matrix ``rho``, the 60 nm, 2e13 /s environment ``env``, the
-    step ``dt`` and ``state``, rho after 1,000 damped free steps of dt."""
+    """Criterion 8's engine set-up and its two long runs, made once: two
+    25 nm packets 250 nm apart on 512 points over 1 um as the density
+    matrix ``rho``, the 60 nm, 2e13 /s environment ``env``, the step ``dt``
+    and ``state``, rho after 1,000 damped free steps of dt; ``bands``, the
+    200-step decohered Stern-Gerlach report of amplitudes 0.6 and 0.8 over
+    5 / Lambda; and the wall time it took, ``elapsed``."""
+    began = time.monotonic()
     grid = Grid.make(512, 1e-6)
     env = EnvironmentSpec(60e-9, 2e13)
     width, sep = 25e-9, 250e-9
@@ -43,8 +46,11 @@ def criterion_8_free_run():
     rho = pure_to_density(WaveField(grid, psi, ELECTRON_MASS))
     dt = (5.0 / env.rate_Lambda) / 1000
     state = propagate_density(rho, env, dt, 1000)
+    bands = decohered_sg_scenario(0.6, 0.8, env, grid, width, sep,
+                                  ELECTRON_MASS, 0.0, 5.0 / env.rate_Lambda, 200)
     return SimpleNamespace(grid=grid, env=env, width=width, sep=sep, rho=rho,
-                           dt=dt, state=state)
+                           dt=dt, state=state, bands=bands,
+                           elapsed=time.monotonic() - began)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import pytest
 from qratio import catalog
 from qratio.catalog import (CATALOG, ExperimentRecord, ParticleSpec,
                             catalog_lookup, experiment_names, parse_catalog)
-from qratio.constants import ATOMIC_MASS_UNIT, KG_PER_MEV_C2
+from qratio.constants import KG_PER_MEV_C2
 from qratio.core import Classification, quantum_ratio
 from qratio.errors import CatalogKeyError, ConfigError, DomainError
 

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 from importlib import resources
 
 import numpy as np
@@ -122,36 +121,57 @@ def test_decohere_nan_amplitude_rejected(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
-def test_sg_decoupled_steps(tmp_path, capsys):
-    small = ("points = 256 256", "points = 64 64")
-    cfg = preset_copy(tmp_path, "sg-split", small, ("steps = 256", "steps = 0"))
-    code, out = run_cli(tmp_path, "sg", "--config", cfg)
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError" and "steps" in err["message"]
-    assert not (out / "summary.json").exists()
-    # only an absent key falls back to the default step count
-    cfg = preset_copy(tmp_path, "sg-split", small, ("steps = 256\n", ""))
-    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+def test_sg_decoupled_steps(tmp_path):
+    # both modes take the decoupled step count from the spectral band: the
+    # same grid, mass and duration give the same count
+    short = ("duration = 5.4e-11 s", "duration = 5.4e-12 s")
+    cfg = preset_copy(tmp_path, "sg-coupled-check", short)
+    code, out = run_cli(tmp_path / "coupled-check", "sg", "--config", cfg)
     assert code == 0
-    assert load_summary(out)["steps"] == 200
+    (res,) = load_summary(out)["results"]
+    cfg = preset_copy(tmp_path, "sg-coupled-check", short,
+                      ("mode = coupled-check", "mode = decoupled"))
+    code, out = run_cli(tmp_path / "decoupled", "sg", "--config", cfg)
+    assert code == 0
+    assert load_summary(out)["steps"] == res["decoupled_steps"] == 64
 
 
-@pytest.mark.parametrize("edit,samples", [
-    (("steps = 256\n", ""), 35),                           # 200 steps, stride 6
-    (("steps = 256", "steps = 40\nrecord_every = 1000"), 2),
-])
-def test_sg_decoupled_trace_ends_at_last_step(tmp_path, edit, samples):
+@pytest.mark.parametrize("edits,steps", [
+    ((("points = 256 256", "points = 64 64"),), 32),       # stride 1
+    ((), 288),                                             # stride 9
+], ids=["64x64-32-steps", "256x256-288-steps"])
+def test_sg_decoupled_trace_has_33_even_samples(tmp_path, edits, steps):
     # the momentum check compares the last trace sample with the kick at
     # t_end, so the trace must end there whatever the stride
-    cfg = preset_copy(tmp_path, "sg-split", ("points = 256 256", "points = 64 64"),
-                      edit)
+    cfg = preset_copy(tmp_path, "sg-split", *edits)
     code, out = run_cli(tmp_path, "sg", "--config", cfg)
     assert code == 0
-    rows = (out / "trace_up.csv").read_text().splitlines()[1:]
-    assert len(rows) == samples
-    assert float(rows[-1].split(",")[0]) == pytest.approx(2e-12, rel=1e-12)
-    assert load_summary(out)["pz_relative_error"] < 1e-9
+    summary = load_summary(out)
+    assert summary["steps"] == steps
+    times = [float(r.split(",")[0])
+             for r in (out / "trace_up.csv").read_text().splitlines()[1:]]
+    assert times == pytest.approx([k * 2e-12 / 32 for k in range(33)],
+                                  rel=1e-12, abs=0.0)
+    assert summary["pz_relative_error"] < 1e-9
+
+
+@pytest.mark.parametrize("preset,old", [
+    ("sg-split", "duration = 2 ps"),
+    ("sg-coupled-check", "duration = 5.4e-11 s"),
+], ids=["decoupled", "coupled-check"])
+def test_sg_duration_cap_comes_before_any_stepping(tmp_path, capsys,
+                                                   monkeypatch, preset, old):
+    def refused(*args, **kwargs):
+        raise AssertionError("a field was made or stepped past the cap")
+    monkeypatch.setattr(runner, "initialize_gaussian", refused)
+    monkeypatch.setattr(runner.sg, "propagate_decoupled", refused)
+    cfg = preset_copy(tmp_path, preset, (old, "duration = 1 s"))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert "'duration'" in err["message"] and "decoupled steps" in err["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("old,new,words", [
@@ -175,12 +195,12 @@ def test_sg_coupled_check_records_both_step_counts(tmp_path):
     assert code == 0
     (res,) = load_summary(out)["results"]
     # one Chebyshev expansion of alpha = 62.7 (108 H-applications), and the
-    # decoupled reference at the spectral ceiling
-    assert (res["steps"], res["decoupled_steps"]) == (108, 46)
+    # decoupled reference at the spectral ceiling: 45.9 steps, rounded up
+    # to a multiple of 32
+    assert (res["steps"], res["decoupled_steps"]) == (108, 64)
     drift = json.loads((out / "manifest.json").read_text())["drift"]
-    assert set(drift) == {"norm_drift_ratio_200",
-                          "norm_drift_decoupled_up_ratio_200",
-                          "norm_drift_decoupled_down_ratio_200"}
+    assert set(drift) == {"norm_drift_ratio_200", "norm_drift_decoupled_up",
+                          "norm_drift_decoupled_down"}
 
 
 @pytest.mark.parametrize("old,new,words", [
@@ -267,7 +287,7 @@ def test_degenerate_sizes_rejected(tmp_path, capsys, kind, preset, old, new,
 @pytest.mark.parametrize("kind,preset,old,new,key", [
     ("tunnel", "tunnel-pure", "energy = 1 eV", "energy = 0 eV", "energy"),
     ("tunnel", "tunnel-pure", "energy = 1 eV", "energy = -1 eV", "energy"),
-    ("sg", "sg-split", "steps = 256", "steps = 256\nrecord_every = -5",
+    ("sg", "sg-split", "b0 = 5e8 T/m", "b0 = 5e8 T/m\nrecord_every = -5",
      "record_every"),
     ("decohere", "decohere-split", "points = 512", "points = 512 7", "points"),
     ("decohere", "decohere-split", "duration_rate = 5.0", "duration_rate = -1",
@@ -278,9 +298,22 @@ def test_degenerate_sizes_rejected(tmp_path, capsys, kind, preset, old, new,
      "mass"),
     # no [sg] run reads a bias field: coupled-check sets it from 'bias_ratios'
     ("sg", "sg-split", "b0 = 5e8 T/m", "b0 = 5e8 T/m\nB0 = 1 T", "B0"),
+    ("talbot", "carpet-100nm", "z_steps = 200", "z_steps = 0", "z_steps"),
+    ("talbot", "carpet-100nm", "z_max_talbot = 2.2", "z_max_talbot = 0",
+     "z_max_talbot"),
+    ("talbot", "carpet-100nm", "slits = 64", "slits = 1", "slits"),
+    ("talbot", "carpet-100nm", "period = 100 nm", "period = 0 nm", "period"),
+    ("talbot", "carpet-100nm", "wavelength = 1 nm", "wavelength = -1 nm",
+     "wavelength"),
+    ("talbot", "lau-resonant", "L1_talbot = 1.0", "L1_talbot = 0",
+     "L1_talbot"),
+    ("talbot", "lau-resonant", "L2_talbot = 1.0", "L2_talbot = -1",
+     "L2_talbot"),
 ], ids=["zero-energy", "negative-energy", "negative-record-every",
         "decohere-two-points", "negative-duration-rate", "negative-tau-diss",
-        "negative-tunnel-mass", "sg-bias-key"])
+        "negative-tunnel-mass", "sg-bias-key", "zero-z-steps",
+        "zero-z-max-talbot", "one-slit", "zero-period", "negative-wavelength",
+        "zero-L1-talbot", "negative-L2-talbot"])
 def test_schema_bounds_rejected(tmp_path, capsys, kind, preset, old, new, key):
     cfg = preset_copy(tmp_path, preset, (old, new))
     code, out = run_cli(tmp_path, kind, "--config", cfg)
@@ -362,7 +395,13 @@ def test_sg_phi_is_not_a_key(tmp_path, capsys):
     # the J_z weights do not depend on the azimuth phi
     ("spin-dist", "spin-13half-pi4", "theta = pi/4", "theta = pi/4\nphi = 0.3",
      "phi"),
-], ids=["scenario-seed", "spin-phi"])
+    # the decoupled run takes its step count, and so its records, from the
+    # spectral band
+    ("sg", "sg-split", "duration = 2 ps", "duration = 2 ps\nsteps = 256",
+     "steps"),
+    ("sg", "sg-split", "duration = 2 ps", "duration = 2 ps\nrecord_every = 8",
+     "record_every"),
+], ids=["scenario-seed", "spin-phi", "sg-steps", "sg-record-every"])
 def test_inert_keys_are_unknown(tmp_path, capsys, kind, preset, old, new, key):
     cfg = preset_copy(tmp_path, preset, (old, new))
     code, out = run_cli(tmp_path, kind, "--config", cfg)
@@ -639,7 +678,7 @@ def test_an_unwritable_output_is_a_config_error(tmp_path, capsys, taken):
     ("talbot", "lau-resonant", "offsets = 81", "offsets = 1000000000"),
     ("decohere", "decohere-split", "steps = 200", "steps = 1000000000"),
     ("talbot", "lau-resonant", "source_slits = 16", "source_slits = 1000000000"),
-    ("sg", "sg-split", "steps = 256", "steps = 1000000000"),
+    ("sg", "sg-split", "duration = 2 ps", "duration = 1 s"),
     ("sg", "sg-coupled-check", "duration = 5.4e-11 s", "duration = 1 s"),
 ], ids=["sg-grid", "talbot-carpet", "sweep-count", "lau-offsets",
         "decohere-steps", "lau-source-slits", "sg-steps", "sg-coupled-duration"])
@@ -776,6 +815,23 @@ def test_sg_bands_outputs(tmp_path):
     assert rows[0] == "m,z_m,weight"
     assert len(rows) == 15
     assert (out / "bands.svg").read_text().startswith("<svg")
+
+
+def test_sg_bands_list_only_weighted_bands(tmp_path):
+    # at j = 2000 the far tails of the 4,001 bands underflow to weight 0;
+    # the files list the others, as distribution.csv does, and the summary
+    # still sums the whole histogram
+    cfg = preset_copy(tmp_path, "sg-bands-13half", ("j = 13/2", "j = 2000"),
+                      ("theta = pi/2", "theta = pi/3"))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 0
+    rows = (out / "bands.csv").read_text().splitlines()[1:]
+    weights = [float(r.split(",")[2]) for r in rows]
+    assert 0 < len(rows) < 4001 and min(weights) > 0.0
+    # one bar per row, over the white background
+    assert (out / "bands.svg").read_text().count("<rect ") == len(rows) + 1
+    assert math.fsum(weights) == pytest.approx(
+        load_summary(out)["total_weight"], rel=1e-12)
 
 
 def test_carpet_outputs_binary_and_image(tmp_path):

@@ -298,5 +298,4 @@ def test_defaults_fill_absent_sections():
     cfg = parse_config(SG + "mode = bands\nj = 1\ntheta = 1\nspeed = 1 m/s\n"
                        "region_length = 1 cm\n")
     assert cfg.section("grid") == {"points": (256, 256), "extent": 1e-6}
-    assert cfg.section("sg")["steps"] == 200
     assert cfg.section("sg")["c_up"] == 1.0 / math.sqrt(2.0)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import fft
 
-from qratio.constants import ELECTRON_MASS as ME, HBAR
+from qratio.constants import ELECTRON_MASS as ME
 from qratio.core import GaussianPacket
-from qratio.decoherence import (EnvironmentSpec, TimescaleReport, RELIABLE,
+from qratio.decoherence import (EnvironmentSpec, RELIABLE,
                                 RANDOM_MOTION, ORDERING_VIOLATED, MAX_STEPS,
                                 DensityMatrix, _apply_unitary,
                                 apply_damping, coherence, damping_kernel,

@@ -418,15 +418,16 @@ def test_field_array_bad_ndim_is_a_domain_error(tmp_path, ndim):
 
 
 # ---------------------------------------------------------------------------
-# free axes: a potential that depends on z only leaves x to exact free motion
+# free axes: a potential that depends on z only leaves x, axis 0, to exact
+# free motion
 
-ZX = Grid.make((256, 64), (2e-6, 1e-6))          # (z, x); z is coupled
-BARRIER = SampledPotential(lambda zm, xm: 2e-21 * np.exp(-(zm / 5e-8) ** 2))
+XZ = Grid.make((64, 256), (1e-6, 2e-6))          # (x, z); z is coupled
+BARRIER = SampledPotential(lambda xm, zm: 2e-21 * np.exp(-(zm / 5e-8) ** 2))
 
 
-def zx_field(pz=3e-26, px=1e-26, z0=-3e-7, x0=1e-7):
-    return initialize_gaussian(ZX, (GaussianPacket(z0, 1e-7, pz, ME),
-                                    GaussianPacket(x0, 8e-8, px, ME)))
+def xz_field(pz=3e-26, px=1e-26, z0=-3e-7, x0=1e-7):
+    return initialize_gaussian(XZ, (GaussianPacket(x0, 8e-8, px, ME),
+                                    GaussianPacket(z0, 1e-7, pz, ME)))
 
 
 def boundary_step(call):
@@ -466,19 +467,27 @@ def full_grid_boundary_step(field, potential, dt, steps):
 
 
 class TestFreeAxes:
-    @pytest.mark.parametrize("potential, free", [
-        (FreePotential(), ()),
-        (LinearPotential(1.0, 1), (0,)),
-        (LinearPotential(0.0, 1), ()),             # constant along both
-        (BARRIER, (1,)),
-        (SampledPotential(lambda zm, xm: zm * xm), ()),
+    # a product field splits where V is a 2D array constant along axis 0
+    @pytest.mark.parametrize("potential, split", [
+        (FreePotential(), False),
+        (LinearPotential(1e-20, 0), False),
+        (LinearPotential(0.0, 1), True),           # constant along both
+        (BARRIER, True),
+        (SampledPotential(lambda xm, zm: 1e-14 * xm * zm), False),
     ], ids=["free", "linear-x", "constant", "barrier", "both"])
-    def test_free_axes_are_read_off_v(self, potential, free):
-        assert grid_module._free_axes(ZX, potential.values(ZX)) == free
+    def test_free_axes_are_read_off_v(self, monkeypatch, potential, split):
+        calls, product_split = [], grid_module._product_split
+
+        def logged(psi):
+            calls.append(psi.shape)
+            return product_split(psi)
+        monkeypatch.setattr(grid_module, "_product_split", logged)
+        propagate(xz_field(), potential, suggest_dt(XZ, potential, ME), 1)
+        assert calls == ([XZ.points] if split else [])
 
     def test_matches_stepping_every_axis(self):
-        f0 = zx_field()
-        dt = suggest_dt(ZX, BARRIER, ME)
+        f0 = xz_field()
+        dt = suggest_dt(XZ, BARRIER, ME)
         a = propagate(f0, BARRIER, dt, 300, record_every=50)
         psi, snaps = full_grid_steps(f0, BARRIER, dt, 300, 50)
         assert a.psi.shape == f0.psi.shape
@@ -489,12 +498,12 @@ class TestFreeAxes:
             y = np.asarray([getattr(s, name) for s in snaps])
             assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
-    def test_one_kick_per_step_matches_two_half_kicks(self):
-        # V varies along both axes: the empty free set of the same loop
+    def test_unsplit_field_matches_two_half_kicks(self):
+        # V varies along both axes: every axis is stepped by the same loop
         potential = SampledPotential(
-            lambda zm, xm: 2e-21 * np.exp(-(zm / 5e-8) ** 2 - (xm / 2e-7) ** 2))
-        f0 = zx_field()
-        dt = suggest_dt(ZX, potential, ME)
+            lambda xm, zm: 2e-21 * np.exp(-(zm / 5e-8) ** 2 - (xm / 2e-7) ** 2))
+        f0 = xz_field()
+        dt = suggest_dt(XZ, potential, ME)
         a = propagate(f0, potential, dt, 300, record_every=50)
         psi, snaps = full_grid_steps(f0, potential, dt, 300, 50)
         assert np.max(np.abs(a.psi - psi)) < 1e-12 * np.max(np.abs(psi))
@@ -503,13 +512,13 @@ class TestFreeAxes:
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
     @pytest.mark.parametrize("potential", [
-        LinearPotential(1e-20, 1),        # (y, z): held as it is
-        BARRIER,                          # (z, x): held transposed
+        LinearPotential(1e-20, 1),        # (y, z): split on axis 0
+        LinearPotential(1e-20, 0),        # (z, x): every axis stepped
     ], ids=["yz", "zx"])
     def test_never_mutates_its_input(self, potential):
-        f0 = zx_field()
+        f0 = xz_field()
         before = f0.psi.copy()
-        dt = suggest_dt(ZX, potential, ME)
+        dt = suggest_dt(XZ, potential, ME)
         out = propagate(f0, potential, dt, 20, record_every=10)
         assert np.array_equal(f0.psi, before) and f0.time == 0.0
         back = propagate(out, potential, -dt, 20)
@@ -520,15 +529,15 @@ class TestFreeAxes:
                                                 (-2e-26, 0.0, -6e-7, 0.0)],
                              ids=["free-margin", "coupled-margin"])
     def test_margin_aborts_no_later_than_full_grid(self, pz, px, z0, x0):
-        f0 = zx_field(pz=pz, px=px, z0=z0, x0=x0)
-        dt = suggest_dt(ZX, BARRIER, ME)
+        f0 = xz_field(pz=pz, px=px, z0=z0, x0=x0)
+        dt = suggest_dt(XZ, BARRIER, ME)
         reference = full_grid_boundary_step(f0, BARRIER, dt, 100_000)
         step = boundary_step(lambda: propagate(f0, BARRIER, dt, 100_000))
         assert reference - 2 <= step <= reference
 
     def test_long_run_holds_nothing_sized_by_steps(self):
-        f0 = zx_field(pz=-2e-26, px=0.0, z0=-6e-7, x0=0.0)
-        dt = suggest_dt(ZX, BARRIER, ME)
+        f0 = xz_field(pz=-2e-26, px=0.0, z0=-6e-7, x0=0.0)
+        dt = suggest_dt(XZ, BARRIER, ME)
         peaks, stops = [], []
         for steps in (2_000, 100_000):
             tracemalloc.start()
@@ -571,17 +580,17 @@ class _CountingFFT:
 def test_steps_transform_only_the_coupled_axis(monkeypatch, record_every):
     proxy = _CountingFFT(grid_module._fft)
     monkeypatch.setattr(grid_module, "_fft", proxy)
-    f0 = zx_field()
+    f0 = xz_field()
     steps = 60
-    propagate(f0, BARRIER, suggest_dt(ZX, BARRIER, ME), steps,
+    propagate(f0, BARRIER, suggest_dt(XZ, BARRIER, ME), steps,
               record_every=record_every)
-    n_z, n_x = ZX.points
+    n_x, n_z = XZ.points
     # a product field steps its one coupled-axis row (a 1D fft and ifft
     # along its last axis), and reads its free factor (transformed once
     # before the loop) at every step
     per_step = [c for c in proxy.calls if c == ((1, n_z), None)]
     free_axis = [c for c in proxy.calls if c == ((n_x, 1), 0)]
-    snapshots = [c for c in proxy.calls if c == ((n_z, n_x), (-1, -2))]
+    snapshots = [c for c in proxy.calls if c == ((n_x, n_z), (-1, -2))]
     records = steps // record_every + 1 if record_every else 0
     assert len(per_step) == 2 * steps
     assert proxy.named.count(("fft", (1, n_z))) == steps
@@ -596,12 +605,12 @@ def test_non_product_field_transforms_the_full_grid(monkeypatch, record_every):
     proxy = _CountingFFT(grid_module._fft)
     monkeypatch.setattr(grid_module, "_fft", proxy)
     steps = 60
-    propagate(rank2_field(), BARRIER, suggest_dt(ZX, BARRIER, ME), steps,
+    propagate(rank2_field(), BARRIER, suggest_dt(XZ, BARRIER, ME), steps,
               record_every=record_every)
     # the transform pair of each step and one transform per snapshot, all
-    # on the full (n_z, n_x) grid, axis 0 first
+    # on the full (n_x, n_z) grid, axis 0 first
     records = steps // record_every + 1 if record_every else 0
-    assert proxy.calls == [(ZX.points, (-1, -2))] * (2 * steps + records)
+    assert proxy.calls == [(XZ.points, (-1, -2))] * (2 * steps + records)
 
 
 def density_step():
@@ -622,9 +631,9 @@ def spinor_step():
 
 
 def free_axis_step():
-    g = Grid.make((2048, 64), (2e-6, 1e-6))
-    f0 = initialize_gaussian(g, (GaussianPacket(-3e-7, 1e-7, 3e-26, ME),
-                                 GaussianPacket(1e-7, 8e-8, 1e-26, ME)))
+    g = Grid.make((64, 2048), (1e-6, 2e-6))
+    f0 = initialize_gaussian(g, (GaussianPacket(1e-7, 8e-8, 1e-26, ME),
+                                 GaussianPacket(-3e-7, 1e-7, 3e-26, ME)))
     propagate(f0, BARRIER, suggest_dt(g, BARRIER, ME), 1)
     return 1
 
@@ -656,21 +665,21 @@ def test_every_transform_runs_on_one_thread(monkeypatch, step, calls):
 
 def rank2_field(second=(2e-26, -1e-26, 2e-7, -1.2e-7)):
     """Sum of two product packets, normalized."""
-    psi = zx_field().psi + zx_field(*second).psi
-    return WaveField(ZX, psi / math.sqrt(np.sum(np.abs(psi) ** 2)
-                                         * ZX.cell_volume), ME)
+    psi = xz_field().psi + xz_field(*second).psi
+    return WaveField(XZ, psi / math.sqrt(np.sum(np.abs(psi) ** 2)
+                                         * XZ.cell_volume), ME)
 
 
 def seeded_field(seed=20260):
     """Complex Gaussian noise under a Gaussian envelope well inside the
     margins: full rank, with every row of it independent."""
     rng = np.random.default_rng(seed)
-    zm, xm = ZX.open_axes()
+    xm, zm = XZ.open_axes()
     envelope = np.exp(-((zm + 3e-7) / 1.5e-7) ** 2 - (xm / 1.2e-7) ** 2)
-    psi = envelope * (rng.standard_normal(ZX.points)
-                      + 1j * rng.standard_normal(ZX.points))
-    return WaveField(ZX, psi / math.sqrt(np.sum(np.abs(psi) ** 2)
-                                         * ZX.cell_volume), ME)
+    psi = envelope * (rng.standard_normal(XZ.points)
+                      + 1j * rng.standard_normal(XZ.points))
+    return WaveField(XZ, psi / math.sqrt(np.sum(np.abs(psi) ** 2)
+                                         * XZ.cell_volume), ME)
 
 
 def full_grid_fields(field, potential, dt, steps, record_every):
@@ -717,18 +726,18 @@ def margin_masses(monkeypatch, field, potential, dt, steps):
 
 
 class TestRowBasis:
-    @pytest.mark.parametrize("make, product", [(zx_field, True),
+    @pytest.mark.parametrize("make, product", [(xz_field, True),
                                                (rank2_field, False),
                                                (seeded_field, False)],
                              ids=["product", "rank-2", "seeded"])
     def test_splits_only_a_product_field(self, make, product):
-        psi = make().psi.T                      # free-axis-major
+        psi = make().psi
         split = grid_module._product_split(psi)
         if not product:
             assert split is None
             return
         u, b = split
-        assert u.shape == (ZX.points[1], 1) and b.shape == (1, ZX.points[0])
+        assert u.shape == (XZ.points[0], 1) and b.shape == (1, XZ.points[1])
         assert abs(np.linalg.norm(u) - 1.0) < 1e-15
         assert np.linalg.norm(u @ b - psi) <= 1e-15 * np.linalg.norm(psi)
 
@@ -736,7 +745,7 @@ class TestRowBasis:
                              ids=["rank-2", "seeded"])
     def test_matches_stepping_every_axis(self, monkeypatch, make):
         f0 = make()
-        dt = suggest_dt(ZX, BARRIER, ME)
+        dt = suggest_dt(XZ, BARRIER, ME)
         got = recorded_fields(monkeypatch, f0, BARRIER, dt, 60, 20)
         want = full_grid_fields(f0, BARRIER, dt, 60, 20)
         assert len(got) == len(want) == 4
@@ -748,19 +757,19 @@ class TestRowBasis:
                                         (-2e-26, 0.0, -6e-7, 0.0)],
                              ids=["free-margin", "coupled-margin"])
     def test_margin_mass_and_stop_match_every_row(self, monkeypatch, packet):
-        f0 = zx_field(*packet)
-        dt = suggest_dt(ZX, BARRIER, ME)
+        f0 = xz_field(*packet)
+        dt = suggest_dt(XZ, BARRIER, ME)
         masses, stop = margin_masses(monkeypatch, f0, BARRIER, dt, 100_000)
         # every row stepped on the full grid: the coupled (z) axis's outer
         # slabs plus the free (x) axis's, each across the whole grid
-        kin = kinetic_phase(ZX, ME, dt)
-        half = half_kick(BARRIER.values(ZX), dt)
-        w_z, w_x = map(grid_module._margin_width, ZX.points)
+        kin = kinetic_phase(XZ, ME, dt)
+        half = half_kick(BARRIER.values(XZ), dt)
+        w_x, w_z = map(grid_module._margin_width, XZ.points)
         psi, want = f0.psi, []
         while not want or want[-1] < BOUNDARY_TOLERANCE:
             psi = strang_step(psi, kin, lambda p: p * half)
-            slabs = (psi[:w_z], psi[-w_z:], psi[:, :w_x], psi[:, -w_x:])
-            want.append(sum(np.vdot(e, e).real for e in slabs) * ZX.cell_volume)
+            slabs = (psi[:w_x], psi[-w_x:], psi[:, :w_z], psi[:, -w_z:])
+            want.append(sum(np.vdot(e, e).real for e in slabs) * XZ.cell_volume)
         # the check that raises returns no mass
         assert len(masses) == len(want) - 1 > 100
         assert (np.max(np.abs(np.subtract(masses, want[:-1])))

@@ -1,7 +1,8 @@
 """The package's import graph is layered: every import sits at module level
 and no chain of package-internal imports leads back to where it started.
 Every function the package defines is used by the package, or kept for a
-stated reason."""
+stated reason, and every name a source, test, demo or tool file imports is
+read there."""
 
 import ast
 import os
@@ -276,3 +277,39 @@ def test_every_default_is_passed_or_kept():
     assert not extra, f"defaults no package call passes: {extra}"
     gone = sorted(UNPASSED.keys() - set(unpassed))
     assert not gone, f"kept but passed or gone: {gone}"
+
+
+ROOT = PACKAGE.parents[1]
+# imports no code of their file reads, each with the reason it stays
+UNREAD_IMPORTS = {
+    "src/qratio/decoherence.py:_fft": "bench/tracer.py proxies it",
+    "src/qratio/stern_gerlach.py:_fft": "bench/tracer.py proxies it",
+}
+
+
+def _unread_imports(path):
+    """``file:name`` of each name ``path`` imports and never reads; a name
+    listed in the file's ``__all__`` is read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    rel = path.relative_to(ROOT).as_posix()
+    return [f"{rel}:{name}" for imp in _imports(tree)
+            if not (isinstance(imp, ast.ImportFrom) and imp.module == "__future__")
+            for alias in imp.names
+            for name in [alias.asname or alias.name.split(".")[0]]
+            if name != "*" and name not in read]
+
+
+def test_every_import_is_read_or_kept():
+    files = sorted(p for d in ("src", "tests", "demos", "tools")
+                   for p in (ROOT / d).rglob("*.py"))
+    assert PACKAGE / "grid.py" in files and Path(__file__).resolve() in files
+    unread = [key for path in files for key in _unread_imports(path)]
+    extra = sorted(set(unread) - UNREAD_IMPORTS.keys())
+    assert not extra, f"imports their file never reads: {extra}"
+    gone = sorted(UNREAD_IMPORTS.keys() - set(unread))
+    assert not gone, f"kept but read or gone: {gone}"
