@@ -104,7 +104,7 @@ SCHEMAS = {
     "sg": {
         "sg": {
             "mode": ("choice:decoupled|coupled-check|bands", True, None),
-            "mass": ("mass", True, None),
+            "mass": ("mass>0", True, None),
             "b0": ("gradient", True, None),
             "width": ("length", "sg.mode=decoupled|coupled-check", None),
             "duration": ("time", "sg.mode=decoupled|coupled-check", None),

@@ -29,8 +29,9 @@ On axis 0 of a 2D grid along which V is constant, the kinetic factor
 commutes with every other factor of the step, so a product field
 psi = u b, with u a unit vector on axis 0 and b on axis 1, stays a
 product: :func:`propagate` steps only the row b, and reads u exactly as
-u_t = F^-1 exp(-i hbar k_0^2 t / 2m) F u where it is needed.  Any other
-field steps every axis.
+u_t = F^-1 exp(-i hbar k_0^2 t / 2m) F u where it is needed.  Its records
+are read from the two factors, and u_t b is built only at the return.  Any
+other field steps every axis.
 
 Boundaries are periodic; there are no absorbing layers.  Runs must be sized
 so that no appreciable probability reaches the grid edge, and a margin
@@ -299,18 +300,58 @@ def observables(field, potential):
                     math.sqrt(norm2))
 
 
+def _product_observables(grid, u, b, fu2, potential):
+    """:func:`observables` of the 2D product field u b, u a column on axis
+    0 and b a row on axis 1, read from the factors with one 1D transform,
+    of b; ``fu2`` is |F u|^2.  The field's density is the outer product of
+    |u|^2 and |b|^2, and its spectrum that of F u and F b, so each moment
+    is one of an axis's marginal; a gradient array g is summed as
+    |u|^2 g |b|^2, with no transform."""
+    d0, d1 = np.abs(u[:, 0]) ** 2, np.abs(b[0]) ** 2
+    fb2 = np.abs(_fft.fft(b[0])) ** 2
+    dv = grid.cell_volume
+    norm2 = float(np.sum(d0)) * float(np.sum(d1)) * dv
+    mean_x, widths, force, mean_p = [], [], [], []
+    for ax, (d, p) in enumerate(((d0, fu2), (d1, fb2))):
+        x, k, total = grid.axis(ax), grid.kaxis(ax), float(np.sum(d))
+        mx = float(np.sum(d * x)) / total
+        var = float(np.sum(d * (x - mx) ** 2)) / total
+        mean_x.append(mx)
+        widths.append(math.sqrt(2.0 * var))
+        mean_p.append(HBAR * float(np.sum(p * k)) / float(np.sum(p)))
+        g = potential.gradient(grid, ax)
+        force.append(-float(g) if np.ndim(g) == 0 else
+                     -float(d0 @ np.broadcast_to(g, grid.points) @ d1) * dv)
+    return Snapshot(tuple(mean_x), tuple(mean_p), tuple(widths), tuple(force),
+                    math.sqrt(norm2))
+
+
 def kinetic_ceiling(grid, mass):
-    """Largest kinetic eigenvalue hbar^2 k_max^2 / 2m on the grid."""
-    k2max = sum((math.pi / dx) ** 2 for dx in grid.spacings)
+    """Largest kinetic eigenvalue hbar^2 k_max^2 / 2m on the grid (inf for
+    a spacing so fine that k_max^2 overflows)."""
+    try:
+        k2max = sum((math.pi / dx) ** 2 for dx in grid.spacings)
+    except OverflowError:
+        return math.inf
     return HBAR ** 2 * k2max / (2.0 * mass)
 
 
 def ceiling_dt(grid, mass):
     """Suggested step at the spectral band: 0.7 of the pi/4 hbar / ceiling
     bound that :func:`kinetic_phase` enforces (inf for a mass so large that
-    the ceiling underflows to 0)."""
+    the ceiling underflows to 0).  Raises :class:`DomainError`, naming the
+    grid, when the step underflows to 0: no step resolves its band."""
     ceiling = kinetic_ceiling(grid, mass)
-    return 0.7 * math.pi / 4.0 * HBAR / ceiling if ceiling > 0.0 else math.inf
+    if not ceiling > 0.0:
+        return math.inf
+    dt = 0.7 * math.pi / 4.0 * HBAR / ceiling
+    if dt == 0.0:
+        raise DomainError(
+            f"grid of {'x'.join(map(str, grid.points))} points with spacing "
+            f"{min(grid.spacings):.3e} m: the kinetic ceiling {ceiling:.3e} J "
+            "leaves no time step that resolves its spectral band; coarsen "
+            "the grid")
+    return dt
 
 
 def kinetic_phase(grid, mass, dt, axes=None):
@@ -487,8 +528,9 @@ def propagate(field, potential, dt, steps, record_every=0):
     u b of a unit vector u on axis 0 and a row b (see
     :func:`_product_split`) is split once, only b is stepped, and u is read
     exactly at each step as u_t = F^-1 exp(-i hbar k_0^2 t / 2m) F u: axis
-    0's margin mass is u_t's times |b|^2, and the field is u_t b where it
-    is observed (records and the return).  Any other field steps every axis.
+    0's margin mass is u_t's times |b|^2, each record is read from u_t and
+    b (see :func:`_product_observables`), and the field u_t b is built only
+    at the return.  Any other field steps every axis.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
@@ -502,6 +544,7 @@ def propagate(field, potential, dt, steps, record_every=0):
     else:
         free, (u, psi), v = (0,), split, v[:1]
         fu = _fft.fft(u, axis=0)
+        fu2 = np.abs(fu[:, 0]) ** 2
         phase = 1j * (grid.kaxis(0) ** 2 * (-0.5 * HBAR / field.mass))[:, None]
         w = _margin_width(len(u))
         edge = np.r_[:w, len(u) - w:len(u)]
@@ -513,10 +556,19 @@ def propagate(field, potential, dt, steps, record_every=0):
 
     out = WaveField(grid, field.psi, field.mass, field.time, field.norm_drift)
     trace = ObservableTrace() if record_every else None
-    if record_every:
-        trace.append(out.time, observables(out, potential))
 
-    u_t, free_mass = None, 0.0
+    def record(u_t, psi):
+        if free:
+            # |F u_t|^2 = |F u|^2: u_t's kinetic phase has modulus 1
+            snap = _product_observables(grid, u_t, psi, fu2, potential)
+        else:
+            out.psi = psi
+            snap = observables(out, potential)
+        trace.append(out.time, snap)
+
+    u_t, free_mass = (u if free else None), 0.0
+    if record_every:
+        record(u_t, psi)
     for step in range(1, steps + 1):
         if half is not None:
             psi *= half
@@ -530,13 +582,10 @@ def propagate(field, potential, dt, steps, record_every=0):
             e = u_t[edge]
             free_mass = float(np.vdot(e, e).real) * b2
         check(psi, out.time, step, free_mass)
-        if record_every and step % record_every == 0 and step < steps:
-            out.psi = u_t @ psi if free else psi
-            trace.append(out.time, observables(out, potential))
+        if record_every and (step % record_every == 0 or step == steps):
+            record(u_t, psi)
 
     out.psi = u_t @ psi if free else psi
-    if record_every:
-        trace.append(out.time, observables(out, potential))
     out.norm_drift = max(field.norm_drift, abs(out.norm() - 1.0))
     out.trace = trace
     return out

@@ -174,6 +174,26 @@ def test_sg_duration_cap_comes_before_any_stepping(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extent", ["1e-300 um", "1e-150 um"])
+@pytest.mark.parametrize("preset", ["sg-split", "sg-coupled-check"])
+def test_sg_grid_too_fine_for_any_step_is_a_domain_error(tmp_path, capsys,
+                                                         monkeypatch, preset,
+                                                         extent):
+    # k_max^2 overflows, so the kinetic ceiling is infinite and the step at
+    # it 0; the decoupled step count divides by that step before any field
+    # is made
+    def refused(*args, **kwargs):
+        raise AssertionError("a field was made past the grid check")
+    monkeypatch.setattr(runner, "initialize_gaussian", refused)
+    cfg = preset_copy(tmp_path, preset, ("extent = 1 um", f"extent = {extent}"))
+    code, out = run_cli(tmp_path, "sg", "--config", cfg)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert "grid of" in err["message"] and "coarsen the grid" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("old,new,words", [
     ("bias_ratios = 200", "bias_ratios = 0", "B0"),
     ("b0 = 1.05e6 T/m", "b0 = 0 T/m", "b0"),
@@ -296,6 +316,10 @@ def test_degenerate_sizes_rejected(tmp_path, capsys, kind, preset, old, new,
      "transit_speed = 1e6 m/s\ntau_diss = -1 s", "tau_diss"),
     ("tunnel", "tunnel-pure", "mass = 9.1093837015e-31 kg", "mass = -1 kg",
      "mass"),
+    # the decoupled step count divides by the mass, in either run mode
+    ("sg", "sg-split", "mass = 9.1093837015e-31 kg", "mass = 0 kg", "mass"),
+    ("sg", "sg-coupled-check", "mass = 9.1093837015e-31 kg", "mass = 0 kg",
+     "mass"),
     # no [sg] run reads a bias field: coupled-check sets it from 'bias_ratios'
     ("sg", "sg-split", "b0 = 5e8 T/m", "b0 = 5e8 T/m\nB0 = 1 T", "B0"),
     ("talbot", "carpet-100nm", "z_steps = 200", "z_steps = 0", "z_steps"),
@@ -311,7 +335,8 @@ def test_degenerate_sizes_rejected(tmp_path, capsys, kind, preset, old, new,
      "L2_talbot"),
 ], ids=["zero-energy", "negative-energy", "negative-record-every",
         "decohere-two-points", "negative-duration-rate", "negative-tau-diss",
-        "negative-tunnel-mass", "sg-bias-key", "zero-z-steps",
+        "negative-tunnel-mass", "zero-sg-split-mass",
+        "zero-sg-coupled-check-mass", "sg-bias-key", "zero-z-steps",
         "zero-z-max-talbot", "one-slit", "zero-period", "negative-wavelength",
         "zero-L1-talbot", "negative-L2-talbot"])
 def test_schema_bounds_rejected(tmp_path, capsys, kind, preset, old, new, key):

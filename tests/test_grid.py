@@ -498,6 +498,33 @@ class TestFreeAxes:
             y = np.asarray([getattr(s, name) for s in snaps])
             assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
+    # 50 steps recorded every 20: the records at steps 0, 20, 40 and 50
+    @pytest.mark.parametrize("potential", [LinearPotential(1e-20, 1), BARRIER],
+                             ids=["linear-z", "barrier"])
+    def test_records_match_observables_on_the_built_field(self, monkeypatch,
+                                                          potential):
+        pairs, product = [], grid_module._product_observables
+
+        def logged(grid, u, b, fu2, pot):
+            snap = product(grid, u, b, fu2, pot)
+            built = WaveField(grid, u @ b, ME)
+            pairs.append((snap, observables(built, pot), built.psi))
+            return snap
+        monkeypatch.setattr(grid_module, "_product_observables", logged)
+        dt = suggest_dt(XZ, potential, ME)
+        out = propagate(xz_field(), potential, dt, 50, record_every=20)
+        assert out.trace.times == pytest.approx([0.0, 20 * dt, 40 * dt, 50 * dt])
+        assert len(pairs) == 4 and np.array_equal(pairs[-1][2], out.psi)
+        for name in ("mean_position", "mean_momentum", "widths", "mean_force"):
+            got = np.asarray([getattr(snap, name) for snap, _, _ in pairs])
+            want = np.asarray([getattr(ref, name) for _, ref, _ in pairs])
+            assert np.array_equal(got, np.asarray(getattr(out.trace, name)))
+            # each column against its own scale
+            assert np.all(np.abs(got - want)
+                          <= 1e-14 * np.max(np.abs(want), axis=0)), name
+        assert all(abs(snap.norm - ref.norm) <= 1e-14 for snap, ref, _ in pairs)
+        assert any(ref.mean_force[1] for _, ref, _ in pairs)
+
     def test_unsplit_field_matches_two_half_kicks(self):
         # V varies along both axes: every axis is stepped by the same loop
         potential = SampledPotential(
@@ -586,18 +613,20 @@ def test_steps_transform_only_the_coupled_axis(monkeypatch, record_every):
               record_every=record_every)
     n_x, n_z = XZ.points
     # a product field steps its one coupled-axis row (a 1D fft and ifft
-    # along its last axis), and reads its free factor (transformed once
-    # before the loop) at every step
+    # along its last axis), reads its free factor (transformed once before
+    # the loop) at every step, and reads each record from its factors: one
+    # 1D fft of the row, and no transform of the full grid
     per_step = [c for c in proxy.calls if c == ((1, n_z), None)]
     free_axis = [c for c in proxy.calls if c == ((n_x, 1), 0)]
-    snapshots = [c for c in proxy.calls if c == ((n_x, n_z), (-1, -2))]
+    per_record = [c for c in proxy.calls if c == ((n_z,), None)]
     records = steps // record_every + 1 if record_every else 0
     assert len(per_step) == 2 * steps
     assert proxy.named.count(("fft", (1, n_z))) == steps
     assert proxy.named.count(("ifft", (1, n_z))) == steps
     assert len(free_axis) == steps + 1
-    assert len(snapshots) == records
-    assert len(proxy.calls) == len(per_step) + len(free_axis) + len(snapshots)
+    assert proxy.named.count(("fft", (n_z,))) == len(per_record) == records
+    assert all(math.prod(shape) < n_x * n_z for shape, _ in proxy.calls)
+    assert len(proxy.calls) == len(per_step) + len(free_axis) + len(per_record)
 
 
 @pytest.mark.parametrize("record_every", [0, 20])

@@ -13,8 +13,13 @@ import json
 import math
 
 import numpy as np
+import pytest
 
-from qratio.constants import BOHR_MAGNETON as MUB, ELECTRON_MASS as ME, EV
+from qratio.cli import _preset_text
+from qratio.config import parse_config
+from qratio.constants import (BOHR_MAGNETON as MUB, ELECTRON_MASS as ME, EV,
+                              HBAR)
+from qratio.core import GaussianPacket, packet_width_at
 from qratio.tunneling import RectangularBarrier, exact_transmission
 
 
@@ -87,6 +92,55 @@ def test_sg_split_momentum_error(preset_runs):
     # checks allow 1e-6
     summary = preset_file(preset_runs, "sg-split", "summary.json")
     assert summary["pz_relative_error"] < 1e-14
+
+
+def sg_split_trace_gaps(preset_runs):
+    """The largest gap of each quantity of sg-split's two traces from its
+    closed form, which uses nothing of the engine.  A Gaussian in a linear
+    potential stays Gaussian, and Strang splitting is exact there up to a
+    global phase, so each band (sign +1 up, -1 down) has <z> = +/- mu_B b0
+    t^2 / 2m and <p_z> = +/- mu_B b0 t, both widths core.packet_width_at /
+    sqrt(2) (the convention of the trace's width columns), <y> = <p_y> = 0
+    and norm 1."""
+    p = parse_config(_preset_text("sg-split")).section("sg")
+    slope, width = MUB * p["b0"], p["width"]
+    packet = GaussianPacket(0.0, width, 0.0, p["mass"])
+    gaps = dict.fromkeys(SG_SPLIT_TRACE_PINS, 0.0)
+    for name, sign in (("trace_up.csv", 1.0), ("trace_down.csv", -1.0)):
+        t, y, z, py, pz, wy, wz, norm = np.loadtxt(
+            preset_runs["sg-split"][0] / name, delimiter=",", skiprows=1).T
+        assert len(t) == 33 and t[0] == 0.0
+        w = np.array([packet_width_at(packet, ti) for ti in t]) / math.sqrt(2.0)
+        found = {
+            "z_in_widths":
+                np.abs(z - sign * slope * t ** 2 / (2.0 * p["mass"])) / width,
+            "pz_relative": np.abs(pz[1:] / (sign * slope * t[1:]) - 1.0),
+            "widths_relative": np.abs(np.r_[wy, wz] / np.r_[w, w] - 1.0),
+            "y_in_widths": np.abs(y) / width,
+            # <p_y>, and <p_z> of the initial state
+            "p_at_rest_in_hbar_per_width":
+                np.abs(np.r_[py, pz[0]]) * width / HBAR,
+            "norm_defect": np.abs(norm - 1.0),
+        }
+        for key, gap in found.items():
+            gaps[key] = max(gaps[key], float(np.max(gap)))
+    return gaps
+
+
+# the largest gap of each measured at this tree, in the comment
+SG_SPLIT_TRACE_PINS = {
+    "z_in_widths": 2.5e-14,                    # 5.2e-15
+    "pz_relative": 2.5e-14,                    # 4.8e-15
+    "widths_relative": 2.5e-14,                # 5.4e-15
+    "y_in_widths": 1.6e-16,                    # 3.3e-17
+    "p_at_rest_in_hbar_per_width": 5e-16,      # 1.0e-16
+    "norm_defect": 3.3e-14,                    # 6.7e-15
+}
+
+
+@pytest.mark.parametrize("key", list(SG_SPLIT_TRACE_PINS))
+def test_sg_split_trace_matches_the_closed_form(preset_runs, key):
+    assert sg_split_trace_gaps(preset_runs)[key] < SG_SPLIT_TRACE_PINS[key]
 
 
 def test_tunnel_pure_transmission_gap(preset_runs):
