@@ -156,7 +156,8 @@ def _run_spin_dist(cfg):
     exact = distribution(state)
     dist = (approximate_distribution(p["j"], p["theta"])
             if p["mode"] == "approx" else exact)
-    rows = [(int(k), float(m), float(w)) for k, m, w in zip(*dist.nonzero())]
+    k = range(dist.first, dist.first + len(dist.weights))
+    rows = list(zip(k, dist.m_values, dist.weights))
     # the exact width in either mode, as classical_limit_diagnostics reads it
     summary = {"j": state.j, "theta": p["theta"], "mode": p["mode"],
                "argmax_m": dist.argmax_m(),
@@ -223,13 +224,10 @@ def _run_sg(cfg):
         hist = sg.large_spin_bands(
             p["j"], p["theta"], sg.SGFieldConfig(0.0, p["b0"]),
             p["region_length"] / p["speed"], p["drift_time"], p["mass"])
-        # the bands that carry weight, as distribution.csv lists them
-        nz = np.flatnonzero(hist.weights)
-        rows = list(zip(hist.m_values[nz], hist.deflections[nz],
-                        hist.weights[nz]))
+        rows = list(zip(hist.m_values, hist.deflections, hist.weights))
         m_peak = p["j"] * math.cos(p["theta"])
         files = {"bands.csv": _csv_bytes(("m", "z_m", "weight"), rows),
-                 "bands.svg": _svg_bands(hist.m_values[nz], hist.weights[nz])}
+                 "bands.svg": _svg_bands(hist.m_values, hist.weights)}
         summary = {"j": p["j"], "theta": p["theta"],
                    "mean_deflection_m": hist.mean_deflection(),
                    "classical_m": m_peak, "total_weight": float(hist.weights.sum())}

@@ -191,6 +191,8 @@ def band_separation(config, mass, transit_time):
 
 @dataclass(frozen=True)
 class BandHistogram:
+    """m, deflection and weight of each band of a distribution's support."""
+
     m_values: np.ndarray
     deflections: np.ndarray  # m
     weights: np.ndarray

@@ -101,7 +101,8 @@ def _carpet_grid(grating, rows=1):
 
 @dataclass
 class Carpet:
-    """Near-field intensity map behind a grating; rows computed on demand."""
+    """Near-field intensity map behind a grating, held whole: one row per z
+    of ``z_values``, and ``intensity_at`` computes the row at any other z."""
 
     grating: GratingSpec
     wavelength: float

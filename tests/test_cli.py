@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from qratio import runner, tunneling
-from qratio.cli import main, preset_names
+from qratio.cli import _preset_text, main, preset_names
+from qratio.config import SCHEMAS, _type_parts
 from qratio.constants import ELECTRON_MASS, EV, HBAR
 from qratio.errors import DomainError
 from qratio.grid import chebyshev_propagate, read_field_array
+from qratio.units import SI_UNITS
 
 
 def run_cli(tmp_path, *argv):
@@ -869,3 +871,47 @@ def test_carpet_outputs_binary_and_image(tmp_path):
     assert header == b"P5"
     summary = load_summary(out)
     assert summary["revival_fidelity_at_LT"] >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# every key of the spin and bands presets, but the kind and the mode, set to
+# each of these values: bare, and also in the key's SI unit where it has one
+
+FUZZ_PRESETS = {"spin-13half-pi2": "spin-dist", "spin-13half-pi4": "spin-dist",
+                "spin-large-2e5": "spin-dist", "sg-bands-13half": "sg"}
+FUZZ_VALUES = ("", "0", "-1", "nan", "inf", "1e300", "1e-300", "1e6", "text")
+
+
+def _fuzz_cases():
+    for preset, kind in FUZZ_PRESETS.items():
+        schema = {k: spec for section in SCHEMAS[kind].values()
+                  for k, spec in section.items()}
+        for line in _preset_text(preset).splitlines():
+            key = line.partition(" = ")[0]
+            if key not in schema or key == "mode":
+                continue
+            unit = SI_UNITS.get(_type_parts(schema[key][0])[0])
+            for value in FUZZ_VALUES:
+                yield preset, line, f"{key} = {value}"
+                if unit:
+                    yield preset, line, f"{key} = {value} {unit}"
+
+
+def _refuse(constant):
+    raise ValueError(f"non-finite {constant} in a JSON output")
+
+
+@pytest.mark.parametrize("preset, old, new", list(_fuzz_cases()))
+def test_spin_and_bands_inputs_run_or_fail_cleanly(tmp_path, capsys, preset,
+                                                   old, new):
+    cfg = preset_copy(tmp_path, preset, (old, new))
+    code, out = run_cli(tmp_path, FUZZ_PRESETS[preset], "--config", cfg)
+    if code == 0:
+        json.loads((out / "summary.json").read_text(), parse_constant=_refuse)
+        for table in out.glob("*.csv"):
+            rows = table.read_text().splitlines()[1:]
+            assert np.isfinite([float(v) for r in rows for v in r.split(",")]).all()
+    else:
+        assert code in (1, 2)
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error", "message", "scenario"}

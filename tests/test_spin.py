@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -17,6 +18,14 @@ def brute_force_weights(two_j, theta):
     p = math.cos(theta / 2.0) ** 2
     return np.array([comb(two_j, k) * p ** k * (1.0 - p) ** (two_j - k)
                      for k in range(two_j + 1)])
+
+
+def scattered(d):
+    """The weights of ``d`` over every k = 0..2j: its ``weights`` from
+    k = ``first`` on, scattered into 2j+1 zeros."""
+    w = np.zeros(d.two_j + 1)
+    w[d.first:d.first + len(d.weights)] = d.weights
+    return w
 
 
 class TestCoefficient:
@@ -51,7 +60,17 @@ class TestCoefficient:
 class TestDistribution:
     def test_antialigned_one_hot(self):
         d = distribution(SpinCoherentState.from_j(0.5, math.pi))
-        assert d.weights.tolist() == [1.0, 0.0]
+        assert scattered(d).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("two_j, theta, first", [
+        (13, 0.0, 13), (13, math.pi, 0), (2_000_000, 0.0, 2_000_000),
+        (0, 0.0, 0), (0, 1.0, 0),
+    ])
+    def test_one_weight_of_one(self, two_j, theta, first):
+        # aligned, anti-aligned and j = 0: a single m
+        d = distribution(SpinCoherentState(two_j, theta))
+        assert (d.first, d.weights.tolist()) == (first, [1.0])
+        assert d.m_values.tolist() == [first - two_j / 2]
 
     def test_spin_one_equator(self):
         d = distribution(SpinCoherentState.from_j(1.0, math.pi / 2))
@@ -66,7 +85,7 @@ class TestDistribution:
     ])
     def test_matches_integer_binomial_oracle(self, two_j, theta):
         d = distribution(SpinCoherentState(two_j, theta))
-        assert np.max(np.abs(d.weights - brute_force_weights(two_j, theta))) < 1e-12
+        assert np.max(np.abs(scattered(d) - brute_force_weights(two_j, theta))) < 1e-12
 
     @pytest.mark.parametrize("two_j", [13, 2000, 20000])
     def test_normalization(self, two_j):
@@ -76,8 +95,8 @@ class TestDistribution:
 
     def test_reversal_symmetry(self):
         theta = 0.7
-        a = distribution(SpinCoherentState(40, theta)).weights
-        b = distribution(SpinCoherentState(40, math.pi - theta)).weights
+        a = scattered(distribution(SpinCoherentState(40, theta)))
+        b = scattered(distribution(SpinCoherentState(40, math.pi - theta)))
         assert np.allclose(a, b[::-1], atol=1e-15)
 
     @pytest.mark.parametrize("phi", [0.0, 1.0, math.pi])
@@ -92,6 +111,19 @@ class TestDistribution:
         assert abs(d.weights.sum() - 1.0) < 1e-12
 
 
+def test_a_large_spin_allocates_its_support_alone():
+    # 47,043 of the 2,000,001 weights at j = 10^6, pi/3 are nonzero; held
+    # over every k, the distribution peaked at 16.8 MB
+    state = SpinCoherentState(2_000_000, math.pi / 3)
+    tracemalloc.start()
+    try:
+        distribution(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
 class TestArgmaxM:
     @pytest.mark.parametrize("weights, m", [
         ([0.1, 0.4, 0.4, 0.1], -0.5),
@@ -104,7 +136,7 @@ class TestArgmaxM:
         ([0.1, 0.4 * (1 - 10 * ARGMAX_TIE), 0.4, 0.1], 0.5),
     ])
     def test_ties_take_the_smallest_magnitude_then_the_smaller_m(self, weights, m):
-        d = SpinDistribution(len(weights) - 1, np.array(weights))
+        d = SpinDistribution(len(weights) - 1, 0, np.array(weights))
         assert d.argmax_m() == m
 
     # m = +/-1/2 weigh the same at the equator; for j <= 5/2 the +1/2
@@ -223,16 +255,17 @@ class TestAsymptoticAgreement:
         # exp(n f) needs the 1/sqrt(2 pi n x (1-x)) Stirling prefactor,
         # i.e. -0.5 log(4 pi j x (1-x)) in the log
         approx_log = two_j * f - 0.5 * np.log(4 * math.pi * (two_j / 2) * x * (1 - x))
-        bulk = d.weights[1:-1] > 1e-10 * d.weights.max()
-        exact_log = np.log(d.weights[1:-1][bulk])
+        w = scattered(d)
+        bulk = w[1:-1] > 1e-10 * w.max()
+        exact_log = np.log(w[1:-1][bulk])
         assert np.max(np.abs(approx_log[bulk] - exact_log)) < 0.01
 
     def test_argmax_agreement_with_approximation(self):
         theta = 0.9
         exact = distribution(SpinCoherentState(1000, theta))
         approx = approximate_distribution(500.0, theta)
-        assert abs(int(np.argmax(exact.weights))
-                   - int(np.argmax(approx.weights))) <= 1
+        assert abs(int(np.argmax(scattered(exact)))
+                   - int(np.argmax(scattered(approx)))) <= 1
 
 
 def test_state_validation():
@@ -279,30 +312,60 @@ SUPPORT_CASES = [(0.5, math.pi / 2), (0.5, 1e-3), (1.0, math.pi - 1e-3),
                  (2e5, math.pi - 1e-4)]
 
 
+def exact_full(n, theta):
+    """exp(logw - max) of the exact weights over every k = 0..2j."""
+    logw = spin._log_weights(n, theta, np.arange(n + 1))
+    return np.exp(logw - logw.max())
+
+
+def approximate_full(n, theta):
+    """exp(2j (f - max f)) over every k = 0..2j, 0 at both endpoints."""
+    f = stirling_log_weight(theta, np.arange(1, n) / n)
+    full = np.zeros(n + 1)
+    full[1:n] = np.exp(n * (f - f.max()))
+    return full
+
+
 @pytest.mark.parametrize("j, theta", SUPPORT_CASES)
 def test_exact_weights_vanish_off_the_support(j, theta):
     n = round(2 * j)
-    logw = spin._log_weights(n, theta, np.arange(n + 1))
-    full = np.exp(logw - logw.max())
+    full = exact_full(n, theta)
     a, b = spin._support(lambda k: spin._log_weights(n, theta, k), 0, n,
                          spin._peak(n, theta, 0, n))
     assert not full[:a].any() and not full[b + 1:].any()
     # the sums differ in length, so subnormal weights may round apart
-    w = distribution(SpinCoherentState.from_j(j, theta)).weights
+    w = scattered(distribution(SpinCoherentState.from_j(j, theta)))
     np.testing.assert_allclose(w, full / full.sum(), rtol=1e-13, atol=1e-300)
 
 
 @pytest.mark.parametrize("j, theta", [c for c in SUPPORT_CASES if c[0] >= 1.0])
 def test_approximate_weights_vanish_off_the_support(j, theta):
     n = round(2 * j)
-    f = stirling_log_weight(theta, np.arange(1, n) / n)
-    full = np.zeros(n + 1)
-    full[1:n] = np.exp(n * (f - f.max()))
+    full = approximate_full(n, theta)
     a, b = spin._support(lambda k: n * stirling_log_weight(theta, k / n),
                          1, n - 1, spin._peak(n, theta, 1, n - 1))
     assert not full[:a].any() and not full[b + 1:].any()
-    w = approximate_distribution(j, theta).weights
+    w = scattered(approximate_distribution(j, theta))
     np.testing.assert_allclose(w, full / full.sum(), rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("j, theta", SUPPORT_CASES)
+def test_every_weight_held_is_nonzero(j, theta):
+    # the support holds the k whose weights can be nonzero; a distribution
+    # holds exactly the nonzero ones, from its first to its last.  Their
+    # count is read after normalizing: a subnormal weight divided by the sum
+    # may round to 0 (73 of them at j = 2e5, pi/4)
+    n = round(2 * j)
+    pairs = [(distribution(SpinCoherentState.from_j(j, theta)),
+              exact_full(n, theta))]
+    if j >= 1.0:
+        pairs.append((approximate_distribution(j, theta),
+                      approximate_full(n, theta)))
+    for d, full in pairs:
+        nonzero = np.flatnonzero(full / full.sum())
+        assert d.weights[0] != 0.0 and d.weights[-1] != 0.0
+        assert len(d.weights) == len(nonzero)
+        assert d.first == nonzero[0]
 
 
 def test_support_of_a_flat_log_weight_is_the_whole_range():

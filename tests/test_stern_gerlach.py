@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,8 +299,9 @@ class TestLargeSpinBands:
         theta = 1.1
         hist = large_spin_bands(0.5, theta, self.config, self.transit, 0.0,
                                 self.mass_ag)
-        assert hist.weights[1] == pytest.approx(math.cos(theta / 2) ** 2, rel=1e-12)
-        assert hist.weights[0] == pytest.approx(math.sin(theta / 2) ** 2, rel=1e-12)
+        weight = dict(zip(hist.m_values.tolist(), hist.weights))
+        assert weight[0.5] == pytest.approx(math.cos(theta / 2) ** 2, rel=1e-12)
+        assert weight[-0.5] == pytest.approx(math.sin(theta / 2) ** 2, rel=1e-12)
 
     def test_13_half_band_count_and_symmetry(self):
         hist = large_spin_bands(6.5, math.pi / 2, self.config, self.transit,
@@ -329,6 +331,20 @@ class TestLargeSpinBands:
         near = np.abs(hist.deflections - z_classical) <= 3 * sigma_m * dz
         outside = 1.0 - hist.weights[near].sum()
         assert outside < 0.01
+
+    def test_a_large_spin_allocates_its_support_alone(self):
+        # 47,043 of the 2,000,001 bands at j = 10^6, pi/3 carry weight;
+        # computed for every band, the histogram peaked at 96 MB
+        tracemalloc.start()
+        try:
+            hist = large_spin_bands(1e6, math.pi / 3, self.config,
+                                    self.transit, 0.0, self.mass_ag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        assert len(hist.m_values) == len(hist.deflections) == len(hist.weights)
+        assert hist.weights.all() and len(hist.weights) < 50_000
 
     def test_spin_capped(self):
         with pytest.raises(DomainError):
