@@ -16,8 +16,7 @@ import numpy as np
 
 from qratio import GaussianPacket, catalog_lookup, quantum_ratio
 from qratio.constants import BOHR_MAGNETON as MUB, ELECTRON_MASS as ME, HBAR
-from qratio.grid import (FreePotential, Grid, ceiling_dt, initialize_gaussian,
-                         observables)
+from qratio.grid import Grid, ceiling_dt, initialize_gaussian, observables
 from qratio.stern_gerlach import (SGFieldConfig, SpinorField, band_separation,
                                   large_spin_bands, propagate_coupled,
                                   propagate_decoupled)
@@ -31,7 +30,7 @@ spinor = SpinorField(initialize_gaussian(grid, (pk, pk)),
 config = SGFieldConfig(field_B0=1.0, gradient_b0=5e8)
 steps = 256
 out = propagate_decoupled(spinor, config, 2e-12 / steps, steps)
-pz_up = observables(out.up, FreePotential()).mean_momentum[1]
+pz_up = observables(out.up).mean_momentum[1]
 print(f"decoupled: <p_z>_up = {pz_up:.4e}, "
       f"mu_B b0 t = {MUB * 5e8 * out.up.time:.4e}")
 print(f"  band separation (closed form): "

@@ -97,11 +97,6 @@ class DensityMatrix:
         v = self.packed.ravel()
         return float(np.einsum("i,i->", v, v) * dx * dx)
 
-    def smallest_eigenvalue(self):
-        """Least eigenvalue of the trace-normalized operator (on demand)."""
-        w = np.linalg.eigvalsh(self.rho * self.grid.spacings[0])
-        return float(w[0])
-
     def position_density(self):
         return np.diagonal(self.packed).copy()
 

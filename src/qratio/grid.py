@@ -148,9 +148,6 @@ class FreePotential:
     def values(self, grid):
         return 0.0
 
-    def gradient(self, grid, axis):
-        return 0.0
-
 
 class LinearPotential:
     """V = slope * x_axis (constant force -slope along the given axis),
@@ -163,9 +160,6 @@ class LinearPotential:
     def values(self, grid):
         return np.broadcast_to(self.slope * grid.open_axes()[self.axis],
                                grid.points)
-
-    def gradient(self, grid, axis):
-        return self.slope if axis == self.axis else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +189,6 @@ class Snapshot:
     mean_position: tuple
     mean_momentum: tuple
     widths: tuple      # sqrt(2) * position std dev = 1/e half-width of |psi|^2
-    mean_force: tuple  # -<dV/dx_i>
     norm: float
 
 
@@ -207,7 +200,6 @@ class ObservableTrace:
     mean_position: list = field(default_factory=list)
     mean_momentum: list = field(default_factory=list)
     widths: list = field(default_factory=list)
-    mean_force: list = field(default_factory=list)
     norms: list = field(default_factory=list)
 
     def append(self, t, snap):
@@ -215,12 +207,7 @@ class ObservableTrace:
         self.mean_position.append(snap.mean_position)
         self.mean_momentum.append(snap.mean_momentum)
         self.widths.append(snap.widths)
-        self.mean_force.append(snap.mean_force)
         self.norms.append(snap.norm)
-
-    def as_arrays(self):
-        return (np.asarray(self.times), np.asarray(self.mean_position),
-                np.asarray(self.mean_momentum), np.asarray(self.widths))
 
 
 def check_band(momentum, width, dx, subject):
@@ -276,42 +263,38 @@ def initialize_gaussian(grid, packets):
     return WaveField(grid, psi, mass)
 
 
-def observables(field, potential):
-    """First moments: position by grid quadrature, momentum spectrally, and
-    the mean force -<dV/dx_i> of ``potential``."""
+def observables(field):
+    """First moments: position by grid quadrature and momentum spectrally."""
     grid = field.grid
     dens = field.density()
     dv = grid.cell_volume
     norm2 = float(np.sum(dens) * dv)
-    mean_x, widths, force = [], [], []
-    for ax, x in enumerate(grid.open_axes()):
+    mean_x, widths = [], []
+    for x in grid.open_axes():
         mx = float(np.sum(dens * x) * dv) / norm2
         var = float(np.sum(dens * (x - mx) ** 2) * dv) / norm2
         mean_x.append(mx)
         widths.append(math.sqrt(2.0 * var))
-        g = potential.gradient(grid, ax)
-        force.append(-float(g) if np.ndim(g) == 0 else -float(np.sum(dens * g) * dv))
     s, axes = _first_to_last(field.psi.shape)
     phi = _fft.fftn(field.psi, s=s, axes=axes)
     pdens = np.abs(phi) ** 2
     ptot = float(np.sum(pdens))
     mean_p = [HBAR * float(np.sum(pdens * k)) / ptot for k in grid.open_kaxes()]
-    return Snapshot(tuple(mean_x), tuple(mean_p), tuple(widths), tuple(force),
+    return Snapshot(tuple(mean_x), tuple(mean_p), tuple(widths),
                     math.sqrt(norm2))
 
 
-def _product_observables(grid, u, b, fu2, potential):
+def _product_observables(grid, u, b, fu2):
     """:func:`observables` of the 2D product field u b, u a column on axis
     0 and b a row on axis 1, read from the factors with one 1D transform,
     of b; ``fu2`` is |F u|^2.  The field's density is the outer product of
     |u|^2 and |b|^2, and its spectrum that of F u and F b, so each moment
-    is one of an axis's marginal; a gradient array g is summed as
-    |u|^2 g |b|^2, with no transform."""
+    is one of an axis's marginal."""
     d0, d1 = np.abs(u[:, 0]) ** 2, np.abs(b[0]) ** 2
     fb2 = np.abs(_fft.fft(b[0])) ** 2
     dv = grid.cell_volume
     norm2 = float(np.sum(d0)) * float(np.sum(d1)) * dv
-    mean_x, widths, force, mean_p = [], [], [], []
+    mean_x, widths, mean_p = [], [], []
     for ax, (d, p) in enumerate(((d0, fu2), (d1, fb2))):
         x, k, total = grid.axis(ax), grid.kaxis(ax), float(np.sum(d))
         mx = float(np.sum(d * x)) / total
@@ -319,10 +302,7 @@ def _product_observables(grid, u, b, fu2, potential):
         mean_x.append(mx)
         widths.append(math.sqrt(2.0 * var))
         mean_p.append(HBAR * float(np.sum(p * k)) / float(np.sum(p)))
-        g = potential.gradient(grid, ax)
-        force.append(-float(g) if np.ndim(g) == 0 else
-                     -float(d0 @ np.broadcast_to(g, grid.points) @ d1) * dv)
-    return Snapshot(tuple(mean_x), tuple(mean_p), tuple(widths), tuple(force),
+    return Snapshot(tuple(mean_x), tuple(mean_p), tuple(widths),
                     math.sqrt(norm2))
 
 
@@ -560,10 +540,10 @@ def propagate(field, potential, dt, steps, record_every=0):
     def record(u_t, psi):
         if free:
             # |F u_t|^2 = |F u|^2: u_t's kinetic phase has modulus 1
-            snap = _product_observables(grid, u_t, psi, fu2, potential)
+            snap = _product_observables(grid, u_t, psi, fu2)
         else:
             out.psi = psi
-            snap = observables(out, potential)
+            snap = observables(out)
         trace.append(out.time, snap)
 
     u_t, free_mass = (u if free else None), 0.0
@@ -702,31 +682,6 @@ def chebyshev_propagate(psi, twice_h_norm, centre, half_width, dt, steps,
         # free, and one of them takes the next sum
         psi, total = total, prev
     return psi, time, applications
-
-
-def ehrenfest_residual(trace, mass):
-    """Largest relative defect of d<r>/dt = <p>/m and d<p>/dt = -<grad V>.
-
-    Time derivatives are central differences over the recorded trace; the
-    trace must hold at least 3 samples.
-    """
-    t, x, p, _ = trace.as_arrays()
-    f = np.asarray(trace.mean_force)
-    if len(t) < 3:
-        raise DomainError("trace must contain at least 3 samples")
-    if np.any(np.diff(t) <= 0.0) and np.any(np.diff(t) >= 0.0):
-        raise DomainError("trace times must be strictly monotonic")
-
-    dxdt = np.gradient(x, t, axis=0)
-    dpdt = np.gradient(p, t, axis=0)
-    # central differences are exact only up to quadratic time dependence,
-    # so compare on interior points
-    inner = slice(1, -1)
-    v_scale = max(np.max(np.abs(p)) / mass, 1e-300)
-    f_scale = max(np.max(np.abs(f)), np.max(np.abs(p)) / abs(t[-1] - t[0]), 1e-300)
-    res_r = np.max(np.abs(dxdt[inner] - p[inner] / mass)) / v_scale
-    res_p = np.max(np.abs(dpdt[inner] - f[inner])) / f_scale
-    return float(res_r), float(res_p)
 
 
 # ---------------------------------------------------------------------------

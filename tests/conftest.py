@@ -56,7 +56,8 @@ def criterion_8_free_run():
 @pytest.fixture(scope="session")
 def criterion_4_decoupled_run():
     """Criterion 4's decoupled run on 1024 x 1024 points, made once: the
-    spinor ``start`` of two 100 nm packets over 1 um, the gradient ``b0``
+    spinor ``start`` of two 100 nm packets over 1 um (each axis's
+    ``packet``), the gradient ``b0``
     = 5e8 T/m, ``steps`` = 40 steps at 0.9 of the step ceiling recorded
     every 8 (``out``), the same steps back again (``back``), and the wall
     time it took, ``elapsed``."""
@@ -72,6 +73,6 @@ def criterion_4_decoupled_run():
     steps = 40
     out = propagate_decoupled(start, config, dt, steps, record_every=8)
     back = propagate_decoupled(out, config, -dt, steps)
-    return SimpleNamespace(grid=grid, start=start, b0=b0, steps=steps,
-                           out=out, back=back,
+    return SimpleNamespace(grid=grid, start=start, packet=pk, b0=b0,
+                           steps=steps, out=out, back=back,
                            elapsed=time.monotonic() - began)

@@ -7,7 +7,7 @@ import pytest
 
 from qratio import runner, tunneling
 from qratio.cli import _preset_text, main, preset_names
-from qratio.config import SCHEMAS, _type_parts
+from qratio.config import SCHEMAS, _type_parts, parse_config
 from qratio.constants import ELECTRON_MASS, EV, HBAR
 from qratio.errors import DomainError
 from qratio.grid import chebyshev_propagate, read_field_array
@@ -874,11 +874,13 @@ def test_carpet_outputs_binary_and_image(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# every key of the spin and bands presets, but the kind and the mode, set to
-# each of these values: bare, and also in the key's SI unit where it has one
+# every key of every bundled preset, but the kind and the mode, set to each
+# of these values: bare, and also in the key's SI unit where it has one; and
+# once to a value in a unit of another dimension.  decohere-split is left
+# out: most of its 182 cases run the whole preset, about 18 s in all.
 
-FUZZ_PRESETS = {"spin-13half-pi2": "spin-dist", "spin-13half-pi4": "spin-dist",
-                "spin-large-2e5": "spin-dist", "sg-bands-13half": "sg"}
+FUZZ_PRESETS = {name: parse_config(_preset_text(name)).kind
+                for name in preset_names() if name != "decohere-split"}
 FUZZ_VALUES = ("", "0", "-1", "nan", "inf", "1e300", "1e-300", "1e6", "text")
 
 
@@ -886,15 +888,19 @@ def _fuzz_cases():
     for preset, kind in FUZZ_PRESETS.items():
         schema = {k: spec for section in SCHEMAS[kind].values()
                   for k, spec in section.items()}
-        for line in _preset_text(preset).splitlines():
+        # a line a preset repeats, such as a [case] key, is edited once
+        for line in dict.fromkeys(_preset_text(preset).splitlines()):
             key = line.partition(" = ")[0]
             if key not in schema or key == "mode":
                 continue
-            unit = SI_UNITS.get(_type_parts(schema[key][0])[0])
+            vtype = schema[key][0]
+            dimension = None if vtype.startswith("choice:") else _type_parts(vtype)[0]
+            unit = SI_UNITS.get(dimension)
             for value in FUZZ_VALUES:
                 yield preset, line, f"{key} = {value}"
                 if unit:
                     yield preset, line, f"{key} = {value} {unit}"
+            yield preset, line, f"{key} = 1 {'m' if dimension == 'time' else 's'}"
 
 
 def _refuse(constant):
@@ -902,15 +908,19 @@ def _refuse(constant):
 
 
 @pytest.mark.parametrize("preset, old, new", list(_fuzz_cases()))
-def test_spin_and_bands_inputs_run_or_fail_cleanly(tmp_path, capsys, preset,
-                                                   old, new):
+def test_preset_inputs_run_or_fail_cleanly(tmp_path, capsys, preset, old,
+                                           new):
     cfg = preset_copy(tmp_path, preset, (old, new))
     code, out = run_cli(tmp_path, FUZZ_PRESETS[preset], "--config", cfg)
     if code == 0:
         json.loads((out / "summary.json").read_text(), parse_constant=_refuse)
         for table in out.glob("*.csv"):
-            rows = table.read_text().splitlines()[1:]
-            assert np.isfinite([float(v) for r in rows for v in r.split(",")]).all()
+            header, *rows = table.read_text().splitlines()
+            # every column holds numbers but a [case] name
+            numeric = [column != "name" for column in header.split(",")]
+            assert np.isfinite([float(v) for r in rows
+                                for v, number in zip(r.split(","), numeric)
+                                if number]).all()
     else:
         assert code in (1, 2)
         err = json.loads(capsys.readouterr().err)

@@ -130,7 +130,8 @@ class TestDampingStep:
         f = split_state(grid, 0.6, 0.8)
         rho = pure_to_density(f)
         rho = propagate_density(rho, self.env, 1.5e-14, 150)
-        assert rho.smallest_eigenvalue() >= -1e-8
+        # the least eigenvalue of the trace-normalized operator
+        assert np.linalg.eigvalsh(rho.rho * grid.spacings[0])[0] >= -1e-8
 
     def test_unitary_part_matches_pure_evolution(self, grid):
         # with a vanishing damping rate the step reduces to U rho U+

@@ -165,8 +165,6 @@ KEPT = {
     "tunneling.rectangular_transmission": "oracle: the closed-form barrier",
     "decoherence._apply_unitary": "bench/tracer.py traces it by name",
     "decoherence.decohere_step": "bench/tracer.py traces it by name",
-    "grid.ehrenfest_residual": "gauge: the Ehrenfest defect of a trace",
-    "decoherence.smallest_eigenvalue": "gauge: the positivity of a density matrix",
     "cli.error": "hook: argparse calls it on a usage error",
 }
 

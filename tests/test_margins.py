@@ -94,26 +94,24 @@ def test_sg_split_momentum_error(preset_runs):
     assert summary["pz_relative_error"] < 1e-14
 
 
-def sg_split_trace_gaps(preset_runs):
-    """The largest gap of each quantity of sg-split's two traces from its
-    closed form, which uses nothing of the engine.  A Gaussian in a linear
-    potential stays Gaussian, and Strang splitting is exact there up to a
-    global phase, so each band (sign +1 up, -1 down) has <z> = +/- mu_B b0
-    t^2 / 2m and <p_z> = +/- mu_B b0 t, both widths core.packet_width_at /
-    sqrt(2) (the convention of the trace's width columns), <y> = <p_y> = 0
-    and norm 1."""
-    p = parse_config(_preset_text("sg-split")).section("sg")
-    slope, width = MUB * p["b0"], p["width"]
-    packet = GaussianPacket(0.0, width, 0.0, p["mass"])
-    gaps = dict.fromkeys(SG_SPLIT_TRACE_PINS, 0.0)
-    for name, sign in (("trace_up.csv", 1.0), ("trace_down.csv", -1.0)):
-        t, y, z, py, pz, wy, wz, norm = np.loadtxt(
-            preset_runs["sg-split"][0] / name, delimiter=",", skiprows=1).T
-        assert len(t) == 33 and t[0] == 0.0
+def closed_form_trace_gaps(traces, slope, width, mass):
+    """The largest gap of each quantity of a decoupled Stern-Gerlach run's
+    two traces from its closed form, which uses nothing of the engine.  A
+    Gaussian in a linear potential stays Gaussian, and Strang splitting is
+    exact there up to a global phase, so each band (sign +1 up, -1 down),
+    started at rest at the origin with ``width`` on both axes, has <z> =
+    +/- slope t^2 / 2m and <p_z> = +/- slope t, for slope = mu_B b0, both
+    widths core.packet_width_at / sqrt(2) (the convention of the trace's
+    width columns), <y> = <p_y> = 0 and norm 1.  ``traces`` holds (sign,
+    columns) per band, the columns t, y, z, p_y, p_z, w_y, w_z and norm of
+    the trace CSVs."""
+    packet = GaussianPacket(0.0, width, 0.0, mass)
+    gaps = {}
+    for sign, (t, y, z, py, pz, wy, wz, norm) in traces:
+        assert t[0] == 0.0
         w = np.array([packet_width_at(packet, ti) for ti in t]) / math.sqrt(2.0)
         found = {
-            "z_in_widths":
-                np.abs(z - sign * slope * t ** 2 / (2.0 * p["mass"])) / width,
+            "z_in_widths": np.abs(z - sign * slope * t ** 2 / (2.0 * mass)) / width,
             "pz_relative": np.abs(pz[1:] / (sign * slope * t[1:]) - 1.0),
             "widths_relative": np.abs(np.r_[wy, wz] / np.r_[w, w] - 1.0),
             "y_in_widths": np.abs(y) / width,
@@ -123,8 +121,20 @@ def sg_split_trace_gaps(preset_runs):
             "norm_defect": np.abs(norm - 1.0),
         }
         for key, gap in found.items():
-            gaps[key] = max(gaps[key], float(np.max(gap)))
+            gaps[key] = max(gaps.get(key, 0.0), float(np.max(gap)))
     return gaps
+
+
+def sg_split_trace_gaps(preset_runs):
+    """:func:`closed_form_trace_gaps` of sg-split's two trace CSVs."""
+    p = parse_config(_preset_text("sg-split")).section("sg")
+    traces = []
+    for name, sign in (("trace_up.csv", 1.0), ("trace_down.csv", -1.0)):
+        columns = np.loadtxt(preset_runs["sg-split"][0] / name, delimiter=",",
+                             skiprows=1).T
+        assert len(columns[0]) == 33
+        traces.append((sign, columns))
+    return closed_form_trace_gaps(traces, MUB * p["b0"], p["width"], p["mass"])
 
 
 # the largest gap of each measured at this tree, in the comment
@@ -141,6 +151,38 @@ SG_SPLIT_TRACE_PINS = {
 @pytest.mark.parametrize("key", list(SG_SPLIT_TRACE_PINS))
 def test_sg_split_trace_matches_the_closed_form(preset_runs, key):
     assert sg_split_trace_gaps(preset_runs)[key] < SG_SPLIT_TRACE_PINS[key]
+
+
+def criterion_4_trace_gaps(run4):
+    """:func:`closed_form_trace_gaps` of criterion 4's two traces, their
+    columns laid out as the trace CSVs lay them out."""
+    traces = []
+    for field, sign in ((run4.out.up, 1.0), (run4.out.down, -1.0)):
+        trace = field.trace
+        columns = np.c_[trace.times, trace.mean_position, trace.mean_momentum,
+                        trace.widths, trace.norms].T
+        assert len(columns[0]) == 6
+        traces.append((sign, columns))
+    return closed_form_trace_gaps(traces, MUB * run4.b0, run4.packet.width,
+                                  run4.packet.mass)
+
+
+# the largest gap of each measured at this tree, in the comment
+CRITERION_4_TRACE_PINS = {
+    "z_in_widths": 5e-15,                      # 9.8e-16
+    "pz_relative": 2.2e-13,                    # 4.4e-14
+    "widths_relative": 1.6e-15,                # 3.3e-16
+    "y_in_widths": 3.3e-16,                    # 6.6e-17
+    "p_at_rest_in_hbar_per_width": 7e-16,      # 1.4e-16
+    "norm_defect": 6.5e-15,                    # 1.3e-15
+}
+
+
+@pytest.mark.parametrize("key", list(CRITERION_4_TRACE_PINS))
+def test_criterion_4_trace_matches_the_closed_form(criterion_4_decoupled_run,
+                                                   key):
+    gaps = criterion_4_trace_gaps(criterion_4_decoupled_run)
+    assert gaps[key] < CRITERION_4_TRACE_PINS[key]
 
 
 def test_tunnel_pure_transmission_gap(preset_runs):

@@ -106,7 +106,7 @@ class TestDecoupled:
         dt = 2e-12 / steps
         out = propagate_decoupled(sp, config, dt, steps)
         t = out.up.time
-        pz = observables(out.up, FreePotential()).mean_momentum[0]
+        pz = observables(out.up).mean_momentum[0]
         assert pz == pytest.approx(MUB * 5e8 * t, rel=1e-10)
 
     def test_mirror_symmetry(self):
@@ -141,8 +141,8 @@ class TestDecoupled:
         up = propagate(out.up, FreePotential(), t_drift / drift_steps, drift_steps)
         down = propagate(out.down, FreePotential(), t_drift / drift_steps,
                          drift_steps)
-        dz = (observables(up, FreePotential()).mean_position[0]
-              - observables(down, FreePotential()).mean_position[0])
+        dz = (observables(up).mean_position[0]
+              - observables(down).mean_position[0])
         expected = 2.0 * band_deflection(MUB * b0, ME, tau, t_drift)
         assert dz == pytest.approx(expected, rel=1e-9)
 
